@@ -151,9 +151,9 @@ func DefaultClient() *Client { return defaultClient() }
 func (c *Client) Workers() int { return c.engine.Workers() }
 
 // Engine exposes the client's underlying portfolio engine, for sharing
-// its worker pool and cache with lower-level consumers — the experiment
-// sweeps (experiments.Config.Engine) and the online portfolio policy
-// (des.NewPortfolioPolicy) both accept one.
+// it with lower-level consumers: the experiment sweeps
+// (experiments.Config.Engine) use its worker pool and cache, the online
+// portfolio policy (des.NewPortfolioPolicy) its worker pool only.
 func (c *Client) Engine() *PortfolioEngine { return c.engine }
 
 // Schedule computes a complete co-schedule for the workload with one
@@ -316,7 +316,9 @@ func (c *Client) EvaluateBatch(ctx context.Context, scenarios iter.Seq[Portfolio
 // policy worker counts. The event loop polls ctx every few events and
 // abandons a cancelled run with ctx.Err(); to share the client's worker
 // pool with a portfolio repartition policy, pass Engine() to
-// des.NewPortfolioPolicy.
+// des.NewPortfolioPolicy. The policy then races on the client's pool
+// but never touches its memoization cache: online residual workloads do
+// not recur by name, and the policy memoizes recurring shapes itself.
 func (c *Client) SimulateOnline(ctx context.Context, sc OnlineScenario) (*OnlineResult, error) {
 	if sc.Metrics == nil {
 		sc.Metrics = c.desMetrics
@@ -330,10 +332,12 @@ func (c *Client) SimulateOnline(ctx context.Context, sc OnlineScenario) (*Online
 // platform and repartitioning policy, and the aggregate (routing log,
 // per-node event logs, fleet-wide wait/response/stretch summaries) is
 // returned. A scenario without its own Engine shares the client's
-// worker pool for "portfolio" node policies, and one without Metrics
-// inherits the client's instrumentation. Deterministic per seed and
-// bit-identical at any worker count; cancellation aborts within a few
-// arrivals with ctx.Err().
+// worker pool for "portfolio" node policies — the pool only, never the
+// client's memoization cache (see des.NewPortfolioPolicy) — and one
+// without Metrics inherits the client's instrumentation. Nodes advance
+// serially; concurrent calls share the pool safely. Deterministic per
+// seed and bit-identical at any worker count; cancellation aborts
+// within a few arrivals with ctx.Err().
 func (c *Client) SimulateFleet(ctx context.Context, sc FleetScenario) (*FleetResult, error) {
 	if sc.Engine == nil {
 		sc.Engine = c.engine

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -463,6 +465,69 @@ func TestClientEngineSharing(t *testing.T) {
 	}
 	if res.Makespan <= 0 {
 		t.Fatalf("empty result: %+v", res)
+	}
+}
+
+// TestSimulateFleetConcurrent runs several fleets at once on one
+// cache-on client, as a server's concurrent connections do. Every run
+// races its portfolio node policies on the client's shared worker
+// pool; each result must match its serial run on the routing log and
+// every node's event log, and the online races must leave the client's
+// memoization cache untouched.
+func TestSimulateFleetConcurrent(t *testing.T) {
+	ctx := context.Background()
+	c := NewClient(WithWorkers(2))
+	mkScenario := func(run int) FleetScenario {
+		factory, err := CycleJobs(testApps(run))
+		if err != nil {
+			t.Fatal(err)
+		}
+		arr, err := PoissonArrivals(3e-9, 24, factory, NewRNG(uint64(run)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes := make([]FleetNode, 3)
+		for i := range nodes {
+			nodes[i] = FleetNode{Platform: TaihuLight(), Policy: "portfolio", MaxResident: 3}
+		}
+		routings := FleetRoutings()
+		return FleetScenario{Nodes: nodes, Routing: routings[run%len(routings)], Arrivals: arr, Seed: uint64(run)}
+	}
+
+	const runs = 4
+	want := make([]*FleetResult, runs)
+	for i := range want {
+		var err error
+		if want[i], err = c.SimulateFleet(ctx, mkScenario(i)); err != nil {
+			t.Fatalf("serial run %d: %v", i, err)
+		}
+	}
+	got := make([]*FleetResult, runs)
+	errs := make([]error, runs)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = c.SimulateFleet(ctx, mkScenario(i))
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatalf("concurrent run %d: %v", i, errs[i])
+		}
+		if !reflect.DeepEqual(got[i].Routes, want[i].Routes) {
+			t.Errorf("run %d: routing log differs from the serial run", i)
+		}
+		for n := range want[i].Nodes {
+			if !reflect.DeepEqual(got[i].Nodes[n].Result.Events, want[i].Nodes[n].Result.Events) {
+				t.Errorf("run %d node %d: event log differs from the serial run", i, n)
+			}
+		}
+	}
+	if st := c.Engine().CacheStats(); st.Entries != 0 || st.Hits != 0 || st.Misses != 0 {
+		t.Errorf("online races touched the client cache: %+v", st)
 	}
 }
 

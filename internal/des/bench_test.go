@@ -37,7 +37,9 @@ func BenchmarkDESPoisson(b *testing.B) {
 
 // BenchmarkDESPortfolio measures the same stream repartitioned by the
 // portfolio engine — the upper bound of per-event decision cost (every
-// concurrent heuristic raced at every arrival/completion).
+// concurrent heuristic raced at every arrival/completion). The race
+// runs on one worker (Build(1)): benchgate gates allocs/op strictly,
+// and a pooled race's allocation count follows goroutine scheduling.
 func BenchmarkDESPortfolio(b *testing.B) {
 	sp := Spec{
 		Arrivals:    ArrivalSpec{Process: "poisson", Rate: 4e-9, N: 32},
@@ -48,7 +50,7 @@ func BenchmarkDESPortfolio(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sc, err := sp.Build(0)
+		sc, err := sp.Build(1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -61,7 +63,8 @@ func BenchmarkDESPortfolio(b *testing.B) {
 // BenchmarkDESPortfolioMetrics is the instrumented twin of
 // BenchmarkDESPortfolio: the same stream with a live registry counting
 // every event, gauge update and allocation timing. Comparing the pair
-// pins the metrics-on overhead of the event loop's hot path.
+// pins the metrics-on overhead of the event loop's hot path; like its
+// twin it races on one worker so allocs/op are deterministic.
 func BenchmarkDESPortfolioMetrics(b *testing.B) {
 	sp := Spec{
 		Arrivals:    ArrivalSpec{Process: "poisson", Rate: 4e-9, N: 32},
@@ -73,7 +76,7 @@ func BenchmarkDESPortfolioMetrics(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sc, err := sp.Build(0)
+		sc, err := sp.Build(1)
 		if err != nil {
 			b.Fatal(err)
 		}

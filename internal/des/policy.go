@@ -247,17 +247,18 @@ type PortfolioPolicy struct {
 }
 
 // NewPortfolioPolicy returns a portfolio-driven policy. A nil engine
-// gets a private one with the given worker bound (< 1 = GOMAXPROCS)
-// and no memoization cache: the engine cache keys on job names, which
-// the online job stream re-stamps per arrival, so it would only
-// accumulate dead entries — recurring resident *shapes* are instead
-// served by the policy's own name-insensitive plan memo. Pass an
-// engine to share a worker pool with other users.
+// gets a private one with the given worker bound (< 1 = GOMAXPROCS).
+// A non-nil engine is shared for its worker pool and metrics only: the
+// policy races on engine.Uncached(), so it never reads or fills the
+// engine's memoization cache. That cache keys on job names, which the
+// online job stream re-stamps per arrival, so it would only accumulate
+// dead entries — recurring resident *shapes* are instead served by the
+// policy's own name-insensitive plan memo.
 func NewPortfolioPolicy(engine *portfolio.Engine, workers int, seed uint64) *PortfolioPolicy {
 	if engine == nil {
 		engine = portfolio.New(portfolio.Config{Workers: workers})
 	}
-	return &PortfolioPolicy{engine: engine, hs: onlineHeuristics(), seed: seed, memo: sched.NewPlanMemo(0)}
+	return &PortfolioPolicy{engine: engine.Uncached(), hs: onlineHeuristics(), seed: seed, memo: sched.NewPlanMemo(0)}
 }
 
 // SetFullReplan disables (true) or re-enables (false) the delta
@@ -532,8 +533,10 @@ func ParsePolicy(spec string, workers int, seed uint64) (Policy, error) {
 // ParsePolicyShared is ParsePolicy with a caller-supplied portfolio
 // engine backing a "portfolio" policy, so many policies (one per fleet
 // node) can share a single worker pool instead of each building a
-// private one. A nil engine falls back to ParsePolicy's behavior; the
-// engine is unused for non-portfolio policies.
+// private one. The policy shares the engine's pool and metrics but not
+// its memoization cache (see NewPortfolioPolicy). A nil engine falls
+// back to ParsePolicy's behavior; the engine is unused for
+// non-portfolio policies.
 func ParsePolicyShared(engine *portfolio.Engine, spec string, workers int, seed uint64) (Policy, error) {
 	return parsePolicyWith(engine, spec, workers, seed)
 }

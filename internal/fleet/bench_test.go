@@ -1,23 +1,25 @@
 package fleet
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/des"
 )
 
-// benchSpec is the common fleet shape of the benchmarks: four
-// heterogeneous nodes behind the router, a 64-job Poisson stream over
-// the NPB templates.
-func benchSpec(routing, policy string) *Spec {
-	nodes := make([]NodeSpec, 4)
+// benchSpec is the common fleet shape of the benchmarks: n nodes behind
+// the router, each capped at four residents, and a Poisson stream over
+// the NPB templates of 16 jobs per node whose rate grows with n, so the
+// per-node load is the same at every fleet size.
+func benchSpec(routing, policy string, n int) *Spec {
+	nodes := make([]NodeSpec, n)
 	for i := range nodes {
 		nodes[i] = NodeSpec{Policy: policy, MaxResident: 4}
 	}
 	return &Spec{
 		Nodes:    nodes,
 		Routing:  routing,
-		Arrivals: des.ArrivalSpec{Process: "poisson", Rate: 8e-9, N: 64},
+		Arrivals: des.ArrivalSpec{Process: "poisson", Rate: 2e-9 * float64(n), N: 16 * n},
 		Seed:     42,
 	}
 }
@@ -27,7 +29,7 @@ func benchSpec(routing, policy string) *Spec {
 // the routing decision, with the cheapest repartitioning policy so the
 // router dominates the profile.
 func BenchmarkFleetRoute(b *testing.B) {
-	sp := benchSpec("cache-affinity", "DominantMinRatio")
+	sp := benchSpec("cache-affinity", "DominantMinRatio", 4)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -48,18 +50,24 @@ func BenchmarkFleetRoute(b *testing.B) {
 // BenchmarkFleetDES measures the full fleet pipeline with
 // portfolio-repartitioning nodes sharing one worker pool — the
 // production shape, and the upper bound of per-event decision cost
-// across the fleet.
+// across the fleet — at three fleet sizes, so the per-arrival cost of
+// advancing and scoring every node shows as the nodes arm grows. The
+// race runs on one worker (Build(1)) so allocs/op are deterministic.
 func BenchmarkFleetDES(b *testing.B) {
-	sp := benchSpec("least-loaded", "portfolio")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sc, err := sp.Build(0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := Simulate(sc); err != nil {
-			b.Fatal(err)
-		}
+	for _, n := range []int{4, 16, 64} {
+		b.Run(fmt.Sprintf("nodes=%d", n), func(b *testing.B) {
+			sp := benchSpec("least-loaded", "portfolio", n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sc, err := sp.Build(1)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := Simulate(sc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -17,9 +17,12 @@
 // golden-ratio stride (NodePolicySeed), the router's stream is salted
 // and split off separately, arrivals are routed serially in stream
 // order, and the per-node event loops are internal/des verbatim —
-// bit-deterministic at any worker count. Workers only bounds *how* the
-// independent node advancements and the shared portfolio pool execute,
-// never what they compute; the conform fleet harness pins digests at 1
+// bit-deterministic at any worker count. The nodes advance, score and
+// drain one after another in a plain loop: each step is microseconds of
+// work, too little to pay for a goroutine fork/join per node per
+// arrival. The only parallelism is the portfolio race inside
+// "portfolio" node policies, whose pool bounds how the race executes,
+// never what it computes; the conform fleet harness pins digests at 1
 // and 8 workers against a committed golden corpus.
 package fleet
 
@@ -27,7 +30,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/des"
 	"repro/internal/model"
@@ -69,14 +71,15 @@ type Scenario struct {
 	// Seed drives every random draw: node policy substreams and the
 	// router's stream are both derived from it.
 	Seed uint64
-	// Workers bounds the parallelism of the run: the shared portfolio
-	// pool backing "portfolio" node policies and the concurrent
-	// advancement of independent nodes (< 1 = GOMAXPROCS). Results are
+	// Workers sizes the private race pool backing "portfolio" node
+	// policies when Engine is nil (< 1 = GOMAXPROCS); it is unused
+	// otherwise. Nodes always advance serially. Results are
 	// bit-identical at any value.
 	Workers int
-	// Engine optionally supplies the shared portfolio engine backing
+	// Engine optionally supplies the portfolio engine backing
 	// "portfolio" node policies (nil = a private pool bounded by
-	// Workers).
+	// Workers). The policies share its worker pool and metrics but not
+	// its memoization cache: see des.NewPortfolioPolicy.
 	Engine *portfolio.Engine
 	// Metrics instruments every node of the run (counters are atomic,
 	// so one registry serves the whole fleet). Nil disables
@@ -230,21 +233,16 @@ func SimulateContext(ctx context.Context, sc Scenario) (*Result, error) {
 			continue // keep draining to count every truncated arrival
 		}
 		// Advance every node to the arrival instant, then score them.
-		// Nodes are independent simulations, so the advancement
-		// parallelizes without affecting any result bit.
-		if err := eachNode(nodes, sc.Workers, func(i int) error {
-			if err := nodes[i].AdvanceBefore(a.Time); err != nil {
-				return err
+		for i, n := range nodes {
+			if err := n.AdvanceBefore(a.Time); err != nil {
+				return nil, err
 			}
 			states[i] = NodeState{
 				Index:    i,
-				Backlog:  nodes[i].BacklogAt(a.Time),
-				InSystem: nodes[i].JobsInSystem(),
-				Affinity: affinity(nodes[i], a.App.Name),
+				Backlog:  n.BacklogAt(a.Time),
+				InSystem: n.JobsInSystem(),
+				Affinity: affinity(n, a.App.Name),
 			}
-			return nil
-		}); err != nil {
-			return nil, err
 		}
 		pick := router.Pick(states, a)
 		if pick < 0 || pick >= len(nodes) {
@@ -262,15 +260,12 @@ func SimulateContext(ctx context.Context, sc Scenario) (*Result, error) {
 
 	// Drain every node and collect the per-node outcomes.
 	res.Nodes = make([]NodeResult, len(nodes))
-	if err := eachNode(nodes, sc.Workers, func(i int) error {
-		nr, err := nodes[i].Finish(ctx)
+	for i, n := range nodes {
+		nr, err := n.Finish(ctx)
 		if err != nil {
-			return fmt.Errorf("fleet: node %s: %w", names[i], err)
+			return nil, fmt.Errorf("fleet: node %s: %w", names[i], err)
 		}
 		res.Nodes[i] = NodeResult{Name: names[i], Jobs: len(nr.Jobs), Result: nr}
-		return nil
-	}); err != nil {
-		return nil, err
 	}
 	aggregate(res)
 	return res, nil
@@ -315,35 +310,4 @@ func aggregate(res *Result) {
 	res.Wait, _ = stats.Summarize(waits)
 	res.Response, _ = stats.Summarize(resps)
 	res.Stretch, _ = stats.Summarize(stretches)
-}
-
-// eachNode runs fn(i) for every node — serially at workers ≤ 1 or for
-// a single node, concurrently otherwise. fn touches only node i's
-// state, so the schedule cannot affect results; the first error in
-// index order wins, matching the serial path.
-func eachNode(nodes []*des.Node, workers int, fn func(i int) error) error {
-	if workers == 1 || len(nodes) == 1 {
-		for i := range nodes {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, len(nodes))
-	for i := range nodes {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = fn(i)
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

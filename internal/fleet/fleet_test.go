@@ -307,3 +307,28 @@ func TestCancellation(t *testing.T) {
 		t.Errorf("cancelled run returned %v, want context.Canceled", err)
 	}
 }
+
+// raceEnabled is set by race_test.go under the race detector.
+var raceEnabled bool
+
+// TestSerialNodesAllocs: nodes advance, score and drain serially at any
+// Workers value, so a 64-node fleet allocates the same at 8 workers as
+// at 1. A goroutine per node per arrival would multiply the count.
+func TestSerialNodesAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts vary under the race detector")
+	}
+	allocs := func(workers int) float64 {
+		return testing.AllocsPerRun(3, func() {
+			if _, err := Simulate(Scenario{
+				Nodes: testNodes(64), Arrivals: testProc(t, 128, 5), Seed: 3, Workers: workers,
+			}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	serial, pooled := allocs(1), allocs(8)
+	if math.Abs(pooled-serial) > 0.02*serial {
+		t.Errorf("64-node fleet allocates %.0f at 8 workers vs %.0f at 1 (want within 2%%)", pooled, serial)
+	}
+}

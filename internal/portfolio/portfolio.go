@@ -87,6 +87,17 @@ func (e *Engine) CacheStats() CacheStats {
 	return e.cache.Stats()
 }
 
+// Uncached returns a view of e that shares its worker semaphore and
+// metrics but memoizes nothing, or e itself when it has no cache.
+// Callers whose scenarios never recur (the online DES policies) race on
+// it so they do not fill a shared cache with dead entries.
+func (e *Engine) Uncached() *Engine {
+	if e.cache == nil {
+		return e
+	}
+	return &Engine{sem: e.sem, metrics: e.metrics}
+}
+
 // Scenario is one scheduling problem: a platform, a workload, the set
 // of heuristics to race, and the seed driving the randomized ones.
 type Scenario struct {

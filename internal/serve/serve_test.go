@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -162,6 +163,73 @@ func TestSimulateFleetEndpoint(t *testing.T) {
 	if _, again := post(t, ts.URL+"/v1/simulate-fleet", "acme", open); again != first {
 		t.Errorf("tenant fleet response drifted:\n%s\nvs\n%s", first, again)
 	}
+}
+
+// TestOnlineSimulationsSkipMemo: simulate and simulate-fleet requests
+// race their portfolio policies on the client's worker pool but not on
+// its memo, so a cache-on server keeps portfolio_cache_entries at 0
+// through them, while /v1/schedule still fills the memo and hits it on
+// a repeat request.
+func TestOnlineSimulationsSkipMemo(t *testing.T) {
+	reg := obs.NewRegistry()
+	client := repro.NewClient(repro.WithWorkers(2), repro.WithMetrics(reg))
+	_, ts := newTestServer(t, Config{Client: client, Registry: reg})
+	for _, c := range []struct{ path, body string }{
+		{"/v1/simulate-fleet", `{"nodes": [{"policy": "portfolio", "maxResident": 3}, {"policy": "portfolio"}],
+			"arrivals": {"process": "poisson", "rate": 2e-9, "n": 8}, "seed": 11}`},
+		{"/v1/simulate", `{"arrivals": {"process": "poisson", "rate": 2e-9, "n": 8},
+			"policy": "portfolio", "maxResident": 3, "seed": 11}`},
+	} {
+		if resp, body := post(t, ts.URL+c.path, "", c.body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", c.path, resp.StatusCode, body)
+		}
+	}
+	if n := metricValue(t, ts.URL, "portfolio_batches_total"); n == 0 {
+		t.Fatal("the simulations raced no portfolio")
+	}
+	if n := metricValue(t, ts.URL, "portfolio_cache_entries"); n != 0 {
+		t.Errorf("online simulations left %v memo entries, want 0", n)
+	}
+
+	if resp, body := post(t, ts.URL+"/v1/schedule", "", twoApps); resp.StatusCode != http.StatusOK {
+		t.Fatalf("schedule: status %d: %s", resp.StatusCode, body)
+	}
+	if n := metricValue(t, ts.URL, "portfolio_cache_entries"); n == 0 {
+		t.Error("/v1/schedule left the memo empty")
+	}
+	hits := metricValue(t, ts.URL, "portfolio_cache_hits_total")
+	if resp, body := post(t, ts.URL+"/v1/schedule", "", twoApps); resp.StatusCode != http.StatusOK {
+		t.Fatalf("repeat schedule: status %d: %s", resp.StatusCode, body)
+	}
+	if again := metricValue(t, ts.URL, "portfolio_cache_hits_total"); again <= hits {
+		t.Errorf("repeat /v1/schedule missed the memo: hits %v -> %v", hits, again)
+	}
+}
+
+// metricValue scrapes /metrics and returns the value of the unlabeled
+// series name.
+func metricValue(t *testing.T, url, name string) float64 {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(body), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("series %s: %v", name, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("exposition has no series %s", name)
+	return 0
 }
 
 func TestBadRequests(t *testing.T) {
