@@ -3,7 +3,6 @@ package repro
 import (
 	"context"
 	"iter"
-	"sync"
 
 	"repro/internal/des"
 	"repro/internal/fleet"
@@ -136,16 +135,6 @@ func NewClient(opts ...ClientOption) *Client {
 		}),
 	}
 }
-
-// defaultClient backs the deprecated free functions: one lazily
-// initialized shared client, so legacy callers get memoization across
-// calls instead of a transient engine (and cache) per call.
-var defaultClient = sync.OnceValue(func() *Client { return NewClient() })
-
-// DefaultClient returns the shared default client used by the
-// deprecated package-level functions. It is created on first use with
-// default options (GOMAXPROCS workers, memoization enabled).
-func DefaultClient() *Client { return defaultClient() }
 
 // Workers reports the size of the client's worker pool.
 func (c *Client) Workers() int { return c.engine.Workers() }

@@ -5,56 +5,13 @@ import (
 	"testing"
 )
 
-// The cache-thrash fix in numbers: BestSchedule used to build a fresh
-// engine + cache per call, so a service evaluating the same workload
-// repeatedly recomputed all twelve heuristics every time. Routed
-// through the shared default client, repeat calls are one cache probe
-// per heuristic.
-
-func benchWorkload() ([]Application, Platform) {
-	apps := NPB()
+// BenchmarkClientBestMemoized measures Client.Best on a long-lived
+// client: after the first call, one cache probe per heuristic.
+func BenchmarkClientBestMemoized(b *testing.B) {
+	apps, pl := NPB(), TaihuLight()
 	for i := range apps {
 		apps[i].SeqFraction = 0.05
 	}
-	return apps, TaihuLight()
-}
-
-// BenchmarkBestScheduleMemoized measures the current shim: repeat calls
-// hit the shared default client's memoization cache.
-func BenchmarkBestScheduleMemoized(b *testing.B) {
-	apps, pl := benchWorkload()
-	if _, _, err := BestSchedule(pl, apps, 42); err != nil { // warm the cache
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := BestSchedule(pl, apps, 42); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkBestScheduleTransientEngine reproduces the pre-v2 shim — a
-// fresh engine and cache per call — as the comparison baseline.
-func BenchmarkBestScheduleTransientEngine(b *testing.B) {
-	apps, pl := benchWorkload()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rep, err := NewPortfolio(0).Evaluate(PortfolioScenario{Platform: pl, Apps: apps, Seed: 42})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rep.BestResult() == nil {
-			b.Fatal("no feasible schedule")
-		}
-	}
-}
-
-// BenchmarkClientBestMemoized is the v2 path itself (Client.Best on a
-// long-lived client), for comparison with the shims above.
-func BenchmarkClientBestMemoized(b *testing.B) {
-	apps, pl := benchWorkload()
 	c := NewClient(WithSeed(42))
 	ctx := context.Background()
 	if _, _, err := c.Best(ctx, pl, apps); err != nil {

@@ -398,50 +398,6 @@ func TestBestCancellationPreCancelled(t *testing.T) {
 	}
 }
 
-// TestDefaultClientMemoizes is the BestSchedule cache-thrash fix: the
-// legacy shim must hit the shared default client's cache on repeat
-// calls instead of rebuilding a transient engine.
-func TestDefaultClientMemoizes(t *testing.T) {
-	pl := TaihuLight()
-	apps := testApps(4242)
-	s1, _, err := BestSchedule(pl, apps, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	missesAfterFirst := DefaultClient().Engine().CacheStats().Misses
-	s2, rep, err := BestSchedule(pl, apps, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s1.Makespan != s2.Makespan {
-		t.Fatalf("repeat BestSchedule diverged: %v vs %v", s1.Makespan, s2.Makespan)
-	}
-	if m := DefaultClient().Engine().CacheStats().Misses; m != missesAfterFirst {
-		t.Fatalf("repeat BestSchedule recomputed: misses %d -> %d", missesAfterFirst, m)
-	}
-	for _, r := range rep.Results {
-		if !r.FromCache {
-			t.Fatalf("%v not served from the default client's cache", r.Heuristic)
-		}
-	}
-	// SimulateOnline shim routes through the same shared client.
-	factory, err := CycleJobs(apps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	arr, err := BatchArrivals(0, 6, 6, factory)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pol, err := NoRepartitionPolicy(DominantMinRatio, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := SimulateOnline(OnlineScenario{Platform: pl, Arrivals: arr, Policy: pol}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestClientEngineSharing wires the client's engine into an online
 // portfolio policy, the documented path for sharing one worker pool.
 func TestClientEngineSharing(t *testing.T) {

@@ -14,10 +14,13 @@
 // and the MAD-derived noise window, so the gate follows the
 // repeated-measurement discipline of the source paper rather than
 // diffing single noisy runs. Baseline benchmarks missing from the new
-// run fail the gate: a vanished benchmark is a bypass, not a pass.
+// run fail the gate: a vanished benchmark is a bypass, not a pass. The
+// baseline's ratio table is checked on every run, and -update rewrites
+// only the entries in the -only/-skip scope.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -39,21 +42,11 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		baselinePath = fs.String("baseline", "benchmarks/baseline.json", "baseline JSON path")
 		trajectory   = fs.String("trajectory", "", "trajectory artifact to write (e.g. BENCH_4.json)")
 		label        = fs.String("label", "", "label recorded in the trajectory")
-		update       = fs.Bool("update", false, "rewrite the baseline from this run")
+		update       = fs.Bool("update", false, "rewrite the in-scope baseline entries from this run")
 		tolNs        = fs.Float64("tol-ns", 30, "ns/op tolerance, percent (< 0 reports but never gates)")
 		tolB         = fs.Float64("tol-b", 10, "B/op tolerance, percent (< 0 reports but never gates)")
 		tolAllocs    = fs.Float64("tol-allocs", 5, "allocs/op tolerance, percent (< 0 reports but never gates)")
 		madK         = fs.Float64("mad-k", 3, "noise window MAD multiplier")
-		minSpeedup   = fs.Float64("min-speedup", 0, "required serial/parallel speedup (0 disables)")
-		speedupSer   = fs.String("speedup-serial", `^BenchmarkPortfolioSweep/workers=1$`, "serial benchmark regex for the speedup gate")
-		speedupPar   = fs.String("speedup-parallel", `^BenchmarkPortfolioSweep/workers=([2-9]|[1-9][0-9]+)$`, "parallel benchmark regex for the speedup gate")
-		speedupCPUs  = fs.Int("speedup-min-cpus", 4, "skip the speedup gate below this CPU count")
-		minDelta     = fs.Float64("min-delta-speedup", 0, "required full-replan/delta speedup (0 disables)")
-		deltaFull    = fs.String("delta-full", `^BenchmarkDESPortfolioHighRate/full$`, "full-replan benchmark regex for the delta gate")
-		deltaFast    = fs.String("delta-fast", `^BenchmarkDESPortfolioHighRate/delta$`, "delta-rescheduling benchmark regex for the delta gate")
-		minSel       = fs.Float64("min-selector-speedup", 0, "required full-race/selector-shortcut speedup (0 disables)")
-		selFull      = fs.String("selector-full", `^BenchmarkSelectorSweep/mode=full$`, "full-race benchmark regex for the selector gate")
-		selFast      = fs.String("selector-fast", `^BenchmarkSelectorSweep/mode=selector$`, "selector-shortcut benchmark regex for the selector gate")
 		only         = fs.String("only", "", "gate only benchmarks matching this regex (applied to run and baseline)")
 		skip         = fs.String("skip", "", "exclude benchmarks matching this regex (applied to run and baseline)")
 		quiet        = fs.Bool("quiet", false, "only print failures")
@@ -87,28 +80,50 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	if *update {
-		b := benchgate.NewBaseline(cur, ctx)
-		if err := b.Save(*baselinePath); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		fmt.Fprintf(stdout, "benchgate: baseline %s updated (%d benchmarks)\n", *baselinePath, len(cur))
-		return 0
-	}
-
 	base, err := benchgate.LoadBaseline(*baselinePath)
+	if *update && errors.Is(err, os.ErrNotExist) {
+		base, err = benchgate.NewBaseline(map[string]benchgate.Sample{}, ctx), nil
+	}
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
 	// The filter applies to both sides, so baseline entries outside the
-	// selection are out of scope rather than "missing from the run".
-	for name := range base.Benchmarks {
-		if !keep(name) {
+	// selection are out of scope rather than "missing from the run", and
+	// -update keeps them as they are.
+	scope := make(map[string]benchgate.Sample)
+	for name, s := range base.Benchmarks {
+		if keep(name) {
+			scope[name] = s
 			delete(base.Benchmarks, name)
 		}
 	}
+
+	if *update {
+		// Ratio rows matching the old entries stay in scope, so a
+		// renamed arm fails its row instead of silently retiring it.
+		for name, s := range cur {
+			scope[name] = s
+			base.Benchmarks[name] = s
+		}
+		if !checkRatios(base.Ratios, scope, cur, stdout, stderr) {
+			fmt.Fprintf(stderr, "benchgate: FAIL: %s not updated: the run fails its ratio table\n", *baselinePath)
+			return 1
+		}
+		base.Context = ctx
+		if err := base.Save(*baselinePath); err != nil {
+			fmt.Fprintln(stderr, err)
+			return 2
+		}
+		fmt.Fprintf(stdout, "benchgate: baseline %s updated (%d benchmarks from this run)\n", *baselinePath, len(cur))
+		return 0
+	}
+	// A scope that gates nothing would pass any run.
+	if len(scope) == 0 {
+		fmt.Fprintf(stderr, "benchgate: -only/-skip leaves no entry of %s to gate\n", *baselinePath)
+		return 2
+	}
+	base.Benchmarks = scope
 	tol := benchgate.Tolerances{NsPct: *tolNs, BPct: *tolB, AllocsPct: *tolAllocs, MADK: *madK}
 	rep := benchgate.Compare(base, cur, tol)
 	for _, f := range rep.Findings {
@@ -118,55 +133,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout, f)
 	}
 
-	fail := !rep.Pass()
-	if *minSpeedup > 0 {
-		if cpus := runtime.NumCPU(); cpus < *speedupCPUs {
-			fmt.Fprintf(stdout, "benchgate: %d CPUs < %d, skipping the %.2gx speedup gate\n", cpus, *speedupCPUs, *minSpeedup)
-		} else {
-			s, err := benchgate.Speedup(cur, *speedupSer, *speedupPar)
-			if err != nil {
-				fmt.Fprintln(stderr, err)
-				return 2
-			}
-			fmt.Fprintf(stdout, "benchgate: portfolio speedup (serial / best parallel): %.3fx\n", s)
-			if s < *minSpeedup {
-				fmt.Fprintf(stderr, "benchgate: FAIL: speedup %.3fx below required %.2gx\n", s, *minSpeedup)
-				fail = true
-			}
-		}
-	}
-
-	// The delta gate has no CPU floor: both arms run the engine race
-	// serially (Build(1)), so the ratio measures replanning work alone
-	// and is comparable on any machine.
-	if *minDelta > 0 {
-		s, err := benchgate.Speedup(cur, *deltaFull, *deltaFast)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		fmt.Fprintf(stdout, "benchgate: delta rescheduling speedup (full replan / delta): %.3fx\n", s)
-		if s < *minDelta {
-			fmt.Fprintf(stderr, "benchgate: FAIL: delta speedup %.3fx below required %.2gx\n", s, *minDelta)
-			fail = true
-		}
-	}
-
-	// Like the delta gate, both selector arms run at one worker, so the
-	// ratio measures scheduling work saved by serving the predicted
-	// winner instead of racing every heuristic.
-	if *minSel > 0 {
-		s, err := benchgate.Speedup(cur, *selFull, *selFast)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		fmt.Fprintf(stdout, "benchgate: learned-selection speedup (full race / selector): %.3fx\n", s)
-		if s < *minSel {
-			fmt.Fprintf(stderr, "benchgate: FAIL: selector speedup %.3fx below required %.2gx\n", s, *minSel)
-			fail = true
-		}
-	}
+	fail := !checkRatios(base.Ratios, scope, cur, stdout, stderr) || !rep.Pass()
 
 	if *trajectory != "" {
 		t := benchgate.NewTrajectory(*label, *baselinePath, ctx, cur, rep)
@@ -186,6 +153,42 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stdout, "benchgate: OK (%d benchmarks gated)\n", len(base.Benchmarks))
 	return 0
+}
+
+// checkRatios checks the ratio rows whose two patterns both match an
+// entry of scope on the run cur, and reports whether all of them pass.
+func checkRatios(rows []benchgate.Ratio, scope, cur map[string]benchgate.Sample, stdout, stderr io.Writer) bool {
+	inScope := func(pattern string) bool {
+		re := regexp.MustCompile(pattern) // LoadBaseline has compiled it once
+		for name := range scope {
+			if re.MatchString(name) {
+				return true
+			}
+		}
+		return false
+	}
+	ok := true
+	for _, r := range rows {
+		if !inScope(r.Numerator) || !inScope(r.Denominator) {
+			continue
+		}
+		if cpus := runtime.NumCPU(); cpus < r.MinCPUs {
+			fmt.Fprintf(stdout, "benchgate: %d CPUs < %d, skipping the %s ratio\n", cpus, r.MinCPUs, r.Name)
+			continue
+		}
+		s, err := benchgate.Speedup(cur, r.Numerator, r.Denominator)
+		switch {
+		case err != nil:
+			fmt.Fprintf(stderr, "benchgate: FAIL: %s ratio: %v\n", r.Name, err)
+		case s < r.Min:
+			fmt.Fprintf(stderr, "benchgate: FAIL: %s ratio %.3fx below required %.2gx\n", r.Name, s, r.Min)
+		default:
+			fmt.Fprintf(stdout, "benchgate: %s ratio: %.3fx (min %.2gx)\n", r.Name, s, r.Min)
+			continue
+		}
+		ok = false
+	}
+	return ok
 }
 
 // nameFilter compiles the -only/-skip selection into a predicate over

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -29,20 +30,32 @@ func benchLog(sweepNs, desNs, allocs float64) string {
 // from curLog, returning the exit code and combined output.
 func gate(t *testing.T, baseLog, curLog string, extraArgs ...string) (int, string) {
 	t.Helper()
-	dir := t.TempDir()
-	baseline := filepath.Join(dir, "baseline.json")
+	return runGate(curLog, append([]string{"-baseline", ratioBaseline(t, baseLog)}, extraArgs...)...)
+}
 
-	var out, errOut bytes.Buffer
-	code := run([]string{"-baseline", baseline, "-update"}, strings.NewReader(baseLog), &out, &errOut)
-	if code != 0 {
-		t.Fatalf("baseline update failed (%d): %s%s", code, out.String(), errOut.String())
+// ratioBaseline writes a baseline recorded from log with the given
+// ratio rows and returns its path.
+func ratioBaseline(t *testing.T, log string, rows ...benchgate.Ratio) string {
+	t.Helper()
+	ms, _, err := benchgate.Parse(strings.NewReader(log))
+	if err != nil {
+		t.Fatal(err)
 	}
+	path := filepath.Join(t.TempDir(), "baseline.json")
+	b := benchgate.NewBaseline(benchgate.Aggregate(ms), benchgate.Context{})
+	b.Ratios = rows
+	if err := b.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
 
-	args := append([]string{"-baseline", baseline}, extraArgs...)
-	out.Reset()
-	errOut.Reset()
-	code = run(args, strings.NewReader(curLog), &out, &errOut)
-	return code, out.String() + errOut.String()
+// runGate runs the CLI on input and returns the exit code and the
+// combined output.
+func runGate(input string, args ...string) (int, string) {
+	var out bytes.Buffer
+	code := run(args, strings.NewReader(input), &out, &out)
+	return code, out.String()
 }
 
 func TestGatePassesOnStableRun(t *testing.T) {
@@ -106,16 +119,7 @@ func TestGateWritesTrajectory(t *testing.T) {
 }
 
 func TestGateRejectsMalformedInput(t *testing.T) {
-	dir := t.TempDir()
-	baseline := filepath.Join(dir, "baseline.json")
-	var out, errOut bytes.Buffer
-	if code := run([]string{"-baseline", baseline, "-update"},
-		strings.NewReader(benchLog(1, 2, 3)), &out, &errOut); code != 0 {
-		t.Fatal("baseline update failed")
-	}
-	code := run([]string{"-baseline", baseline},
-		strings.NewReader("BenchmarkBroken\t xx\t 1 ns/op\n"), &out, &errOut)
-	if code != 2 {
+	if code, _ := gate(t, benchLog(1, 2, 3), "BenchmarkBroken\t xx\t 1 ns/op\n"); code != 2 {
 		t.Fatalf("malformed input exit code %d, want 2", code)
 	}
 }
@@ -157,14 +161,10 @@ func TestGateReadsFiles(t *testing.T) {
 	if err := os.WriteFile(logPath, []byte(benchLog(1000, 2000, 300)), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var out, errOut bytes.Buffer
-	if code := run([]string{"-baseline", baseline, "-update", logPath}, strings.NewReader(""), &out, &errOut); code != 0 {
-		t.Fatalf("update from file failed: %s%s", out.String(), errOut.String())
-	}
-	out.Reset()
-	errOut.Reset()
-	if code := run([]string{"-baseline", baseline, logPath}, strings.NewReader(""), &out, &errOut); code != 0 {
-		t.Fatalf("compare from file failed: %s%s", out.String(), errOut.String())
+	for _, args := range [][]string{{"-update", logPath}, {logPath}} {
+		if code, out := runGate("", append([]string{"-baseline", baseline}, args...)...); code != 0 {
+			t.Fatalf("benchgate %v from file failed: %s", args, out)
+		}
 	}
 }
 
@@ -199,18 +199,108 @@ func selectorLog(fullNs, selNs float64) string {
 	return b.String()
 }
 
-// TestSelectorSpeedupGate: -min-selector-speedup gates the full-race /
-// selector-shortcut ratio exactly like the delta gate.
+var selectorRatio = benchgate.Ratio{
+	Name:        "selector",
+	Numerator:   `^BenchmarkSelectorSweep/mode=full$`,
+	Denominator: `^BenchmarkSelectorSweep/mode=selector$`,
+	Min:         3,
+}
+
+// TestSelectorSpeedupGate: a ratio row gates the full-race /
+// selector-shortcut ratio of the run when both of its arms are in
+// scope and the machine has the CPUs the row asks for; an arm that
+// vanishes from the run fails as MISSING.
 func TestSelectorSpeedupGate(t *testing.T) {
-	base := selectorLog(5000, 1000)
-	if code, out := gate(t, base, selectorLog(5000, 1000), "-min-selector-speedup", "3"); code != 0 {
-		t.Fatalf("5x selector speedup failed a 3x gate (%d):\n%s", code, out)
+	floor := selectorRatio
+	floor.Name, floor.Min, floor.MinCPUs = "floor", 100, 1<<20
+	base := ratioBaseline(t, benchLog(1000, 2000, 300)+selectorLog(5000, 1000), selectorRatio, floor)
+	fast := benchLog(1000, 2000, 300) + selectorLog(5000, 1000)
+	slow := benchLog(1000, 2000, 300) + selectorLog(5000, 4000)
+	vanished := benchLog(1000, 2000, 300) + "BenchmarkSelectorSweep/mode=full-8\t 50\t 5000 ns/op\n"
+	for _, c := range []struct {
+		name, in, flag string
+		code           int
+		want           string
+	}{
+		{"5x passes a 3x row", fast, "-quiet", 0, "selector ratio: 4.996x"},
+		{"1.25x fails a 3x row", slow, "-tol-ns=-1", 1, "FAIL: selector ratio 1.250x"},
+		{"row above the CPU count", slow, "-tol-ns=-1", 1, "skipping the floor ratio"},
+		{"row out of scope", slow, "-skip=^BenchmarkSelector", 0, "OK (2 benchmarks gated)"},
+		{"vanished arm", vanished, "-quiet", 1, "MISSING   BenchmarkSelectorSweep/mode=selector"},
+	} {
+		if code, out := runGate(c.in, "-baseline", base, c.flag); code != c.code || !strings.Contains(out, c.want) {
+			t.Errorf("%s: exit %d, want %d and %q:\n%s", c.name, code, c.code, c.want, out)
+		}
 	}
-	code, out := gate(t, base, selectorLog(5000, 4000), "-min-selector-speedup", "3")
-	if code == 0 {
-		t.Fatalf("1.25x selector speedup passed a 3x gate:\n%s", out)
+}
+
+// TestGateEmptyScopeIsUsageError: a compare run whose scope leaves no
+// baseline entry gates nothing, so it must not pass. This is the
+// load-test gate after a refresh that dropped its budgets.
+func TestGateEmptyScopeIsUsageError(t *testing.T) {
+	base := ratioBaseline(t, benchLog(1000, 2000, 300))
+	if code, out := runGate("BenchmarkServeLoad/schedule/p50 1 999e6 ns/op\n", "-baseline", base, "-only", "^BenchmarkServeLoad/"); code != 2 {
+		t.Fatalf("a scope with no baseline entry exited %d, want 2:\n%s", code, out)
 	}
-	if !strings.Contains(out, "selector speedup") {
-		t.Errorf("failure output does not name the selector gate:\n%s", out)
+}
+
+// TestUpdateKeepsOutOfScopeEntries: the refresh bench.sh performs
+// rewrites the go-test entries only; the load-test budgets and the
+// ratio table survive it, and the load-test gate still fails a 999 ms
+// p50 afterwards.
+func TestUpdateKeepsOutOfScopeEntries(t *testing.T) {
+	p50 := func(ns string) string { return "BenchmarkServeLoad/schedule/p50 1 " + ns + " ns/op\n" }
+	base := ratioBaseline(t, benchLog(1000, 2000, 300)+p50("1e7"), selectorRatio)
+	if code, out := runGate(benchLog(900, 2000, 300), "-baseline", base, "-update", "-skip", "^BenchmarkServeLoad"); code != 0 {
+		t.Fatalf("scoped update failed (%d): %s", code, out)
+	}
+	b, err := benchgate.LoadBaseline(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := b.Benchmarks["BenchmarkServeLoad/schedule/p50"]; !ok || len(b.Benchmarks) != 3 || len(b.Ratios) != 1 {
+		t.Errorf("scoped update lost out-of-scope data: %d entries, ratios %+v", len(b.Benchmarks), b.Ratios)
+	}
+	if got := b.Benchmarks["BenchmarkPortfolioSweep/workers=1"].NsOp.Median; got != 901 {
+		t.Errorf("in-scope entry not refreshed: ns/op %v, want 901", got)
+	}
+	if code, out := runGate(p50("999e6"), "-baseline", base, "-only", "^BenchmarkServeLoad/schedule/", "-tol-ns", "0", "-mad-k", "0"); code != 1 {
+		t.Errorf("load-test gate exited %d on a 999 ms p50, want 1:\n%s", code, out)
+	}
+}
+
+// TestUpdateRefusesFailingRatio: -update checks the in-scope ratio rows
+// on the new samples and leaves the baseline untouched when one fails.
+func TestUpdateRefusesFailingRatio(t *testing.T) {
+	base := ratioBaseline(t, selectorLog(5000, 1000), selectorRatio)
+	if code, out := runGate(selectorLog(5000, 4000), "-baseline", base, "-update"); code != 1 {
+		t.Fatalf("update with a failing ratio exited %d, want 1:\n%s", code, out)
+	}
+	if b, err := benchgate.LoadBaseline(base); err != nil || b.Benchmarks["BenchmarkSelectorSweep/mode=selector"].NsOp.Median != 1001 {
+		t.Fatalf("refused update rewrote the baseline (%v)", err)
+	}
+	if code, out := runGate(selectorLog(6000, 1000), "-baseline", base, "-update"); code != 0 {
+		t.Fatalf("update with a passing ratio failed (%d):\n%s", code, out)
+	}
+}
+
+// TestCommittedBaselineGates pins the committed baseline's gates: its
+// three ratio rows, and load-test budgets that fail a 999 ms p50.
+func TestCommittedBaselineGates(t *testing.T) {
+	const path = "../../benchmarks/baseline.json"
+	b, err := benchgate.LoadBaseline(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string][2]float64{} // name -> {min, min_cpus}
+	for _, r := range b.Ratios {
+		got[r.Name] = [2]float64{r.Min, float64(r.MinCPUs)}
+	}
+	if want := map[string][2]float64{"portfolio-parallel": {2, 4}, "delta-replan": {5, 0}, "selector": {3, 0}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("ratio rows %v, want %v", got, want)
+	}
+	load := "BenchmarkServeLoad/schedule/p50 1 999e6 ns/op\nBenchmarkServeLoad/schedule/p99 1 1e6 ns/op\nBenchmarkServeLoad/schedule/sustained 1 1e6 ns/op\n"
+	if code, out := runGate(load, "-baseline", path, "-only", "^BenchmarkServeLoad/schedule/", "-tol-ns", "0", "-mad-k", "0"); code != 1 {
+		t.Errorf("load-test gate exited %d on a 999 ms p50, want 1:\n%s", code, out)
 	}
 }

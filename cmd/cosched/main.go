@@ -212,8 +212,8 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 		}
 		// Only genuine races train a ledger: a served prediction is a
 		// one-heuristic report and carries no win/loss evidence.
-		if len(rep.Results) > 1 {
-			if err := telw.record(pl, apps, rep); err != nil {
+		if telw != nil && len(rep.Results) > 1 {
+			if err := telw.record(selector.Extract(pl, apps).Bucket(), rep); err != nil {
 				return err
 			}
 		}
@@ -375,24 +375,6 @@ func writeRanking(out io.Writer, rep *repro.PortfolioReport) error {
 	return nil
 }
 
-// Batch-mode output shapes. The input side (scenario JSON) is shared
-// with the coschedd service — see serve.ScenarioWire — but the CLI
-// report keeps its cache-provenance bit, which the service deliberately
-// omits.
-type resultJSON struct {
-	Heuristic string  `json:"heuristic"`
-	Makespan  float64 `json:"makespan,omitempty"`
-	FromCache bool    `json:"fromCache,omitempty"`
-	Error     string  `json:"error,omitempty"`
-}
-
-type reportJSON struct {
-	Best     string       `json:"best,omitempty"`
-	Makespan float64      `json:"makespan,omitempty"`
-	Results  []resultJSON `json:"results,omitempty"`
-	Error    string       `json:"error,omitempty"`
-}
-
 // runBatch serves every scenario of the batch input through the v2
 // client's streaming batch evaluator: one NDJSON report line per
 // scenario, in input order, as each completes. Decoding, evaluation and
@@ -436,11 +418,17 @@ func runBatch(ctx context.Context, client *repro.Client, path string, defaultPl 
 	enc := json.NewEncoder(out)
 	if err := client.EvaluateBatch(ctx, scenarios, func(br repro.BatchResult) error {
 		if tw != nil && br.Index < len(buckets) {
-			if err := tw.recordBucket(buckets[br.Index], br.Report); err != nil {
+			if err := tw.record(buckets[br.Index], br.Report); err != nil {
 				return err
 			}
 		}
-		return enc.Encode(reportOf(br.Report))
+		// The service's wire form, plus the cache-provenance bit the
+		// service deliberately leaves out.
+		rw := serve.ReportOf(br.Report)
+		for i := range rw.Results {
+			rw.Results[i].FromCache = br.Report.Results[i].FromCache
+		}
+		return enc.Encode(rw)
 	}); err != nil {
 		return err
 	}
@@ -474,28 +462,11 @@ func openTelemetry(path string) (*telemetryWriter, error) {
 
 // record emits one race's records, labeling them with the workload's
 // feature bucket.
-func (t *telemetryWriter) record(pl model.Platform, apps []model.Application, rep *repro.PortfolioReport) error {
-	if t == nil {
-		return nil
-	}
-	return t.recordBucket(selector.Extract(pl, apps).Bucket(), rep)
-}
-
-func (t *telemetryWriter) recordBucket(bucket string, rep *repro.PortfolioReport) error {
+func (t *telemetryWriter) record(bucket string, rep *repro.PortfolioReport) error {
 	if t == nil || rep == nil || rep.Err != nil {
 		return nil
 	}
-	outs := make([]selector.Outcome, len(rep.Results))
-	for i, r := range rep.Results {
-		outs[i] = selector.Outcome{
-			Heuristic: r.Heuristic,
-			OK:        r.Err == nil && r.Schedule != nil,
-		}
-		if outs[i].OK {
-			outs[i].Makespan = r.Schedule.Makespan
-		}
-	}
-	for _, rr := range selector.Race(bucket, outs) {
+	for _, rr := range selector.Race(bucket, rep.Outcomes()) {
 		if err := t.enc.Encode(rr); err != nil {
 			return err
 		}
@@ -508,28 +479,6 @@ func (t *telemetryWriter) Close() error {
 		return nil
 	}
 	return t.closer.Close()
-}
-
-// reportOf converts an engine report to its wire form.
-func reportOf(rep *repro.PortfolioReport) reportJSON {
-	if rep.Err != nil {
-		return reportJSON{Error: rep.Err.Error()}
-	}
-	rj := reportJSON{}
-	if best := rep.BestResult(); best != nil {
-		rj.Best = best.Heuristic.String()
-		rj.Makespan = best.Schedule.Makespan
-	}
-	for _, r := range rep.Results {
-		res := resultJSON{Heuristic: r.Heuristic.String(), FromCache: r.FromCache}
-		if r.Err != nil {
-			res.Error = r.Err.Error()
-		} else {
-			res.Makespan = r.Schedule.Makespan
-		}
-		rj.Results = append(rj.Results, res)
-	}
-	return rj
 }
 
 // loadApps reads the JSON fleet at path, or returns the built-in NPB

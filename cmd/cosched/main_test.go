@@ -5,11 +5,26 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/serve"
 )
+
+// writeTemp stores content in a fresh temporary file and returns its
+// path.
+func writeTemp(t *testing.T, content string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "input.json")
+	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
 
 func TestRunDefaultNPB(t *testing.T) {
 	var out bytes.Buffer
@@ -79,16 +94,11 @@ func TestRunLocalSearch(t *testing.T) {
 }
 
 func TestRunJSONOutputAndCustomApps(t *testing.T) {
-	dir := t.TempDir()
-	appsPath := filepath.Join(dir, "apps.json")
-	fleet := `[
+	appsPath := writeTemp(t, `[
 		{"name": "a", "work": 1e10, "seq": 0.05, "freq": 0.5, "missRate": 1e-3, "refCache": 4e7},
 		{"name": "b", "work": 2e10, "seq": 0.02, "freq": 0.7, "missRate": 5e-3, "refCache": 4e7}
-	]`
-	if err := os.WriteFile(appsPath, []byte(fleet), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	jsonPath := filepath.Join(dir, "sched.json")
+	]`)
+	jsonPath := filepath.Join(t.TempDir(), "sched.json")
 	var out bytes.Buffer
 	if err := run(context.Background(), []string{"-apps", appsPath, "-json", jsonPath}, &out); err != nil {
 		t.Fatal(err)
@@ -119,12 +129,7 @@ func TestRunBadAppsFile(t *testing.T) {
 	if err := run(context.Background(), []string{"-apps", "/nonexistent.json"}, &out); err == nil {
 		t.Fatal("missing file accepted")
 	}
-	dir := t.TempDir()
-	bad := filepath.Join(dir, "bad.json")
-	if err := os.WriteFile(bad, []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(context.Background(), []string{"-apps", bad}, &out); err == nil {
+	if err := run(context.Background(), []string{"-apps", writeTemp(t, "{not json")}, &out); err == nil {
 		t.Fatal("malformed JSON accepted")
 	}
 }
@@ -155,9 +160,7 @@ func TestRunPortfolio(t *testing.T) {
 }
 
 func TestRunBatch(t *testing.T) {
-	dir := t.TempDir()
-	batchPath := filepath.Join(dir, "batch.json")
-	batch := `[
+	batchPath := writeTemp(t, `[
 		{"apps": [
 			{"name": "a", "work": 1e10, "seq": 0.05, "freq": 0.5, "missRate": 1e-3, "refCache": 4e7},
 			{"name": "b", "work": 2e10, "seq": 0.02, "freq": 0.7, "missRate": 5e-3, "refCache": 4e7}
@@ -167,10 +170,7 @@ func TestRunBatch(t *testing.T) {
 			{"name": "b", "work": 2e10, "seq": 0.02, "freq": 0.7, "missRate": 5e-3, "refCache": 4e7}
 		], "heuristics": ["DominantMinRatio", "Fair"], "seed": 8},
 		{"platform": {"processors": -1}, "apps": []}
-	]`
-	if err := os.WriteFile(batchPath, []byte(batch), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	]`)
 	var out bytes.Buffer
 	if err := run(context.Background(), []string{"-batch", batchPath, "-workers", "2"}, &out); err != nil {
 		t.Fatal(err)
@@ -204,6 +204,28 @@ func TestRunBatch(t *testing.T) {
 	}
 }
 
+// TestBatchLineIsEvaluateBody: with no cache hit, a -batch report line
+// is the /v1/evaluate response for the same scenario.
+func TestBatchLineIsEvaluateBody(t *testing.T) {
+	scenario := `{"platform": {"processors": 128, "cacheSize": 16e9, "ls": 0.17, "ll": 1, "alpha": 0.5},
+		"apps": [
+			{"name": "a", "work": 1e10, "seq": 0.05, "freq": 0.5, "missRate": 1e-3, "refCache": 4e7},
+			{"name": "b", "work": 2e10, "seq": 0.02, "freq": 0.7, "missRate": 5e-3, "refCache": 4e7}
+		], "heuristics": ["DominantMinRatio", "Fair", "DominantRandom"], "seed": 7}`
+	var out bytes.Buffer
+	if err := run(context.Background(), []string{"-batch", writeTemp(t, scenario)}, &out); err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	serve.New(serve.Config{}).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/evaluate", strings.NewReader(scenario)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("POST /v1/evaluate: %d %s", rec.Code, rec.Body)
+	}
+	if out.String() != rec.Body.String() {
+		t.Errorf("-batch line differs from the /v1/evaluate body:\n got %s\nwant %s", out.String(), rec.Body.String())
+	}
+}
+
 func TestRunPortfolioFlagConflicts(t *testing.T) {
 	var out bytes.Buffer
 	if err := run(context.Background(), []string{"-portfolio", "-localsearch"}, &out); err == nil {
@@ -214,23 +236,12 @@ func TestRunPortfolioFlagConflicts(t *testing.T) {
 	}
 }
 
-// batchReport mirrors the NDJSON report line of -batch output.
-type batchReport struct {
-	Best    string `json:"best"`
-	Results []struct {
-		Heuristic string  `json:"heuristic"`
-		Makespan  float64 `json:"makespan"`
-		FromCache bool    `json:"fromCache"`
-	} `json:"results"`
-	Error string `json:"error"`
-}
-
 // decodeReports parses -batch NDJSON output: one report per line.
-func decodeReports(t *testing.T, out string) []batchReport {
+func decodeReports(t *testing.T, out string) []serve.ReportWire {
 	t.Helper()
-	var reports []batchReport
+	var reports []serve.ReportWire
 	for i, line := range strings.Split(strings.TrimRight(out, "\n"), "\n") {
-		var rep batchReport
+		var rep serve.ReportWire
 		if err := json.Unmarshal([]byte(line), &rep); err != nil {
 			t.Fatalf("batch output line %d is not JSON: %v\n%s", i, err, line)
 		}
@@ -242,14 +253,9 @@ func decodeReports(t *testing.T, out string) []batchReport {
 // TestRunBatchNDJSONInput: a bare NDJSON stream of scenario objects is
 // accepted alongside the array form, and reports stream in input order.
 func TestRunBatchNDJSONInput(t *testing.T) {
-	dir := t.TempDir()
-	batchPath := filepath.Join(dir, "batch.ndjson")
-	batch := `{"apps": [{"name": "a", "work": 1e10, "seq": 0.05, "freq": 0.5, "missRate": 1e-3, "refCache": 4e7}], "heuristics": ["DominantMinRatio"]}
+	batchPath := writeTemp(t, `{"apps": [{"name": "a", "work": 1e10, "seq": 0.05, "freq": 0.5, "missRate": 1e-3, "refCache": 4e7}], "heuristics": ["DominantMinRatio"]}
 {"apps": [{"name": "b", "work": 2e10, "seq": 0.02, "freq": 0.7, "missRate": 5e-3, "refCache": 4e7}], "heuristics": ["Fair"]}
-`
-	if err := os.WriteFile(batchPath, []byte(batch), 0o644); err != nil {
-		t.Fatal(err)
-	}
+`)
 	var out bytes.Buffer
 	if err := run(context.Background(), []string{"-batch", batchPath}, &out); err != nil {
 		t.Fatal(err)
@@ -279,13 +285,8 @@ func (w *failWriter) Write(p []byte) (int, error) {
 // error promptly — the decoder stops emitting instead of evaluating
 // the rest of the batch into the void.
 func TestRunBatchOutputFailure(t *testing.T) {
-	dir := t.TempDir()
-	batchPath := filepath.Join(dir, "batch.json")
 	one := `{"apps": [{"name": "a", "work": 1e10, "seq": 0.05, "freq": 0.5, "missRate": 1e-3, "refCache": 4e7}], "heuristics": ["Fair"]}`
-	batch := "[" + one + "," + one + "," + one + "," + one + "," + one + "]"
-	if err := os.WriteFile(batchPath, []byte(batch), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	batchPath := writeTemp(t, "["+one+","+one+","+one+","+one+","+one+"]")
 	w := &failWriter{}
 	if err := run(context.Background(), []string{"-batch", batchPath, "-workers", "1"}, w); err == nil {
 		t.Fatal("failing writer not reported")
@@ -297,18 +298,10 @@ func TestRunBatchBadInput(t *testing.T) {
 	if err := run(context.Background(), []string{"-batch", "/nonexistent.json"}, &out); err == nil {
 		t.Fatal("missing batch file accepted")
 	}
-	dir := t.TempDir()
-	bad := filepath.Join(dir, "bad.json")
-	if err := os.WriteFile(bad, []byte(`[{"heuristics": ["Bogus"], "apps": []}]`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(context.Background(), []string{"-batch", bad}, &out); err == nil {
+	if err := run(context.Background(), []string{"-batch", writeTemp(t, `[{"heuristics": ["Bogus"], "apps": []}]`)}, &out); err == nil {
 		t.Fatal("unknown heuristic in batch accepted")
 	}
-	trailing := filepath.Join(dir, "trailing.json")
-	if err := os.WriteFile(trailing, []byte(`[{"apps": [{"name": "a", "work": 1e10, "seq": 0.05, "freq": 0.5, "missRate": 1e-3, "refCache": 4e7}]}] {"oops": 1}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	trailing := writeTemp(t, `[{"apps": [{"name": "a", "work": 1e10, "seq": 0.05, "freq": 0.5, "missRate": 1e-3, "refCache": 4e7}]}] {"oops": 1}`)
 	if err := run(context.Background(), []string{"-batch", trailing}, &out); err == nil {
 		t.Fatal("trailing data after the scenario array accepted")
 	}

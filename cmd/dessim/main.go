@@ -72,6 +72,7 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/obs"
 	"repro/internal/selector"
+	"repro/internal/serve"
 	"repro/internal/sim"
 )
 
@@ -102,7 +103,7 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) (err error) 
 		policy    = fs.String("policy", "", `online policy: heuristic name, "portfolio" or "norepartition[:H]" (overrides scenario)`)
 		duration  = fs.Float64("duration", -1, "cut off arrivals after this virtual time (-1 keeps scenario value, 0 = no cutoff)")
 		maxRes    = fs.Int("maxresident", -1, "max jobs sharing the node, rest queue FIFO (-1 keeps scenario value, 0 = unlimited)")
-		seed      = fs.Uint64("seed", 0, "seed for arrivals and randomized policies (0 keeps scenario value)")
+		seedFlag  = fs.Uint64("seed", 0, "seed for arrivals and randomized policies (0 keeps scenario value)")
 		workers   = fs.Int("workers", 0, "portfolio policy worker pool (0 = GOMAXPROCS)")
 		fleetRun  = fs.Bool("fleet", false, "simulate a multi-node fleet (scenario JSON is the fleet spec format)")
 		routing   = fs.String("routing", "", "fleet routing policy: least-loaded, cache-affinity, power-of-two-choices or join-shortest-queue (overrides scenario)")
@@ -130,41 +131,50 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) (err error) 
 	if *routing != "" && !*fleetRun {
 		return fmt.Errorf("-routing requires -fleet")
 	}
-	if *fleetRun {
-		if *policy != "" || *maxRes >= 0 || *gantt {
-			return fmt.Errorf("-policy, -maxresident and -gantt are single-node flags; with -fleet use the fleet spec's per-node fields")
-		}
-		return runFleet(ctx, fleetFlags{
-			scenario: *scenario, arrivals: *arrivals, routing: *routing,
-			duration: *duration, seed: *seed, workers: *workers,
-			ledger: *ledgerP,
-			events: *events, jsonOut: *jsonOut, promPath: *promPath,
-			tracePath: *tracePath, debugAddr: *debugAddr,
-		}, out, errOut)
+	if *fleetRun && (*policy != "" || *maxRes >= 0 || *gantt) {
+		return fmt.Errorf("-policy, -maxresident and -gantt are single-node flags; with -fleet use the fleet spec's per-node fields")
 	}
 
-	sp, err := loadSpec(*scenario)
-	if err != nil {
-		return err
-	}
-	if *arrivals != "" {
-		as, err := des.ParseArrivalSpec(*arrivals)
-		if err != nil {
+	// Both spec formats carry the arrival stream, cutoff and seed the
+	// shared flags override.
+	var (
+		sp   *des.Spec
+		fsp  *fleet.Spec
+		arr  *des.ArrivalSpec
+		dur  *float64
+		seed *uint64
+	)
+	if *fleetRun {
+		// The default fleet is two identical TaihuLight nodes.
+		if fsp, err = loadSpec(*scenario, &fleet.Spec{Nodes: []fleet.NodeSpec{{}, {}}}, fleet.DecodeSpec); err != nil {
 			return err
 		}
-		sp.Arrivals = as
+		arr, dur, seed = &fsp.Arrivals, &fsp.Duration, &fsp.Seed
+		if *routing != "" {
+			fsp.Routing = *routing
+		}
+	} else {
+		if sp, err = loadSpec(*scenario, &des.Spec{}, des.DecodeSpec); err != nil {
+			return err
+		}
+		arr, dur, seed = &sp.Arrivals, &sp.Duration, &sp.Seed
+		if *policy != "" {
+			sp.Policy = *policy
+		}
+		if *maxRes >= 0 {
+			sp.MaxResident = *maxRes
+		}
 	}
-	if *policy != "" {
-		sp.Policy = *policy
+	if *arrivals != "" {
+		if *arr, err = des.ParseArrivalSpec(*arrivals); err != nil {
+			return err
+		}
 	}
 	if *duration >= 0 {
-		sp.Duration = *duration
+		*dur = *duration
 	}
-	if *maxRes >= 0 {
-		sp.MaxResident = *maxRes
-	}
-	if *seed != 0 {
-		sp.Seed = *seed
+	if *seedFlag != 0 {
+		*seed = *seedFlag
 	}
 
 	// Instrumentation is opt-in: the registry exists only when some flag
@@ -183,41 +193,71 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) (err error) 
 		fmt.Fprintf(errOut, "dessim: debug listener on http://%s\n", ds.Addr())
 	}
 
-	// One v2 client per invocation: its worker pool backs the portfolio
-	// policy (when selected) via BuildWith, so -workers genuinely flows
-	// through the client. No cache — online resident sets never repeat.
+	// One v2 client per invocation: its worker pool backs every
+	// portfolio policy via BuildWith, so -workers bounds the run's policy
+	// parallelism through one semaphore. No cache — online resident sets
+	// never repeat.
 	client := repro.NewClient(repro.WithWorkers(*workers), repro.WithCache(false), repro.WithMetrics(reg))
-	sc, err := sp.BuildWith(client.Engine(), *workers)
-	if err != nil {
-		return err
-	}
-	if *ledgerP != "" {
-		// -selector implies the learned-selection policy unless the
-		// spec or -policy already chose one explicitly.
-		if sp.Policy == "" || sp.Policy == "portfolio" {
-			sp.Policy = "portfolio:selector"
-			if sc, err = sp.BuildWith(client.Engine(), *workers); err != nil {
-				return err
-			}
-		}
-		ledger, err := selector.LoadFile(*ledgerP)
-		if err != nil {
-			return err
-		}
-		if !des.ConfigureSelector(sc.Policy, ledger, selector.Thresholds{}) {
-			return fmt.Errorf("-selector: policy %q has no learned-selection mode (use -policy portfolio:selector)", sc.Policy.Name())
-		}
-	}
 	// Registration is idempotent, so this handle shares its series with
 	// the client's; holding our own lets us attach the tracer.
 	m := des.NewMetrics(reg)
 	if m != nil && *tracePath != "" {
 		m.Tracer = obs.NewTracer(0)
 	}
-	sc.Metrics = m
-	res, err := client.SimulateOnline(ctx, sc)
-	if err != nil {
-		return err
+
+	// emit writes the run's NDJSON lines and returns its replan totals;
+	// spans are a single-node run's jobs for -gantt.
+	var emit func(*json.Encoder) (des.ReplanStats, error)
+	var spans []sim.Span
+	if *fleetRun {
+		sc, err := fsp.BuildWith(client.Engine(), *workers)
+		if err != nil {
+			return err
+		}
+		if *ledgerP != "" {
+			if sc.Ledger, err = selector.LoadFile(*ledgerP); err != nil {
+				return err
+			}
+		}
+		sc.Metrics = m
+		res, err := client.SimulateFleet(ctx, sc)
+		if err != nil {
+			return err
+		}
+		emit = func(enc *json.Encoder) (des.ReplanStats, error) { return emitFleet(enc, sc, res, *events) }
+	} else {
+		sc, err := sp.BuildWith(client.Engine(), *workers)
+		if err != nil {
+			return err
+		}
+		if *ledgerP != "" {
+			// -selector implies the learned-selection policy unless the
+			// spec or -policy already chose one explicitly.
+			if sp.Policy == "" || sp.Policy == "portfolio" {
+				sp.Policy = "portfolio:selector"
+				if sc, err = sp.BuildWith(client.Engine(), *workers); err != nil {
+					return err
+				}
+			}
+			ledger, err := selector.LoadFile(*ledgerP)
+			if err != nil {
+				return err
+			}
+			if !des.ConfigureSelector(sc.Policy, ledger, selector.Thresholds{}) {
+				return fmt.Errorf("-selector: policy %q has no learned-selection mode (use -policy portfolio:selector)", sc.Policy.Name())
+			}
+		}
+		sc.Metrics = m
+		res, err := client.SimulateOnline(ctx, sc)
+		if err != nil {
+			return err
+		}
+		emit = func(enc *json.Encoder) (des.ReplanStats, error) { return emitNode(enc, sc, res, *events) }
+		if *gantt {
+			for _, j := range res.Jobs {
+				spans = append(spans, sim.Span{Name: j.Name, Arrival: j.Arrival, Start: j.Start, Finish: j.Finish})
+			}
+		}
 	}
 
 	// Drain-then-flush: let any in-flight scrape finish against the
@@ -226,65 +266,89 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) (err error) 
 	if err := ds.Close(); err != nil {
 		return err
 	}
-
 	enc := json.NewEncoder(out)
-	if *events {
+	replan, err := emit(enc)
+	if err != nil {
+		return err
+	}
+	if *jsonOut {
+		if err := enc.Encode(metricsJSON{Kind: "metrics", Replan: replan, Samples: reg.Snapshot()}); err != nil {
+			return err
+		}
+	}
+	if *promPath != "" {
+		if err := writeFile(*promPath, reg.WriteProm); err != nil {
+			return err
+		}
+	}
+	if *tracePath != "" {
+		if err := writeFile(*tracePath, m.Tracer.WriteNDJSON); err != nil {
+			return err
+		}
+	}
+	if *gantt {
+		return sim.RenderTimeline(errOut, spans, 60)
+	}
+	return nil
+}
+
+// emitNode writes a single-node run: one line per event (unless events
+// is off) and the summary line.
+func emitNode(enc *json.Encoder, sc des.Scenario, res *des.Result, events bool) (des.ReplanStats, error) {
+	if events {
 		for _, ev := range res.Events {
 			if err := enc.Encode(eventJSON{
 				Seq: ev.Seq, Time: ev.Time, Kind: ev.Kind.String(),
 				Job: ev.Job, Name: ev.Name, Resident: ev.Resident, Queued: ev.Queued,
 			}); err != nil {
-				return err
+				return res.Replan, err
 			}
 		}
 	}
-	if err := enc.Encode(summaryOf(sc, res)); err != nil {
-		return err
-	}
-	if *jsonOut {
-		if err := enc.Encode(metricsJSON{Kind: "metrics", Replan: res.Replan, Samples: reg.Snapshot()}); err != nil {
-			return err
-		}
-	}
-	if *promPath != "" {
-		if err := writeProm(*promPath, reg); err != nil {
-			return err
-		}
-	}
-	if *tracePath != "" {
-		if err := writeTrace(*tracePath, m.Tracer); err != nil {
-			return err
-		}
-	}
-
-	if *gantt {
-		spans := make([]sim.Span, len(res.Jobs))
-		for i, j := range res.Jobs {
-			spans[i] = sim.Span{Name: j.Name, Arrival: j.Arrival, Start: j.Start, Finish: j.Finish}
-		}
-		if err := sim.RenderTimeline(errOut, spans, 60); err != nil {
-			return err
-		}
-	}
-	return nil
+	return res.Replan, enc.Encode(summaryJSON{Kind: "summary", SummaryWire: serve.SummaryOf(sc, res)})
 }
 
-// loadSpec reads the scenario file, or returns an empty spec (NPB
-// template, flag-driven) when no file is given.
-func loadSpec(path string) (*des.Spec, error) {
-	if path == "" {
-		return &des.Spec{}, nil
-	}
-	var r io.Reader = os.Stdin
-	if path != "-" {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
+// emitFleet writes a fleet run: one "route" line per routing decision
+// (unless events is off), one "node" line per node and the trailing
+// "fleet-summary" line.
+func emitFleet(enc *json.Encoder, sc repro.FleetScenario, res *repro.FleetResult, events bool) (des.ReplanStats, error) {
+	if events {
+		for _, rt := range res.Routes {
+			if err := enc.Encode(routeJSON{
+				Kind: "route", Job: rt.Job, Time: rt.Time,
+				Node: rt.Node, Name: res.Nodes[rt.Node].Name,
+			}); err != nil {
+				return des.ReplanStats{}, err
+			}
 		}
-		defer f.Close()
-		r = f
 	}
-	return des.DecodeSpec(r)
+	sum := serve.FleetSummaryOf(sc, res)
+	for _, n := range sum.Nodes {
+		if err := enc.Encode(nodeJSON{Kind: "node", FleetNodeWire: n}); err != nil {
+			return sum.Replan, err
+		}
+	}
+	return sum.Replan, enc.Encode(fleetSummaryJSON{
+		Kind: "fleet-summary", Routing: sum.Routing, Arrivals: sum.Arrivals,
+		Nodes: len(sum.Nodes), FleetSummaryWire: sum,
+	})
+}
+
+// loadSpec decodes the scenario file ('-' reads stdin), or returns
+// the flag-driven default when no file is given.
+func loadSpec[T any](path string, def *T, decode func(io.Reader) (*T, error)) (*T, error) {
+	if path == "" {
+		return def, nil
+	}
+	if path == "-" {
+		return decode(os.Stdin)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return decode(f)
 }
 
 // metricsJSON is the trailing machine-readable line emitted by -json:
@@ -295,34 +359,20 @@ type metricsJSON struct {
 	Samples []obs.Sample    `json:"samples"`
 }
 
-// writeProm dumps the Prometheus text exposition to path ('-' writes
-// stdout).
-func writeProm(path string, reg *obs.Registry) error {
-	var w io.Writer = os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
+// writeFile runs write on the named file ('-' writes stdout).
+func writeFile(path string, write func(io.Writer) error) error {
+	if path == "-" {
+		return write(os.Stdout)
 	}
-	return reg.WriteProm(w)
-}
-
-// writeTrace dumps the tracer's span/event log as NDJSON to path ('-'
-// writes stdout).
-func writeTrace(path string, tr *obs.Tracer) error {
-	var w io.Writer = os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
-	return tr.WriteNDJSON(w)
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // eventJSON is the NDJSON wire form of one log event.
@@ -336,201 +386,11 @@ type eventJSON struct {
 	Queued   int     `json:"queued"`
 }
 
-// summaryJSON is the final NDJSON line of a run.
+// summaryJSON is the final NDJSON line of a run: the /v1/simulate
+// response body, tagged with its kind.
 type summaryJSON struct {
-	Kind          string  `json:"kind"`
-	Policy        string  `json:"policy"`
-	Arrivals      string  `json:"arrivals"`
-	Jobs          int     `json:"jobs"`
-	Truncated     int     `json:"truncated,omitempty"`
-	Makespan      float64 `json:"makespan"`
-	Utilization   float64 `json:"utilization"`
-	CacheOccupied float64 `json:"meanCacheOccupancy"`
-	MeanQueue     float64 `json:"meanQueueLength"`
-	MaxQueue      int     `json:"maxQueueLength"`
-	Repartitions  int     `json:"repartitions"`
-	MeanWait      float64 `json:"meanWait"`
-	MaxWait       float64 `json:"maxWait"`
-	MeanResponse  float64 `json:"meanResponse"`
-	MaxResponse   float64 `json:"maxResponse"`
-	MeanStretch   float64 `json:"meanStretch"`
-	MaxStretch    float64 `json:"maxStretch"`
-	// Replan reports the delta-rescheduling telemetry: fast-path vs
-	// full-solve allocation counts and plan-memo traffic.
-	Replan des.ReplanStats `json:"replan"`
-}
-
-func summaryOf(sc des.Scenario, res *des.Result) summaryJSON {
-	return summaryJSON{
-		Kind:          "summary",
-		Policy:        sc.Policy.Name(),
-		Arrivals:      sc.Arrivals.Name(),
-		Jobs:          len(res.Jobs),
-		Truncated:     res.Truncated,
-		Replan:        res.Replan,
-		Makespan:      res.Makespan,
-		Utilization:   res.Utilization(sc.Platform),
-		CacheOccupied: res.MeanCacheOccupancy(),
-		MeanQueue:     res.MeanQueueLength(),
-		MaxQueue:      res.MaxQueue,
-		Repartitions:  res.Repartitions,
-		MeanWait:      res.Wait.Mean,
-		MaxWait:       res.Wait.Max,
-		MeanResponse:  res.Response.Mean,
-		MaxResponse:   res.Response.Max,
-		MeanStretch:   res.Stretch.Mean,
-		MaxStretch:    res.Stretch.Max,
-	}
-}
-
-// fleetFlags carries the flag values the fleet mode consumes.
-type fleetFlags struct {
-	scenario, arrivals, routing    string
-	duration                       float64
-	seed                           uint64
-	workers                        int
-	ledger                         string
-	events, jsonOut                bool
-	promPath, tracePath, debugAddr string
-}
-
-// runFleet simulates a multi-node fleet: the scenario is the fleet
-// spec format, the output one "route" NDJSON line per routing
-// decision, one "node" line per node and a trailing "fleet-summary".
-func runFleet(ctx context.Context, f fleetFlags, out, errOut io.Writer) error {
-	sp, err := loadFleetSpec(f.scenario)
-	if err != nil {
-		return err
-	}
-	if f.arrivals != "" {
-		as, err := des.ParseArrivalSpec(f.arrivals)
-		if err != nil {
-			return err
-		}
-		sp.Arrivals = as
-	}
-	if f.routing != "" {
-		sp.Routing = f.routing
-	}
-	if f.duration >= 0 {
-		sp.Duration = f.duration
-	}
-	if f.seed != 0 {
-		sp.Seed = f.seed
-	}
-
-	var reg *obs.Registry
-	if f.jsonOut || f.promPath != "" || f.tracePath != "" || f.debugAddr != "" {
-		reg = obs.NewRegistry()
-	}
-	var ds *obs.DebugServer
-	if f.debugAddr != "" {
-		ds, err = obs.ServeDebug(f.debugAddr, reg)
-		if err != nil {
-			return err
-		}
-		defer ds.Close() // error paths only; Close is idempotent
-		fmt.Fprintf(errOut, "dessim: debug listener on http://%s\n", ds.Addr())
-	}
-
-	// The client's pool backs every "portfolio" node policy, so -workers
-	// bounds the whole fleet's policy parallelism through one semaphore.
-	client := repro.NewClient(repro.WithWorkers(f.workers), repro.WithCache(false), repro.WithMetrics(reg))
-	sc, err := sp.BuildWith(client.Engine(), f.workers)
-	if err != nil {
-		return err
-	}
-	if f.ledger != "" {
-		if sc.Ledger, err = selector.LoadFile(f.ledger); err != nil {
-			return err
-		}
-	}
-	m := des.NewMetrics(reg)
-	if m != nil && f.tracePath != "" {
-		m.Tracer = obs.NewTracer(0)
-	}
-	sc.Metrics = m
-	res, err := client.SimulateFleet(ctx, sc)
-	if err != nil {
-		return err
-	}
-
-	// Drain-then-flush, exactly like the single-node path.
-	if err := ds.Close(); err != nil {
-		return err
-	}
-
-	enc := json.NewEncoder(out)
-	if f.events {
-		for _, rt := range res.Routes {
-			if err := enc.Encode(routeJSON{
-				Kind: "route", Job: rt.Job, Time: rt.Time,
-				Node: rt.Node, Name: res.Nodes[rt.Node].Name,
-			}); err != nil {
-				return err
-			}
-		}
-	}
-	totalProcs := 0.0
-	var replan des.ReplanStats
-	for i := range res.Nodes {
-		totalProcs += sc.Nodes[i].Platform.Processors
-		replan.Add(res.Nodes[i].Result.Replan)
-		if err := enc.Encode(nodeJSON{
-			Kind: "node", Name: res.Nodes[i].Name, Jobs: res.Nodes[i].Jobs,
-			Makespan:     res.Nodes[i].Result.Makespan,
-			Utilization:  res.Nodes[i].Result.Utilization(sc.Nodes[i].Platform),
-			Repartitions: res.Nodes[i].Result.Repartitions,
-		}); err != nil {
-			return err
-		}
-	}
-	if err := enc.Encode(fleetSummaryJSON{
-		Kind: "fleet-summary", Routing: res.Routing, Arrivals: sc.Arrivals.Name(),
-		Nodes: len(res.Nodes), Jobs: res.Jobs, Truncated: res.Truncated,
-		Makespan: res.Makespan, Utilization: res.Utilization(totalProcs),
-		MeanWait: res.Wait.Mean, MaxWait: res.Wait.Max,
-		MeanResponse: res.Response.Mean, MaxResponse: res.Response.Max,
-		MeanStretch: res.Stretch.Mean, MaxStretch: res.Stretch.Max,
-		Replan: replan,
-	}); err != nil {
-		return err
-	}
-	if f.jsonOut {
-		if err := enc.Encode(metricsJSON{Kind: "metrics", Replan: replan, Samples: reg.Snapshot()}); err != nil {
-			return err
-		}
-	}
-	if f.promPath != "" {
-		if err := writeProm(f.promPath, reg); err != nil {
-			return err
-		}
-	}
-	if f.tracePath != "" {
-		if err := writeTrace(f.tracePath, m.Tracer); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// loadFleetSpec reads the fleet scenario file, or returns the default
-// two-node fleet (identical TaihuLight nodes, NPB templates,
-// flag-driven arrivals) when no file is given.
-func loadFleetSpec(path string) (*fleet.Spec, error) {
-	if path == "" {
-		return &fleet.Spec{Nodes: []fleet.NodeSpec{{}, {}}}, nil
-	}
-	var r io.Reader = os.Stdin
-	if path != "-" {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		r = f
-	}
-	return fleet.DecodeSpec(r)
+	Kind string `json:"kind"`
+	serve.SummaryWire
 }
 
 // routeJSON is the NDJSON wire form of one routing decision.
@@ -542,31 +402,22 @@ type routeJSON struct {
 	Name string  `json:"name"`
 }
 
-// nodeJSON is the NDJSON wire form of one node's outcome.
+// nodeJSON is one node's entry of the /v1/simulate-fleet response,
+// tagged with its kind.
 type nodeJSON struct {
-	Kind         string  `json:"kind"`
-	Name         string  `json:"name"`
-	Jobs         int     `json:"jobs"`
-	Makespan     float64 `json:"makespan"`
-	Utilization  float64 `json:"utilization"`
-	Repartitions int     `json:"repartitions"`
+	Kind string `json:"kind"`
+	serve.FleetNodeWire
 }
 
-// fleetSummaryJSON is the final NDJSON line of a fleet run.
+// fleetSummaryJSON is the final NDJSON line of a fleet run: the
+// /v1/simulate-fleet response with a node count in place of the node
+// list. The outer fields shadow the wire's own routing, arrivals and
+// nodes (encoding/json keeps the shallowest field of a name), which
+// keeps them ahead of the aggregates.
 type fleetSummaryJSON struct {
-	Kind         string          `json:"kind"`
-	Routing      string          `json:"routing"`
-	Arrivals     string          `json:"arrivals"`
-	Nodes        int             `json:"nodes"`
-	Jobs         int             `json:"jobs"`
-	Truncated    int             `json:"truncated,omitempty"`
-	Makespan     float64         `json:"makespan"`
-	Utilization  float64         `json:"utilization"`
-	MeanWait     float64         `json:"meanWait"`
-	MaxWait      float64         `json:"maxWait"`
-	MeanResponse float64         `json:"meanResponse"`
-	MaxResponse  float64         `json:"maxResponse"`
-	MeanStretch  float64         `json:"meanStretch"`
-	MaxStretch   float64         `json:"maxStretch"`
-	Replan       des.ReplanStats `json:"replan"`
+	Kind     string `json:"kind"`
+	Routing  string `json:"routing"`
+	Arrivals string `json:"arrivals"`
+	Nodes    int    `json:"nodes"`
+	serve.FleetSummaryWire
 }

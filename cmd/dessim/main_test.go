@@ -6,6 +6,8 @@ import (
 	"context"
 	"encoding/json"
 	"net"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/serve"
 )
 
 // runMain executes the CLI and returns stdout/stderr.
@@ -25,6 +28,16 @@ func runMain(t *testing.T, args ...string) (string, string) {
 	return out.String(), errOut.String()
 }
 
+// writeSpec stores a scenario spec in a temporary file for -scenario.
+func writeSpec(t *testing.T, spec string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "spec.json")
+	if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
 // TestEndToEndScenarioJSON: scenario JSON in, NDJSON events + summary
 // out.
 func TestEndToEndScenarioJSON(t *testing.T) {
@@ -34,11 +47,12 @@ func TestEndToEndScenarioJSON(t *testing.T) {
 		"maxResident": 3,
 		"seed": 11
 	}`
-	path := filepath.Join(t.TempDir(), "scenario.json")
-	if err := os.WriteFile(path, []byte(scenario), 0o644); err != nil {
-		t.Fatal(err)
+	out, _ := runMain(t, "-scenario", writeSpec(t, scenario))
+	// The summary line is the /v1/simulate body for the same spec,
+	// tagged with its kind.
+	if body := serveBody(t, "/v1/simulate", scenario); !strings.HasSuffix(out, "\n"+`{"kind":"summary",`+body[1:]) {
+		t.Errorf("summary line differs from the /v1/simulate body %s", body)
 	}
-	out, _ := runMain(t, "-scenario", path)
 
 	sc := bufio.NewScanner(strings.NewReader(out))
 	var lines []map[string]any
@@ -250,13 +264,46 @@ func TestBadScenarioRejected(t *testing.T) {
 		`{"duration": -5, "arrivals": {"process": "poisson", "rate": 1, "n": 1}}`,
 		`{"typo": true, "arrivals": {"process": "poisson", "rate": 1, "n": 1}}`,
 	} {
-		path := filepath.Join(t.TempDir(), "bad.json")
-		if err := os.WriteFile(path, []byte(bad), 0o644); err != nil {
-			t.Fatal(err)
-		}
 		var out, errOut bytes.Buffer
-		if err := run(context.Background(), []string{"-scenario", path}, &out, &errOut); err == nil {
+		if err := run(context.Background(), []string{"-scenario", writeSpec(t, bad)}, &out, &errOut); err == nil {
 			t.Errorf("accepted invalid scenario: %s", bad)
+		}
+	}
+}
+
+// serveBody posts body to the coschedd handler at path and returns the
+// response body.
+func serveBody(t *testing.T, path, body string) string {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	serve.New(serve.Config{}).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("POST %s: %d %s", path, rec.Code, rec.Body)
+	}
+	return rec.Body.String()
+}
+
+// TestNodeLinesAreSimulateFleetNodes: each node line of a fleet run is
+// the matching nodes[i] of the /v1/simulate-fleet response, tagged with
+// its kind.
+func TestNodeLinesAreSimulateFleetNodes(t *testing.T) {
+	spec := `{"nodes": [{}, {"name": "small", "platform": {"processors": 64, "cacheSize": 8e9,
+		"ls": 0.17, "ll": 1, "alpha": 0.5}, "policy": "portfolio", "maxResident": 4}],
+		"routing": "cache-affinity", "arrivals": {"process": "poisson", "rate": 4e-9, "n": 32}, "seed": 5}`
+	out, _ := runMain(t, "-fleet", "-scenario", writeSpec(t, spec), "-events=false")
+	var resp struct {
+		Nodes []json.RawMessage `json:"nodes"`
+	}
+	if err := json.Unmarshal([]byte(serveBody(t, "/v1/simulate-fleet", spec)), &resp); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
+	if len(lines) != len(resp.Nodes)+1 || len(resp.Nodes) != 2 {
+		t.Fatalf("%d lines for %d nodes plus the fleet summary:\n%s", len(lines), len(resp.Nodes), out)
+	}
+	for i, n := range resp.Nodes {
+		if want := `{"kind":"node",` + string(n[1:]); lines[i] != want {
+			t.Errorf("node line %d differs from the /v1/simulate-fleet body:\n got %s\nwant %s", i, lines[i], want)
 		}
 	}
 }

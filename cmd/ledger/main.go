@@ -34,8 +34,8 @@ import (
 	"os/signal"
 	"text/tabwriter"
 
+	"repro/internal/conform"
 	"repro/internal/genscen"
-	"repro/internal/portfolio"
 	"repro/internal/sched"
 	"repro/internal/selector"
 )
@@ -108,8 +108,14 @@ func runTrain(ctx context.Context, args []string, out io.Writer) error {
 				return err
 			}
 		}
-	} else if err := sweep(ctx, l, *families, *seedStart, *seeds, *workers); err != nil {
-		return err
+	} else {
+		fams, err := genscen.ParseFamilies(*families)
+		if err != nil {
+			return err
+		}
+		if err := conform.TrainLedger(ctx, l, fams, *seedStart, *seeds, *workers); err != nil {
+			return err
+		}
 	}
 
 	if err := l.SaveFile(*outPath); err != nil {
@@ -117,45 +123,6 @@ func runTrain(ctx context.Context, args []string, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "ledger: %s: %d buckets, %d races (+%d), fingerprint %s\n",
 		*outPath, len(l.Buckets()), l.Races(), l.Races()-before, l.Fingerprint())
-	return nil
-}
-
-// sweep races the full extended portfolio over every (family, seed)
-// genscen instance and folds the outcomes into l. Selection evidence is
-// a pure function of the sweep parameters: the instances are seeded
-// generators and the races are worker-count invariant.
-func sweep(ctx context.Context, l *selector.Ledger, families string, seedStart, seeds, workers int) error {
-	fams, err := genscen.ParseFamilies(families)
-	if err != nil {
-		return err
-	}
-	eng := portfolio.New(portfolio.Config{Workers: workers, Cache: portfolio.NewCache()})
-	for _, fam := range fams {
-		for s := 0; s < seeds; s++ {
-			in, err := genscen.Generate(fam, uint64(seedStart+s), genscen.Config{})
-			if err != nil {
-				return err
-			}
-			rep, err := eng.EvaluateContext(ctx, in.PortfolioScenario(nil))
-			if err != nil {
-				return err
-			}
-			if rep.Err != nil {
-				continue
-			}
-			outs := make([]selector.Outcome, len(rep.Results))
-			for i, r := range rep.Results {
-				outs[i] = selector.Outcome{
-					Heuristic: r.Heuristic,
-					OK:        r.Err == nil && r.Schedule != nil,
-				}
-				if outs[i].OK {
-					outs[i].Makespan = r.Schedule.Makespan
-				}
-			}
-			l.Observe(selector.Extract(in.Platform, in.Apps).Bucket(), outs)
-		}
-	}
 	return nil
 }
 

@@ -21,22 +21,13 @@ import (
 	"io"
 	"os"
 
+	"repro/internal/des"
 	"repro/internal/model"
 	"repro/internal/pipeline"
 	"repro/internal/sched"
 	"repro/internal/solve"
 	"repro/internal/workload"
 )
-
-type appJSON struct {
-	Name      string  `json:"name"`
-	Work      float64 `json:"work"`
-	Seq       float64 `json:"seq"`
-	Freq      float64 `json:"freq"`
-	MissRate  float64 `json:"missRate"`
-	RefCache  float64 `json:"refCache"`
-	Footprint float64 `json:"footprint"`
-}
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
@@ -124,16 +115,13 @@ func loadFleet(path string) ([]model.Application, error) {
 	if err != nil {
 		return nil, err
 	}
-	var in []appJSON
+	var in []des.AppSpec
 	if err := json.Unmarshal(raw, &in); err != nil {
 		return nil, fmt.Errorf("parsing %s: %w", path, err)
 	}
 	fleet := make([]model.Application, 0, len(in))
 	for _, a := range in {
-		fleet = append(fleet, model.Application{
-			Name: a.Name, Work: a.Work, SeqFraction: a.Seq, AccessFreq: a.Freq,
-			RefMissRate: a.MissRate, RefCacheSize: a.RefCache, Footprint: a.Footprint,
-		})
+		fleet = append(fleet, a.Application())
 	}
 	return fleet, nil
 }

@@ -69,21 +69,12 @@
 // in-flight heuristic evaluation per worker, or a few simulator
 // events), leaks no goroutines, and leaves the client fully reusable.
 //
-// # Legacy v1 surface
-//
-// The original free functions (BestSchedule, SimulateOnline,
-// NewPortfolio) remain as thin deprecated shims over a shared default
-// client, so existing callers keep working — and now share one
-// memoization cache instead of rebuilding state per call.
-//
 // For the evaluation harness reproducing the paper's figures, see
 // cmd/experiments; for CAT way-mask realization of fractional shares, see
 // the CATPartition helper.
 package repro
 
 import (
-	"context"
-
 	"repro/internal/cat"
 	"repro/internal/des"
 	"repro/internal/fleet"
@@ -231,43 +222,6 @@ type PortfolioReport = portfolio.Report
 // PortfolioResult is one heuristic's outcome; see portfolio.Result.
 type PortfolioResult = portfolio.Result
 
-// NewPortfolio returns a portfolio engine with the given worker-pool
-// size (values < 1 mean GOMAXPROCS) and a fresh memoization cache. See
-// the package documentation for sizing and cache semantics.
-//
-// Deprecated: use NewClient(WithWorkers(workers)), whose methods take a
-// context and whose engine is reachable via Client.Engine.
-func NewPortfolio(workers int) *PortfolioEngine {
-	return portfolio.New(portfolio.Config{Workers: workers, Cache: portfolio.NewCache()})
-}
-
-// BestSchedule races every heuristic (the paper's ten plus the
-// extensions) and returns the winning schedule with the full report. It
-// runs on the shared default client, so repeated workloads are served
-// from its memoization cache instead of being recomputed on a transient
-// engine per call.
-//
-// Deprecated: use Client.Best, which takes a context; construct the
-// client with WithSeed(seed) (or call Client.Evaluate for a per-call
-// seed).
-func BestSchedule(pl Platform, apps []Application, seed uint64) (*Schedule, *PortfolioReport, error) {
-	rep, err := DefaultClient().Evaluate(context.Background(), PortfolioScenario{Platform: pl, Apps: apps, Seed: seed})
-	if err != nil {
-		return nil, nil, err
-	}
-	best := rep.BestResult()
-	if best == nil {
-		return nil, rep, sched.ErrInfeasible
-	}
-	// v1 computed on a transient engine, so callers own (and may mutate)
-	// the returned schedule; the default client's cache shares its
-	// schedules, so hand back a private copy to preserve that contract.
-	// The report's schedules stay cache-shared — treat them as immutable.
-	s := *best.Schedule
-	s.Assignments = append([]Assignment(nil), best.Schedule.Assignments...)
-	return &s, rep, nil
-}
-
 // Learned heuristic selection (internal/selector): a win-rate ledger
 // keyed by scenario feature buckets predicts the winning heuristic, and
 // a selector policy runs the predicted winner first, falling back to
@@ -326,16 +280,6 @@ type ArrivalProcess = des.ArrivalProcess
 
 // JobArrival is one (time, application) arrival; see des.Arrival.
 type JobArrival = des.Arrival
-
-// SimulateOnline runs an online co-scheduling scenario to completion:
-// deterministic per seed, bit-identical across runs and policy worker
-// counts. See the internal/des package documentation for the model.
-//
-// Deprecated: use Client.SimulateOnline, which takes a context and
-// cancels mid-run.
-func SimulateOnline(sc OnlineScenario) (*OnlineResult, error) {
-	return DefaultClient().SimulateOnline(context.Background(), sc)
-}
 
 // CycleJobs returns a des.JobFactory cycling through the template
 // applications, stamping each instance with a unique name.

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -38,7 +39,9 @@ func TestFacadePortfolio(t *testing.T) {
 	for i := range apps {
 		apps[i].SeqFraction = 0.05
 	}
-	best, rep, err := BestSchedule(pl, apps, 42)
+	c := NewClient(WithWorkers(2), WithSeed(42))
+	ctx := context.Background()
+	best, rep, err := c.Best(ctx, pl, apps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,13 +60,9 @@ func TestFacadePortfolio(t *testing.T) {
 		}
 	}
 
-	// A persistent engine memoizes: re-evaluating the same scenario is
+	// A long-lived client memoizes: repeating the same scenario is
 	// served from cache.
-	eng := NewPortfolio(2)
-	if _, err := eng.Evaluate(PortfolioScenario{Platform: pl, Apps: apps, Seed: 42}); err != nil {
-		t.Fatal(err)
-	}
-	rep2, err := eng.Evaluate(PortfolioScenario{Platform: pl, Apps: apps, Seed: 42})
+	_, rep2, err := c.Best(ctx, pl, apps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +71,7 @@ func TestFacadePortfolio(t *testing.T) {
 			t.Fatalf("%v recomputed on identical scenario", r.Heuristic)
 		}
 	}
-	if st := eng.CacheStats(); st.Hits == 0 || st.Misses == 0 {
+	if st := c.Engine().CacheStats(); st.Hits == 0 || st.Misses == 0 {
 		t.Fatalf("unexpected cache stats %+v", st)
 	}
 }

@@ -2,8 +2,10 @@ package benchgate
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
+	"regexp"
 )
 
 // baselineSchema versions the JSON layout of baseline and trajectory
@@ -16,9 +18,25 @@ type Baseline struct {
 	// Context records where the baseline was measured. Informational:
 	// timing tolerances, not the gate, absorb machine differences.
 	Context Context `json:"context,omitempty"`
+	// Ratios are the ratio gates every run must meet.
+	Ratios []Ratio `json:"ratios,omitempty"`
 	// Benchmarks maps benchmark name (GOMAXPROCS suffix stripped) to its
 	// aggregated sample.
 	Benchmarks map[string]Sample `json:"benchmarks"`
+}
+
+// Ratio is one row of the baseline's ratio table: the Speedup of the
+// benchmarks matching Numerator over those matching Denominator must
+// reach Min. A ratio of two arms measured in the same run is
+// machine-relative, so it gates where absolute timings do not travel.
+// Machines with fewer than MinCPUs CPUs skip the row: a parallel
+// speedup needs cores to show.
+type Ratio struct {
+	Name        string  `json:"name"`
+	Numerator   string  `json:"numerator"`
+	Denominator string  `json:"denominator"`
+	Min         float64 `json:"min"`
+	MinCPUs     int     `json:"min_cpus"`
 }
 
 // NewBaseline builds a baseline from aggregated samples.
@@ -28,13 +46,9 @@ func NewBaseline(cur map[string]Sample, ctx Context) *Baseline {
 
 // LoadBaseline reads and validates a baseline JSON file.
 func LoadBaseline(path string) (*Baseline, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("benchgate: reading baseline: %w", err)
-	}
 	var b Baseline
-	if err := json.Unmarshal(data, &b); err != nil {
-		return nil, fmt.Errorf("benchgate: parsing baseline %s: %w", path, err)
+	if err := loadJSON(path, "baseline", &b); err != nil {
+		return nil, err
 	}
 	if b.Schema != baselineSchema {
 		return nil, fmt.Errorf("benchgate: baseline %s has schema %d, want %d", path, b.Schema, baselineSchema)
@@ -42,19 +56,28 @@ func LoadBaseline(path string) (*Baseline, error) {
 	if len(b.Benchmarks) == 0 {
 		return nil, fmt.Errorf("benchgate: baseline %s gates no benchmarks", path)
 	}
+	for _, r := range b.Ratios {
+		_, errNum := regexp.Compile(r.Numerator)
+		_, errDen := regexp.Compile(r.Denominator)
+		if err := errors.Join(errNum, errDen); err != nil || r.Name == "" || !(r.Min > 0) {
+			return nil, fmt.Errorf("benchgate: baseline %s: bad ratio row %+v: %v", path, r, err)
+		}
+	}
 	return &b, nil
 }
 
 // Save writes the baseline as deterministic, indented JSON (map keys
 // are sorted by encoding/json).
-func (b *Baseline) Save(path string) error {
-	data, err := json.MarshalIndent(b, "", "  ")
+func (b *Baseline) Save(path string) error { return saveJSON(path, "baseline", b) }
+
+// saveJSON writes v to path as indented JSON with a trailing newline.
+func saveJSON(path, what string, v any) error {
+	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
-		return fmt.Errorf("benchgate: encoding baseline: %w", err)
+		return fmt.Errorf("benchgate: encoding %s: %w", what, err)
 	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return fmt.Errorf("benchgate: writing baseline: %w", err)
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		return fmt.Errorf("benchgate: writing %s: %w", what, err)
 	}
 	return nil
 }
@@ -89,28 +112,26 @@ func NewTrajectory(label, baselinePath string, ctx Context, cur map[string]Sampl
 }
 
 // Save writes the trajectory as deterministic, indented JSON.
-func (t *Trajectory) Save(path string) error {
-	data, err := json.MarshalIndent(t, "", "  ")
-	if err != nil {
-		return fmt.Errorf("benchgate: encoding trajectory: %w", err)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return fmt.Errorf("benchgate: writing trajectory: %w", err)
-	}
-	return nil
-}
+func (t *Trajectory) Save(path string) error { return saveJSON(path, "trajectory", t) }
 
 // LoadTrajectory reads a trajectory artifact back, for round-trip
 // verification and history tooling.
 func LoadTrajectory(path string) (*Trajectory, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("benchgate: reading trajectory: %w", err)
-	}
 	var t Trajectory
-	if err := json.Unmarshal(data, &t); err != nil {
-		return nil, fmt.Errorf("benchgate: parsing trajectory %s: %w", path, err)
+	if err := loadJSON(path, "trajectory", &t); err != nil {
+		return nil, err
 	}
 	return &t, nil
+}
+
+// loadJSON decodes the JSON file at path into v.
+func loadJSON(path, what string, v any) error {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return fmt.Errorf("benchgate: reading %s: %w", what, err)
+	}
+	if err := json.Unmarshal(data, v); err != nil {
+		return fmt.Errorf("benchgate: parsing %s %s: %w", what, path, err)
+	}
+	return nil
 }

@@ -78,14 +78,7 @@ type Report struct {
 
 // Pass reports whether the gate passes: no regressions and no missing
 // benchmarks.
-func (r *Report) Pass() bool {
-	for _, f := range r.Findings {
-		if f.Verdict == VerdictRegression || f.Verdict == VerdictMissing {
-			return false
-		}
-	}
-	return true
-}
+func (r *Report) Pass() bool { return len(r.Failures()) == 0 }
 
 // Failures returns the findings that fail the gate.
 func (r *Report) Failures() []Finding {

@@ -268,4 +268,13 @@ func TestLoadBaselineRejectsBadFiles(t *testing.T) {
 	if _, err := LoadBaseline(write("empty.json", `{"schema":1,"benchmarks":{}}`)); err == nil {
 		t.Error("baseline gating nothing did not error")
 	}
+	for _, row := range []string{
+		`{"name":"r","numerator":"(","denominator":"x","min":2}`,
+		`{"name":"","numerator":"x","denominator":"y","min":2}`,
+		`{"name":"r","numerator":"x","denominator":"y","min":0}`,
+	} {
+		if _, err := LoadBaseline(write("ratio.json", `{"schema":1,"ratios":[`+row+`],"benchmarks":{"X":{"ns_op":{"median":1,"n":1}}}}`)); err == nil {
+			t.Errorf("bad ratio row %s did not error", row)
+		}
+	}
 }

@@ -6,17 +6,41 @@ import (
 
 	"repro/internal/genscen"
 	"repro/internal/portfolio"
+	"repro/internal/selector"
 )
 
 // DefaultSelectorGapBound is the committed optimality-gap bound for
 // served predictions on oracle-exact families: a selector shortcut may
 // cost at most 5% makespan over the full race there, or the scenario is
-// a violation. With the committed fixture the zero-work family never
-// accumulates margin evidence (every heuristic ties at makespan 0), so
+// a violation. With the ledger TrainLedger builds the zero-work family
+// never accumulates margin evidence (every heuristic ties at makespan 0), so
 // its scenarios always fall back to the full race and trivially meet
 // the bound; the bound bites as soon as a ledger gains enough evidence
 // there to serve a genuinely bad prediction.
 const DefaultSelectorGapBound = 1.05
+
+// TrainLedger races the full extended portfolio over the genscen
+// instances of every family for seeds seedStart .. seedStart+seeds-1
+// and folds the outcomes into l. The evidence is a pure function of
+// the sweep parameters: the instances are seeded and the races are
+// worker-count invariant.
+func TrainLedger(ctx context.Context, l *selector.Ledger, fams []genscen.Family, seedStart, seeds, workers int) error {
+	eng := portfolio.New(portfolio.Config{Workers: workers, Cache: portfolio.NewCache()})
+	for _, fam := range fams {
+		for s := 0; s < seeds; s++ {
+			in, err := genscen.Generate(fam, uint64(seedStart+s), genscen.Config{})
+			if err != nil {
+				return err
+			}
+			rep, err := eng.EvaluateContext(ctx, in.PortfolioScenario(nil))
+			if err != nil {
+				return err
+			}
+			l.Observe(selector.Extract(in.Platform, in.Apps).Bucket(), rep.Outcomes())
+		}
+	}
+	return nil
+}
 
 // SelectorSummary aggregates one family's learned-selection decisions:
 // how often the ledger's prediction was served versus falling back to

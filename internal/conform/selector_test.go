@@ -2,37 +2,53 @@ package conform
 
 import (
 	"bytes"
+	"context"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/genscen"
 	"repro/internal/selector"
 )
 
+// trainLedger builds, once per test binary, the ledger that
+// `go run ./cmd/ledger train -no-merge -seeds 100` writes.
+var trainLedger = sync.OnceValues(func() (*selector.Ledger, error) {
+	l := selector.New()
+	return l, TrainLedger(context.Background(), l, genscen.Families, 1, 100, 0)
+})
+
+// trainedLedger returns the trained ledger after pinning its identity:
+// a change to the generators, the heuristics or the ledger's bucketing
+// shows up as a fingerprint change here.
+func trainedLedger(t *testing.T) *selector.Ledger {
+	t.Helper()
+	l, err := trainLedger()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fp, b, r := l.Fingerprint(), len(l.Buckets()), l.Races(); fp != "10adc420ff838207" || b != 394 || r != 8400 {
+		t.Fatalf("trained ledger: fingerprint %s, %d buckets, %d races; want 10adc420ff838207, 394, 8400", fp, b, r)
+	}
+	return l
+}
+
 // TestSelectorModeGolden is the learned-selection regression gate: the
-// committed ledger fixture must drive the harness through the golden
-// corpus with zero violations — decisions bit-identical between the
-// serial and parallel arms, audited gaps within the committed bound on
+// trained ledger must drive the harness through the golden corpus with
+// zero violations — decisions bit-identical between the serial and
+// parallel arms, audited gaps within the committed bound on
 // oracle-exact families — while leaving every digest exactly as the
 // plain run computes it (selection is measured, never perturbing).
-//
-// To re-train the fixture after an intentional selector change:
-//
-//	go run ./cmd/ledger train -no-merge -seeds 100 -out internal/conform/testdata/ledger.json
 func TestSelectorModeGolden(t *testing.T) {
 	gold, err := LoadGolden(filepath.Join("testdata", "golden.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	led, err := selector.LoadFile(filepath.Join("testdata", "ledger.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	opt := gold.Options()
 	opt.Workers = 8
-	opt.Selector = led
+	opt.Selector = trainedLedger(t)
 	rep, err := Run(opt)
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +78,7 @@ func TestSelectorModeGolden(t *testing.T) {
 		predicted += s.Predicted
 	}
 	if predicted == 0 {
-		t.Error("committed fixture served no predictions anywhere — the shortcut path is untested")
+		t.Error("trained ledger served no predictions anywhere — the shortcut path is untested")
 	}
 
 	var md bytes.Buffer
@@ -79,14 +95,10 @@ func TestSelectorModeGolden(t *testing.T) {
 // harness's worker count — the decision is a pure function of
 // (ledger, scenario).
 func TestSelectorSummariesWorkerInvariant(t *testing.T) {
-	led, err := selector.LoadFile(filepath.Join("testdata", "ledger.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	opt := Options{
 		Seeds:    2,
 		Families: []genscen.Family{genscen.SingleApp, genscen.LatencyDominated},
-		Selector: led,
+		Selector: trainedLedger(t),
 	}
 	opt.Workers = 1
 	r1, err := Run(opt)

@@ -210,19 +210,24 @@ func (p *SelectorPolicy) audited(ctx context.Context, sc Scenario, d *Decision) 
 
 // observe folds a finished full race into the ledger.
 func (p *SelectorPolicy) observe(bucket string, rep *Report) {
-	outs := make([]selector.Outcome, len(rep.Results))
-	for i, r := range rep.Results {
-		outs[i] = selector.Outcome{
-			Heuristic: r.Heuristic,
-			OK:        r.Err == nil && r.Schedule != nil,
-		}
-		if outs[i].OK {
-			outs[i].Makespan = r.Schedule.Makespan
-		}
-	}
+	outs := rep.Outcomes()
 	p.mu.Lock()
 	p.ledger.Observe(bucket, outs)
 	p.mu.Unlock()
+}
+
+// Outcomes converts the race into the per-heuristic outcomes a ledger
+// learns from, in heuristic order: a heuristic counts as OK when it
+// produced a schedule.
+func (r *Report) Outcomes() []selector.Outcome {
+	outs := make([]selector.Outcome, len(r.Results))
+	for i, res := range r.Results {
+		outs[i] = selector.Outcome{Heuristic: res.Heuristic, OK: res.Err == nil && res.Schedule != nil}
+		if outs[i].OK {
+			outs[i].Makespan = res.Schedule.Makespan
+		}
+	}
+	return outs
 }
 
 // SelectorMetrics instruments a SelectorPolicy.

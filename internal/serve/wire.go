@@ -121,13 +121,14 @@ func DecodeScenarios(r io.Reader, name string, d Defaults, emit func(repro.Portf
 	}
 }
 
-// ResultWire is one heuristic's outcome on the wire. Unlike cosched's
-// batch report it carries no cache-provenance bit: responses must be
-// byte-identical for identical (tenant, body) pairs whether or not the
-// memo cache had the entry.
+// ResultWire is one heuristic's outcome on the wire. ReportOf never
+// sets FromCache: service responses must be byte-identical for
+// identical (tenant, body) pairs whether or not the memo cache had the
+// entry. cosched -batch fills it in to show cache provenance.
 type ResultWire struct {
 	Heuristic string  `json:"heuristic"`
 	Makespan  float64 `json:"makespan,omitempty"`
+	FromCache bool    `json:"fromCache,omitempty"`
 	Error     string  `json:"error,omitempty"`
 }
 
