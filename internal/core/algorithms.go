@@ -53,7 +53,7 @@ func ChooseMaxRatio(p *Partition, candidates []int) int {
 // The returned partition is always dominant.
 func Dominant(pl model.Platform, apps []model.Application, choice Choice) (*Partition, error) {
 	p := &Partition{}
-	if err := DominantInto(p, pl, apps, choice); err != nil {
+	if err := DominantInto(p, pl, apps, nil, choice); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -62,9 +62,10 @@ func Dominant(pl model.Platform, apps []model.Application, choice Choice) (*Part
 // DominantInto runs Algorithm 1 into a caller-provided (possibly
 // pooled) partition, reusing its backing arrays. The candidate list
 // lives in the partition's scratch space, so steady-state calls do not
-// allocate.
-func DominantInto(p *Partition, pl model.Platform, apps []model.Application, choice Choice) error {
-	if err := p.Reset(pl, apps, nil); err != nil {
+// allocate. k is the constants table of (pl, apps), or nil to compute
+// it (see Partition.ResetWith).
+func DominantInto(p *Partition, pl model.Platform, apps []model.Application, k *model.Constants, choice Choice) error {
+	if err := p.ResetWith(pl, apps, k, nil); err != nil {
 		return err
 	}
 	members := p.idx[:0]
@@ -93,7 +94,7 @@ func DominantInto(p *Partition, pl model.Platform, apps []model.Application, cho
 // dominant. The returned partition is always dominant.
 func DominantRev(pl model.Platform, apps []model.Application, choice Choice) (*Partition, error) {
 	p := &Partition{}
-	if err := DominantRevInto(p, pl, apps, choice); err != nil {
+	if err := DominantRevInto(p, pl, apps, nil, choice); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -101,12 +102,12 @@ func DominantRev(pl model.Platform, apps []model.Application, choice Choice) (*P
 
 // DominantRevInto runs Algorithm 2 into a caller-provided partition,
 // reusing its backing arrays and scratch space like DominantInto.
-func DominantRevInto(p *Partition, pl model.Platform, apps []model.Application, choice Choice) error {
+func DominantRevInto(p *Partition, pl model.Platform, apps []model.Application, k *model.Constants, choice Choice) error {
 	p.membuf = growBool(p.membuf, len(apps))
 	for i := range p.membuf {
 		p.membuf[i] = false
 	}
-	if err := p.Reset(pl, apps, p.membuf); err != nil {
+	if err := p.ResetWith(pl, apps, k, p.membuf); err != nil {
 		return err
 	}
 	out := p.idx[:0]
@@ -156,19 +157,20 @@ func ImproveNonDominant(p *Partition) bool {
 // {Random, MinRatio, MaxRatio}.
 func BuildDominant(pl model.Platform, apps []model.Application, reverse bool, choice Choice) (*Partition, error) {
 	p := &Partition{}
-	if err := BuildDominantInto(p, pl, apps, reverse, choice); err != nil {
+	if err := BuildDominantInto(p, pl, apps, nil, reverse, choice); err != nil {
 		return nil, err
 	}
 	return p, nil
 }
 
-// BuildDominantInto is BuildDominant into a caller-provided partition,
-// the allocation-free entry point used by the scheduling hot path.
-func BuildDominantInto(p *Partition, pl model.Platform, apps []model.Application, reverse bool, choice Choice) error {
+// BuildDominantInto is BuildDominant into a caller-provided partition
+// with the constants table k (nil computes it), the allocation-free
+// entry point used by the scheduling hot path.
+func BuildDominantInto(p *Partition, pl model.Platform, apps []model.Application, k *model.Constants, reverse bool, choice Choice) error {
 	if reverse {
-		return DominantRevInto(p, pl, apps, choice)
+		return DominantRevInto(p, pl, apps, k, choice)
 	}
-	return DominantInto(p, pl, apps, choice)
+	return DominantInto(p, pl, apps, k, choice)
 }
 
 // CheckDominantInvariant returns an error describing the first violation

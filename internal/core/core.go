@@ -27,9 +27,10 @@ import (
 )
 
 // Partition is a split of the application set into IC (receives cache)
-// and its complement (no cache). It caches the per-application dominance
-// weights and ratios so membership tests and share computation are O(1)
-// and O(n) respectively.
+// and its complement (no cache). It holds the per-application model
+// constants (dominance weights and thresholds) and the dominance ratios,
+// so membership tests and share computation are O(1) and O(n)
+// respectively.
 //
 // The zero value is an empty shell; Reset (re)initializes it in place,
 // reusing its backing arrays, so pooled Partitions make the scheduling
@@ -37,16 +38,16 @@ import (
 type Partition struct {
 	pl      model.Platform
 	apps    []model.Application
-	inCache []bool    // inCache[i] == true iff i ∈ IC
-	weight  []float64 // (w_i f_i d_i)^{1/(α+1)}
-	ratio   []float64 // r_i = weight[i] / d_i^{1/α}
-	thresh  []float64 // d_i^{1/α}
-	sum     float64   // Σ_{j∈IC} weight[j], maintained incrementally
-	size    int       // |IC|
+	k       model.Constants // d_i, d_i^{1/α} and (w_i f_i d_i)^{1/(α+1)}; owned or the caller's table
+	inCache []bool          // inCache[i] == true iff i ∈ IC
+	ratio   []float64       // r_i = Weight_i / d_i^{1/α}
+	sum     float64         // Σ_{j∈IC} Weight_j, maintained incrementally
+	size    int             // |IC|
 
-	xbuf   []float64 // scratch for SeqTimeTotal's share evaluation
-	idx    []int     // scratch for the greedy builders' candidate lists
-	membuf []bool    // scratch for BestRatioPrefix's best-membership copy
+	own    model.Constants // backing store when Reset computes the constants
+	xbuf   []float64       // scratch for SeqTimeTotal's share evaluation
+	idx    []int           // scratch for the greedy builders' candidate lists
+	membuf []bool          // scratch for BestRatioPrefix's best-membership copy
 }
 
 // NewPartition builds a partition over apps with the given initial
@@ -64,40 +65,77 @@ func NewPartition(pl model.Platform, apps []model.Application, members []bool) (
 // semantics match NewPartition: nil members puts every application in
 // IC. members is copied, so callers may reuse their slice.
 func (p *Partition) Reset(pl model.Platform, apps []model.Application, members []bool) error {
+	return p.ResetWith(pl, apps, nil, members)
+}
+
+// ResetWith is Reset reading the model constants from k, a table the
+// caller filled for (pl, apps) (see model.Constants.Fill), instead of
+// computing them. The partition keeps k's arrays until its next reset,
+// so the caller must not refill k meanwhile. A nil k makes ResetWith
+// compute the table into the partition's own storage, which is Reset.
+func (p *Partition) ResetWith(pl model.Platform, apps []model.Application, k *model.Constants, members []bool) error {
 	if err := model.ValidateAll(pl, apps); err != nil {
 		return err
 	}
 	if members != nil && len(members) != len(apps) {
 		return fmt.Errorf("core: members length %d does not match %d applications", len(members), len(apps))
 	}
+	if k == nil {
+		p.own.Fill(pl, apps)
+		k = &p.own
+	} else if len(k.D) != len(apps) || len(k.Threshold) != len(apps) || len(k.Weight) != len(apps) {
+		return fmt.Errorf("core: constants table of lengths %d/%d/%d does not match %d applications",
+			len(k.D), len(k.Threshold), len(k.Weight), len(apps))
+	}
 	n := len(apps)
 	p.pl = pl
 	p.apps = apps
-	p.inCache = growBool(p.inCache, n)
-	p.weight = growF64(p.weight, n)
+	p.k = *k
 	p.ratio = growF64(p.ratio, n)
-	p.thresh = growF64(p.thresh, n)
-	p.sum, p.size = 0, 0
-	var sum solve.Kahan
-	for i, a := range apps {
-		p.weight[i] = a.DominanceWeight(pl)
-		p.thresh[i] = a.MinUsefulFraction(pl)
-		if p.thresh[i] > 0 {
-			p.ratio[i] = p.weight[i] / p.thresh[i]
+	for i := range apps {
+		if t := p.k.Threshold[i]; t > 0 {
+			p.ratio[i] = p.k.Weight[i] / t
 		} else {
 			// d_i = 0: the application never misses even without cache;
 			// its share is never wasted, so it can always stay in IC.
 			p.ratio[i] = math.Inf(1)
 		}
+	}
+	p.setMembers(members)
+	return nil
+}
+
+// SetMembers changes the membership of a reset partition without
+// recomputing its constants. It leaves the partition exactly as
+// Reset(pl, apps, members) over the same problem would, Kahan weight
+// sum included, and applies Reset's checks: the problem must be valid
+// and a non-nil members must have one entry per application.
+func (p *Partition) SetMembers(members []bool) error {
+	if err := model.ValidateAll(p.pl, p.apps); err != nil {
+		return err
+	}
+	if members != nil && len(members) != len(p.apps) {
+		return fmt.Errorf("core: members length %d does not match %d applications", len(members), len(p.apps))
+	}
+	p.setMembers(members)
+	return nil
+}
+
+// setMembers rebuilds the membership vector, |IC| and the Kahan weight
+// sum, adding the member weights in index order.
+func (p *Partition) setMembers(members []bool) {
+	p.inCache = growBool(p.inCache, len(p.apps))
+	p.size = 0
+	var sum solve.Kahan
+	for i := range p.apps {
 		in := members == nil || members[i]
 		p.inCache[i] = in
 		if in {
-			sum.Add(p.weight[i])
+			sum.Add(p.k.Weight[i])
 			p.size++
 		}
 	}
 	p.sum = sum.Sum()
-	return nil
 }
 
 // growF64 returns a slice of length n, reusing s's backing array when
@@ -130,19 +168,19 @@ func (p *Partition) InCache(i int) bool { return p.inCache[i] }
 func (p *Partition) WeightSum() float64 { return p.sum }
 
 // Weight returns (w_i f_i d_i)^{1/(α+1)} for application i.
-func (p *Partition) Weight(i int) float64 { return p.weight[i] }
+func (p *Partition) Weight(i int) float64 { return p.k.Weight[i] }
 
 // Ratio returns the dominance ratio r_i of application i.
 func (p *Partition) Ratio(i int) float64 { return p.ratio[i] }
 
 // Threshold returns d_i^{1/α} for application i.
-func (p *Partition) Threshold(i int) float64 { return p.thresh[i] }
+func (p *Partition) Threshold(i int) float64 { return p.k.Threshold[i] }
 
 // Add moves application i into IC. It is a no-op if already present.
 func (p *Partition) Add(i int) {
 	if !p.inCache[i] {
 		p.inCache[i] = true
-		p.sum += p.weight[i]
+		p.sum += p.k.Weight[i]
 		p.size++
 	}
 }
@@ -151,7 +189,7 @@ func (p *Partition) Add(i int) {
 func (p *Partition) Remove(i int) {
 	if p.inCache[i] {
 		p.inCache[i] = false
-		p.sum -= p.weight[i]
+		p.sum -= p.k.Weight[i]
 		p.size--
 		if p.size == 0 {
 			p.sum = 0 // clear accumulated rounding error
@@ -201,7 +239,7 @@ func (p *Partition) Dominant() bool {
 func (p *Partition) WouldRemainDominant(add int) bool {
 	sum := p.sum
 	if !p.inCache[add] {
-		sum += p.weight[add]
+		sum += p.k.Weight[add]
 	}
 	if p.ratio[add] <= sum {
 		return false
@@ -234,7 +272,7 @@ func (p *Partition) SharesInto(dst []float64) []float64 {
 	}
 	for i := range p.apps {
 		if p.inCache[i] {
-			x[i] = p.weight[i] / p.sum
+			x[i] = p.k.Weight[i] / p.sum
 		} else {
 			x[i] = 0
 		}
@@ -247,11 +285,11 @@ func (p *Partition) SharesInto(dst []float64) []float64 {
 // perfectly parallel applications under this partition.
 func (p *Partition) SeqTimeTotal() float64 {
 	p.xbuf = p.SharesInto(p.xbuf)
-	var k solve.Kahan
+	var total solve.Kahan
 	for i, a := range p.apps {
-		k.Add(a.ExeSeq(p.pl, p.xbuf[i]))
+		total.Add(a.ExeD(p.pl, p.k.D[i], 1, p.xbuf[i]))
 	}
-	return k.Sum()
+	return total.Sum()
 }
 
 // Makespan returns the analytic makespan SeqTimeTotal()/p for perfectly

@@ -437,3 +437,112 @@ func TestBuildersFeasibilityProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// samePartition fails the test unless p and q hold bit-identical
+// constants, ratios, membership, |IC| and weight sums.
+func samePartition(t *testing.T, p, q *Partition) {
+	t.Helper()
+	if p.Len() != q.Len() || p.CacheSetSize() != q.CacheSetSize() {
+		t.Fatalf("len/|IC| %d/%d, want %d/%d", p.Len(), p.CacheSetSize(), q.Len(), q.CacheSetSize())
+	}
+	if math.Float64bits(p.WeightSum()) != math.Float64bits(q.WeightSum()) {
+		t.Fatalf("weight sum %v, want %v", p.WeightSum(), q.WeightSum())
+	}
+	for i := 0; i < p.Len(); i++ {
+		if p.InCache(i) != q.InCache(i) ||
+			math.Float64bits(p.Weight(i)) != math.Float64bits(q.Weight(i)) ||
+			math.Float64bits(p.Ratio(i)) != math.Float64bits(q.Ratio(i)) ||
+			math.Float64bits(p.Threshold(i)) != math.Float64bits(q.Threshold(i)) {
+			t.Fatalf("app %d: (%v %v %v %v), want (%v %v %v %v)", i,
+				p.InCache(i), p.Weight(i), p.Ratio(i), p.Threshold(i),
+				q.InCache(i), q.Weight(i), q.Ratio(i), q.Threshold(i))
+		}
+	}
+}
+
+// TestSetMembersMatchesReset: changing the membership of a reset
+// partition must leave it exactly as a full Reset at that membership,
+// Kahan weight sum included, so the local-search toggles cannot move a
+// schedule.
+func TestSetMembersMatchesReset(t *testing.T) {
+	pl := refPlatform()
+	pl.Alpha = 0.41
+	for seed := uint64(1); seed <= 50; seed++ {
+		apps := randomApps(seed, 2+int(seed%9))
+		r := solve.NewRNG(seed)
+		var p, q Partition
+		if err := p.Reset(pl, apps, nil); err != nil {
+			t.Fatal(err)
+		}
+		for trial := 0; trial < 8; trial++ {
+			m := make([]bool, len(apps))
+			for i := range m {
+				m[i] = r.Intn(2) == 1
+			}
+			if err := p.SetMembers(m); err != nil {
+				t.Fatal(err)
+			}
+			if err := q.Reset(pl, apps, m); err != nil {
+				t.Fatal(err)
+			}
+			samePartition(t, &p, &q)
+		}
+		if err := p.SetMembers(nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := q.Reset(pl, apps, nil); err != nil {
+			t.Fatal(err)
+		}
+		samePartition(t, &p, &q)
+	}
+}
+
+// TestSetMembersChecks: SetMembers keeps Reset's checks.
+func TestSetMembersChecks(t *testing.T) {
+	var p Partition
+	if err := p.SetMembers(nil); err == nil {
+		t.Fatal("SetMembers on a partition never reset accepted")
+	}
+	if err := p.Reset(refPlatform(), npbApps(), nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{0, 5, 7} {
+		if err := p.SetMembers(make([]bool, n)); err == nil {
+			t.Fatalf("members of length %d accepted for 6 applications", n)
+		}
+	}
+	if p.CacheSetSize() != 6 {
+		t.Fatalf("rejected SetMembers changed |IC| to %d", p.CacheSetSize())
+	}
+}
+
+// TestResetWithMatchesReset: a partition reading a filled constants
+// table is bit-identical to one computing its own, and a table of the
+// wrong length is rejected.
+func TestResetWithMatchesReset(t *testing.T) {
+	pl := refPlatform()
+	pl.Alpha = 0.63
+	apps := randomApps(7, 9)
+	members := []bool{true, false, true, true, false, true, false, true, true}
+	var k model.Constants
+	k.Fill(pl, apps)
+	var p, q Partition
+	if err := p.ResetWith(pl, apps, &k, members); err != nil {
+		t.Fatal(err)
+	}
+	if err := q.Reset(pl, apps, members); err != nil {
+		t.Fatal(err)
+	}
+	samePartition(t, &p, &q)
+	if a, b := p.SeqTimeTotal(), q.SeqTimeTotal(); math.Float64bits(a) != math.Float64bits(b) {
+		t.Fatalf("SeqTimeTotal %v, want %v", a, b)
+	}
+	k.Fill(pl, apps[:4])
+	if err := p.ResetWith(pl, apps, &k, nil); err == nil {
+		t.Fatal("constants table for 4 applications accepted for 9")
+	}
+	k.FillD(pl, apps)
+	if err := p.ResetWith(pl, apps, &k, nil); err == nil {
+		t.Fatal("table holding only d_i accepted")
+	}
+}

@@ -24,7 +24,7 @@ import (
 // prefix evaluation after sorting).
 func BestRatioPrefix(pl model.Platform, apps []model.Application) (*Partition, error) {
 	p := &Partition{}
-	if err := BestRatioPrefixInto(p, pl, apps); err != nil {
+	if err := BestRatioPrefixInto(p, pl, apps, nil); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -32,13 +32,14 @@ func BestRatioPrefix(pl model.Platform, apps []model.Application) (*Partition, e
 
 // BestRatioPrefixInto runs the prefix scan into a caller-provided
 // partition, reusing its backing arrays and scratch space so repeated
-// scans (e.g. the local-search warm start) do not allocate. On return p
+// scans (e.g. the local-search warm start) do not allocate. k is the
+// constants table of (pl, apps), or nil to compute it. On return p
 // holds the best dominant prefix, rebuilt with a fresh Kahan weight sum
 // exactly as NewPartition would produce it.
-func BestRatioPrefixInto(p *Partition, pl model.Platform, apps []model.Application) error {
+func BestRatioPrefixInto(p *Partition, pl model.Platform, apps []model.Application, k *model.Constants) error {
 	// Ratios do not depend on membership, so a full-membership reset
 	// doubles as the ratio probe.
-	if err := p.Reset(pl, apps, nil); err != nil {
+	if err := p.ResetWith(pl, apps, k, nil); err != nil {
 		return err
 	}
 	order := p.idx
@@ -76,7 +77,7 @@ func BestRatioPrefixInto(p *Partition, pl model.Platform, apps []model.Applicati
 		}
 	}
 	p.membuf = bestMembers
-	// Rebuild at the best membership from scratch so the weight sum is
+	// Rebuild the best membership's weight sum from scratch so it is
 	// the Kahan sum NewPartition computes, not the incremental one.
-	return p.Reset(pl, apps, bestMembers)
+	return p.SetMembers(bestMembers)
 }

@@ -148,13 +148,15 @@ func (r *Result) MeanQueueLength() float64 {
 
 // jobState tracks one job through the run.
 type jobState struct {
-	app     model.Application
-	arrival float64
-	start   float64
-	finish  float64
-	frac    float64 // completed fraction of the original work
-	procs   float64
-	cache   float64
+	app       model.Application
+	d         float64 // app.D(platform), fixed for the run: computed at arrival
+	dedicated float64 // app.Exe(platform, every processor, the whole cache), likewise
+	arrival   float64
+	start     float64
+	finish    float64
+	frac      float64 // completed fraction of the original work
+	procs     float64
+	cache     float64
 	// exe caches app.Exe(platform, procs, cache) for the current
 	// allocation (+Inf while the job holds nothing). Exe is a pure
 	// function of the allocation, so refreshing the cache exactly when
@@ -299,11 +301,22 @@ func (e *engine) pullArrival() error {
 			e.res.Truncated++
 			continue // keep draining to count every truncated arrival
 		}
-		id := len(e.jobs)
-		e.jobs = append(e.jobs, jobState{app: a.App, arrival: a.Time, start: math.NaN(), finish: math.NaN(), exe: math.Inf(1)})
-		e.pq.push(qEvent{time: a.Time, kind: qArrival, job: id})
+		e.addJob(a)
 		return nil
 	}
+}
+
+// addJob records a validated arrival as a new job and queues its
+// arrival event. The job's model constants on the platform are
+// computed here, once, for every later Exe evaluation to read.
+func (e *engine) addJob(a Arrival) {
+	pl := e.sc.Platform
+	d := a.App.D(pl)
+	e.jobs = append(e.jobs, jobState{
+		app: a.App, d: d, dedicated: a.App.ExeD(pl, d, pl.Processors, 1),
+		arrival: a.Time, start: math.NaN(), finish: math.NaN(), exe: math.Inf(1),
+	})
+	e.pq.push(qEvent{time: a.Time, kind: qArrival, job: len(e.jobs) - 1})
 }
 
 // validateArrival rejects non-finite or negative arrival times and
@@ -581,7 +594,7 @@ func (e *engine) repartition() error {
 		if st.procs != asg[i].Processors || st.cache != asg[i].CacheShare {
 			applied = true
 			st.procs, st.cache = asg[i].Processors, asg[i].CacheShare
-			st.exe = st.app.Exe(e.sc.Platform, st.procs, st.cache)
+			st.exe = st.app.ExeD(e.sc.Platform, st.d, st.procs, st.cache)
 		}
 		if !st.started && st.procs > 0 {
 			st.started = true
@@ -689,14 +702,12 @@ func (e *engine) log(kind EventKind, job int) {
 
 // finalize computes per-job metrics and their summaries.
 func (e *engine) finalize() {
-	pl := e.sc.Platform
 	e.res.Jobs = make([]JobMetrics, len(e.jobs))
 	waits := make([]float64, len(e.jobs))
 	resps := make([]float64, len(e.jobs))
 	stretches := make([]float64, len(e.jobs))
 	for id := range e.jobs {
 		st := &e.jobs[id]
-		dedicated := st.app.Exe(pl, pl.Processors, 1)
 		m := JobMetrics{
 			Job:      id,
 			Name:     st.app.Name,
@@ -706,8 +717,8 @@ func (e *engine) finalize() {
 			Wait:     st.start - st.arrival,
 			Response: st.finish - st.arrival,
 		}
-		if dedicated > 0 {
-			m.Stretch = m.Response / dedicated
+		if st.dedicated > 0 {
+			m.Stretch = m.Response / st.dedicated
 		}
 		e.res.Jobs[id] = m
 		waits[id], resps[id], stretches[id] = m.Wait, m.Response, m.Stretch

@@ -84,9 +84,7 @@ func (n *Node) Inject(a Arrival) error {
 		return fmt.Errorf("des: arrival at t=%g precedes the node clock t=%g", a.Time, n.e.now)
 	}
 	n.e.lastArrival = a.Time
-	id := len(n.e.jobs)
-	n.e.jobs = append(n.e.jobs, jobState{app: a.App, arrival: a.Time, start: math.NaN(), finish: math.NaN(), exe: math.Inf(1)})
-	n.e.pq.push(qEvent{time: a.Time, kind: qArrival, job: id})
+	n.e.addJob(a)
 	return nil
 }
 
@@ -172,7 +170,6 @@ func (n *Node) JobsInSystem() int {
 // on it stay bit-deterministic.
 func (n *Node) BacklogAt(t float64) float64 {
 	backlog := 0.0
-	pl := n.e.sc.Platform
 	for id := range n.e.jobs {
 		st := &n.e.jobs[id]
 		if st.done {
@@ -185,7 +182,7 @@ func (n *Node) BacklogAt(t float64) float64 {
 			}
 			continue
 		}
-		backlog += (1 - st.frac) * st.app.Exe(pl, pl.Processors, 1)
+		backlog += (1 - st.frac) * st.dedicated
 	}
 	return backlog
 }

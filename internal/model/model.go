@@ -5,6 +5,12 @@
 // with the derived per-application quantities (d_i, the dominance weight
 // (w_i f_i d_i)^{1/(α+1)} and the dominance ratio of Definition 4) that
 // the partitioning theory of Section 4 is built on.
+//
+// d_i is fixed for an (application, platform) pair, and so are the two
+// constants derived from it. Each equation therefore has a form taking
+// d_i (CostPerOpD, ExeD, MinUsefulFractionD, DominanceWeightD) that the
+// plain methods wrap. Hot paths compute a Constants table once per solve
+// and read d_i from it instead of calling D on every evaluation.
 package model
 
 import (
@@ -132,11 +138,17 @@ func (a Application) MissRate(cacheSize, alpha float64) float64 {
 // incur if granted the whole cache, before the min-with-1 clamp
 // (Section 3, "for notational convenience"). The fraction-of-cache
 // formulation of Eq. 2 then reads miss(x) = min(1, d_i / x^α).
+// Each call costs a math.Pow; hot paths read d_i from a per-solve
+// Constants table instead.
 func (a Application) D(pl Platform) float64 {
-	return a.RefMissRate * math.Pow(a.RefCacheSize/pl.CacheSize, alpha(pl))
+	return a.RefMissRate * refScale(pl, a.RefCacheSize)
 }
 
-func alpha(pl Platform) float64 { return pl.Alpha }
+// refScale returns (C0/Cs)^α, the factor d_i applies to a miss rate
+// measured with a cache of c0 bytes.
+func refScale(pl Platform, c0 float64) float64 {
+	return math.Pow(c0/pl.CacheSize, pl.Alpha)
+}
 
 // Flops returns Fl_i(p) = s_i·w_i + (1-s_i)·w_i/p, the per-processor
 // operation count under Amdahl's law when the application runs on p > 0
@@ -150,12 +162,17 @@ func (a Application) Flops(p float64) float64 {
 // follows Eq. 2 including the footprint cap (a fraction above
 // a_i/Cs brings no further benefit).
 func (a Application) CostPerOp(pl Platform, x float64) float64 {
-	return 1 + a.AccessFreq*(pl.LatencyS+pl.LatencyL*a.missAtFraction(pl, x))
+	return a.CostPerOpD(pl, a.D(pl), x)
+}
+
+// CostPerOpD is CostPerOp given d = a.D(pl).
+func (a Application) CostPerOpD(pl Platform, d, x float64) float64 {
+	return 1 + a.AccessFreq*(pl.LatencyS+pl.LatencyL*a.missAtFraction(pl, d, x))
 }
 
 // missAtFraction evaluates min(1, d_i/x^α) with the footprint cap of
 // Eq. 2's second case.
-func (a Application) missAtFraction(pl Platform, x float64) float64 {
+func (a Application) missAtFraction(pl Platform, d, x float64) float64 {
 	if x < 0 {
 		x = 0
 	}
@@ -167,7 +184,6 @@ func (a Application) missAtFraction(pl Platform, x float64) float64 {
 	if x == 0 {
 		return 1
 	}
-	d := a.D(pl)
 	return math.Min(1, d/math.Pow(x, pl.Alpha))
 }
 
@@ -176,10 +192,15 @@ func (a Application) missAtFraction(pl Platform, x float64) float64 {
 // It returns +Inf for p <= 0 on an application with parallel work, since
 // no progress is possible without processors.
 func (a Application) Exe(pl Platform, p, x float64) float64 {
+	return a.ExeD(pl, a.D(pl), p, x)
+}
+
+// ExeD is Exe given d = a.D(pl).
+func (a Application) ExeD(pl Platform, d, p, x float64) float64 {
 	if p <= 0 {
 		return math.Inf(1)
 	}
-	return a.Flops(p) * a.CostPerOp(pl, x)
+	return a.Flops(p) * a.CostPerOpD(pl, d, x)
 }
 
 // ExeSeq returns Exe_i(1, x), the sequential execution time with cache
@@ -192,7 +213,12 @@ func (a Application) ExeSeq(pl Platform, x float64) float64 {
 // or below this threshold is wasted (the min clamps to 1, as if no cache
 // were given), so valid solutions have x_i = 0 or x_i > d_i^{1/α}.
 func (a Application) MinUsefulFraction(pl Platform) float64 {
-	return math.Pow(a.D(pl), 1/pl.Alpha)
+	return MinUsefulFractionD(pl, a.D(pl))
+}
+
+// MinUsefulFractionD is MinUsefulFraction given an application's d_i.
+func MinUsefulFractionD(pl Platform, d float64) float64 {
+	return math.Pow(d, 1/pl.Alpha)
 }
 
 // MaxUsefulFraction returns a_i/Cs clamped to [0, 1], beyond which extra
@@ -207,7 +233,12 @@ func (a Application) MaxUsefulFraction(pl Platform) float64 {
 // DominanceWeight returns (w_i f_i d_i)^{1/(α+1)}, the numerator weight
 // of Lemma 4's optimal cache shares.
 func (a Application) DominanceWeight(pl Platform) float64 {
-	return math.Pow(a.Work*a.AccessFreq*a.D(pl), 1/(pl.Alpha+1))
+	return a.DominanceWeightD(pl, a.D(pl))
+}
+
+// DominanceWeightD is DominanceWeight given d = a.D(pl).
+func (a Application) DominanceWeightD(pl Platform, d float64) float64 {
+	return math.Pow(a.Work*a.AccessFreq*d, 1/(pl.Alpha+1))
 }
 
 // DominanceRatio returns r_i = (w_i f_i d_i)^{1/(α+1)} / d_i^{1/α}, the
@@ -216,6 +247,58 @@ func (a Application) DominanceWeight(pl Platform) float64 {
 // co-runners before their share becomes useless.
 func (a Application) DominanceRatio(pl Platform) float64 {
 	return a.DominanceWeight(pl) / a.MinUsefulFraction(pl)
+}
+
+// Constants is the table of per-application model constants of one
+// solve: for every application i on the platform, d_i, the useless-share
+// threshold d_i^{1/α} of Definition 4 and the dominance weight
+// (w_i f_i d_i)^{1/(α+1)} of Lemma 4. None of them reads SeqFraction, so
+// a table also serves any proxy of the applications that differs only
+// in s_i. Each entry is the value D, MinUsefulFraction and
+// DominanceWeight return, bit for bit.
+type Constants struct {
+	D         []float64 // d_i
+	Threshold []float64 // d_i^{1/α}
+	Weight    []float64 // (w_i f_i d_i)^{1/(α+1)}
+}
+
+// Fill computes the whole table for apps on pl, reusing the table's
+// backing arrays when they are large enough.
+func (c *Constants) Fill(pl Platform, apps []Application) {
+	c.FillD(pl, apps)
+	c.Threshold = grow(c.Threshold, len(apps))
+	c.Weight = grow(c.Weight, len(apps))
+	for i, a := range apps {
+		c.Threshold[i] = MinUsefulFractionD(pl, c.D[i])
+		c.Weight[i] = a.DominanceWeightD(pl, c.D[i])
+	}
+}
+
+// FillD computes only the d_i column, for callers that read nothing
+// else: the other two columns each cost a math.Pow per application.
+// It empties them, so a partial table cannot pass for a whole one.
+func (c *Constants) FillD(pl Platform, apps []Application) {
+	c.D = grow(c.D, len(apps))
+	// Applications measured at the same reference cache size share the
+	// factor (C0/Cs)^α, so a run of bit-identical C0 computes it once.
+	var c0 uint64
+	var scale float64
+	for i, a := range apps {
+		if b := math.Float64bits(a.RefCacheSize); i == 0 || b != c0 {
+			c0, scale = b, refScale(pl, a.RefCacheSize)
+		}
+		c.D[i] = a.RefMissRate * scale
+	}
+	c.Threshold, c.Weight = c.Threshold[:0], c.Weight[:0]
+}
+
+// grow returns a slice of length n, reusing s's backing array when
+// possible.
+func grow(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n)
+	}
+	return s[:n]
 }
 
 // ErrEmptySet is returned by operations that need at least one application.

@@ -62,12 +62,13 @@ func TestEqualizerAllocBudget(t *testing.T) {
 	for i := range shares {
 		shares[i] = 1 / float64(len(apps))
 	}
+	d := dOf(pl, apps)
 	var eq equalizer
-	if _, _, err := eq.equalize(pl, apps, shares); err != nil {
+	if _, _, err := eq.equalize(pl, apps, d, shares); err != nil {
 		t.Fatal(err) // grow buffers and materialize the objective closure
 	}
 	n := testing.AllocsPerRun(100, func() {
-		if _, _, err := eq.equalize(pl, apps, shares); err != nil {
+		if _, _, err := eq.equalize(pl, apps, d, shares); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -50,12 +50,13 @@ func (eq *equalizer) demandFn() func(float64) float64 {
 }
 
 // lemma2 assigns processors per Lemma 2 for perfectly parallel
-// applications into the equalizer's scratch vectors.
-func (eq *equalizer) lemma2(pl model.Platform, apps []model.Application, shares []float64) ([]float64, float64) {
+// applications into the equalizer's scratch vectors. d holds each
+// application's d_i.
+func (eq *equalizer) lemma2(pl model.Platform, apps []model.Application, d, shares []float64) ([]float64, float64) {
 	eq.seq = growF64(eq.seq, len(apps))
 	var total solve.Kahan
 	for i, a := range apps {
-		eq.seq[i] = a.ExeSeq(pl, shares[i])
+		eq.seq[i] = a.ExeD(pl, d[i], 1, shares[i])
 		total.Add(eq.seq[i])
 	}
 	sum := total.Sum()
@@ -75,9 +76,10 @@ func (eq *equalizer) lemma2(pl model.Platform, apps []model.Application, shares 
 
 // equalize finds the common completion time K and processor counts p_i
 // for general Amdahl applications with fixed cache shares (Section 5).
+// d holds each application's d_i, read from the solve's constants table.
 // The returned processor slice is owned by the equalizer and valid
 // until its next call; callers copy what they keep.
-func (eq *equalizer) equalize(pl model.Platform, apps []model.Application, shares []float64) ([]float64, float64, error) {
+func (eq *equalizer) equalize(pl model.Platform, apps []model.Application, d, shares []float64) ([]float64, float64, error) {
 	n := len(apps)
 	if n == 0 {
 		return nil, 0, ErrInfeasible
@@ -85,13 +87,13 @@ func (eq *equalizer) equalize(pl model.Platform, apps []model.Application, share
 	eq.c = growF64(eq.c, n)
 	allSeqZero := true
 	for i, a := range apps {
-		eq.c[i] = a.Work * a.CostPerOp(pl, shares[i])
+		eq.c[i] = a.Work * a.CostPerOpD(pl, d[i], shares[i])
 		if a.SeqFraction != 0 {
 			allSeqZero = false
 		}
 	}
 	if allSeqZero {
-		procs, K := eq.lemma2(pl, apps, shares)
+		procs, K := eq.lemma2(pl, apps, d, shares)
 		return procs, K, nil
 	}
 
@@ -147,7 +149,7 @@ func (eq *equalizer) equalize(pl model.Platform, apps []model.Application, share
 // all applications finish simultaneously at (Σ_j Exe^seq_j(x_j))/p.
 func ProcessorsLemma2(pl model.Platform, apps []model.Application, shares []float64) ([]float64, float64) {
 	var eq equalizer
-	procs, K := eq.lemma2(pl, apps, shares)
+	procs, K := eq.lemma2(pl, apps, dOf(pl, apps), shares)
 	out := make([]float64, len(procs))
 	copy(out, procs)
 	return out, K
@@ -170,13 +172,21 @@ func ProcessorsLemma2(pl model.Platform, apps []model.Application, shares []floa
 // same arithmetic through their pooled scratch equalizer.
 func EqualizeAmdahl(pl model.Platform, apps []model.Application, shares []float64) ([]float64, float64, error) {
 	var eq equalizer
-	procs, K, err := eq.equalize(pl, apps, shares)
+	procs, K, err := eq.equalize(pl, apps, dOf(pl, apps), shares)
 	if err != nil {
 		return nil, 0, err
 	}
 	out := make([]float64, len(procs))
 	copy(out, procs)
 	return out, K, nil
+}
+
+// dOf returns every application's d_i, the only constant the equalizer
+// reads, for the entry points that run without a pooled scratch.
+func dOf(pl model.Platform, apps []model.Application) []float64 {
+	var k model.Constants
+	k.FillD(pl, apps)
+	return k.D
 }
 
 // rescale scales procs down proportionally if their sum exceeds the

@@ -47,6 +47,9 @@ func ExactSubset(pl model.Platform, apps []model.Application) (*Schedule, []bool
 		workers = total
 	}
 	chunk := (total + workers - 1) / workers
+	// One constants table serves every worker: it is only read.
+	var consts model.Constants
+	consts.Fill(pl, apps)
 	results := make([]best, workers)
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
@@ -60,17 +63,22 @@ func ExactSubset(pl model.Platform, apps []model.Application) (*Schedule, []bool
 			}
 			local := best{k: math.Inf(1)}
 			members := make([]bool, n)
+			var part core.Partition
+			if err := part.ResetWith(pl, apps, &consts, nil); err != nil {
+				errs[w] = err
+				return
+			}
+			var eq equalizer
 			for mask := lo; mask < hi; mask++ {
 				for i := 0; i < n; i++ {
 					members[i] = mask&(1<<uint(i)) != 0
 				}
-				part, err := core.NewPartition(pl, apps, members)
-				if err != nil {
+				if err := part.SetMembers(members); err != nil {
 					errs[w] = err
 					return
 				}
 				shares := part.Shares()
-				K := analyticMakespan(pl, apps, shares)
+				K := analyticMakespan(&eq, pl, apps, consts.D, shares)
 				if K < local.k {
 					local.k = K
 					local.mask = mask
@@ -96,7 +104,8 @@ func ExactSubset(pl model.Platform, apps []model.Application) (*Schedule, []bool
 			win = r
 		}
 	}
-	s, err := sharesSchedule(pl, apps, win.shares)
+	var eq equalizer
+	s, err := sharesScheduleEq(&eq, pl, apps, consts.D, win.shares)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -105,8 +114,8 @@ func ExactSubset(pl model.Platform, apps []model.Application) (*Schedule, []bool
 
 // analyticMakespan evaluates Lemma 3's objective Σ_i Exe_i(1, x_i)/p for
 // perfectly parallel apps; for Amdahl apps it falls back to the
-// equalizer.
-func analyticMakespan(pl model.Platform, apps []model.Application, shares []float64) float64 {
+// equalizer eq. d holds each application's d_i.
+func analyticMakespan(eq *equalizer, pl model.Platform, apps []model.Application, d, shares []float64) float64 {
 	allZero := true
 	for _, a := range apps {
 		if a.SeqFraction != 0 {
@@ -117,11 +126,11 @@ func analyticMakespan(pl model.Platform, apps []model.Application, shares []floa
 	if allZero {
 		var sum float64
 		for i, a := range apps {
-			sum += a.ExeSeq(pl, shares[i])
+			sum += a.ExeD(pl, d[i], 1, shares[i])
 		}
 		return sum / pl.Processors
 	}
-	_, K, err := EqualizeAmdahl(pl, apps, shares)
+	_, K, err := eq.equalize(pl, apps, d, shares)
 	if err != nil {
 		return math.Inf(1)
 	}

@@ -164,20 +164,21 @@ func (h Heuristic) ScheduleContext(ctx context.Context, pl model.Platform, apps 
 	if err := model.ValidateAll(pl, apps); err != nil {
 		return nil, err
 	}
-	sc := getScratch()
+	sc := getScratch(h, pl, apps)
 	defer putScratch(sc)
 	return h.scheduleWith(ctx, sc, pl, apps, rng)
 }
 
 // scheduleWith dispatches to the heuristic implementations on an
-// already-validated input with a caller-held scratch.
+// already-validated input with a caller-held scratch whose constants
+// table getScratch filled for (h, pl, apps).
 func (h Heuristic) scheduleWith(ctx context.Context, sc *scratch, pl model.Platform, apps []model.Application, rng *solve.RNG) (*Schedule, error) {
 	switch h {
 	case DominantRandom, DominantMinRatio, DominantMaxRatio,
 		DominantRevRandom, DominantRevMinRatio, DominantRevMaxRatio:
 		return dominantSchedule(sc, pl, apps, h, rng)
 	case Fair:
-		return fairSchedule(pl, apps)
+		return fairSchedule(pl, apps, sc.k.D)
 	case ZeroCache:
 		shares := growF64(sc.shares, len(apps))
 		for i := range shares {
@@ -188,7 +189,7 @@ func (h Heuristic) scheduleWith(ctx context.Context, sc *scratch, pl model.Platf
 	case RandomPart:
 		return randomPartSchedule(sc, pl, apps, rng)
 	case AllProcCache:
-		return allProcCacheSchedule(pl, apps)
+		return allProcCacheSchedule(pl, apps, sc.k.D)
 	case SharedCache:
 		return sharedCacheSchedule(sc, pl, apps)
 	case LocalSearch:
@@ -229,42 +230,33 @@ func requireRNG(rng *solve.RNG) *solve.RNG {
 // dominantSchedule: build a dominant partition on the perfectly parallel
 // proxy of the applications (Section 5 temporarily assumes s_i = 0 to
 // pick the partition), take the closed-form cache shares, then equalize
-// completion times for the true Amdahl profiles.
+// completion times for the true Amdahl profiles. The builders read only
+// the constants table and none of its entries depends on s_i, so
+// building on the applications themselves picks the proxy's partition.
+// The partition is left over (pl, apps) with the solve's table.
 func dominantSchedule(sc *scratch, pl model.Platform, apps []model.Application, h Heuristic, rng *solve.RNG) (*Schedule, error) {
 	choice, reverse, err := choiceFor(h, rng)
 	if err != nil {
 		return nil, err
 	}
-	proxy := growApps(sc.proxy, len(apps))
-	sc.proxy = proxy
-	for i, a := range apps {
-		a.SeqFraction = 0
-		proxy[i] = a
-	}
-	if err := core.BuildDominantInto(&sc.part, pl, proxy, reverse, choice); err != nil {
+	if err := core.BuildDominantInto(&sc.part, pl, apps, &sc.k, reverse, choice); err != nil {
 		return nil, err
 	}
 	sc.shares = sc.part.SharesInto(sc.shares)
 	return sharesScheduleWith(sc, pl, apps, sc.shares)
 }
 
-// sharesSchedule completes a schedule from fixed cache shares by
-// equalizing completion times.
-func sharesSchedule(pl model.Platform, apps []model.Application, shares []float64) (*Schedule, error) {
-	var eq equalizer
-	return sharesScheduleEq(&eq, pl, apps, shares)
-}
-
-// sharesScheduleWith is sharesSchedule on pooled scratch.
+// sharesScheduleWith is sharesScheduleEq on pooled scratch.
 func sharesScheduleWith(sc *scratch, pl model.Platform, apps []model.Application, shares []float64) (*Schedule, error) {
-	return sharesScheduleEq(&sc.eq, pl, apps, shares)
+	return sharesScheduleEq(&sc.eq, pl, apps, sc.k.D, shares)
 }
 
-// sharesScheduleEq equalizes completion times under the given shares and
-// materializes the resulting Schedule — the only allocation of the hot
-// path.
-func sharesScheduleEq(eq *equalizer, pl model.Platform, apps []model.Application, shares []float64) (*Schedule, error) {
-	procs, _, err := eq.equalize(pl, apps, shares)
+// sharesScheduleEq completes a schedule from fixed cache shares by
+// equalizing completion times with eq, given each application's d_i,
+// and materializes the resulting Schedule — the only allocation of the
+// hot path.
+func sharesScheduleEq(eq *equalizer, pl model.Platform, apps []model.Application, d, shares []float64) (*Schedule, error) {
+	procs, _, err := eq.equalize(pl, apps, d, shares)
 	if err != nil {
 		return nil, err
 	}
@@ -272,11 +264,11 @@ func sharesScheduleEq(eq *equalizer, pl model.Platform, apps []model.Application
 	for i := range apps {
 		asg[i] = Assignment{Processors: procs[i], CacheShare: shares[i]}
 	}
-	return &Schedule{Assignments: asg, Makespan: maxFinish(pl, apps, asg)}, nil
+	return &Schedule{Assignments: asg, Makespan: maxFinish(pl, apps, d, asg)}, nil
 }
 
 // fairSchedule: p_i = p/n and x_i = f_i / Σf_j (Section 6.3).
-func fairSchedule(pl model.Platform, apps []model.Application) (*Schedule, error) {
+func fairSchedule(pl model.Platform, apps []model.Application, d []float64) (*Schedule, error) {
 	n := float64(len(apps))
 	var fsum solve.Kahan
 	for _, a := range apps {
@@ -291,7 +283,7 @@ func fairSchedule(pl model.Platform, apps []model.Application) (*Schedule, error
 		}
 		asg[i] = Assignment{Processors: pl.Processors / n, CacheShare: x}
 	}
-	s := &Schedule{Assignments: asg, Makespan: maxFinish(pl, apps, asg)}
+	s := &Schedule{Assignments: asg, Makespan: maxFinish(pl, apps, d, asg)}
 	return s, nil
 }
 
@@ -304,7 +296,7 @@ func randomPartSchedule(sc *scratch, pl model.Platform, apps []model.Application
 	for i := range members {
 		members[i] = r.Intn(2) == 1
 	}
-	if err := sc.part.Reset(pl, apps, members); err != nil {
+	if err := sc.part.ResetWith(pl, apps, &sc.k, members); err != nil {
 		return nil, err
 	}
 	sc.shares = sc.part.SharesInto(sc.shares)
@@ -313,12 +305,12 @@ func randomPartSchedule(sc *scratch, pl model.Platform, apps []model.Application
 
 // allProcCacheSchedule: applications run one after another, each on the
 // whole machine with the whole cache.
-func allProcCacheSchedule(pl model.Platform, apps []model.Application) (*Schedule, error) {
+func allProcCacheSchedule(pl model.Platform, apps []model.Application, d []float64) (*Schedule, error) {
 	asg := make([]Assignment, len(apps))
 	var total solve.Kahan
 	for i, a := range apps {
 		asg[i] = Assignment{Processors: pl.Processors, CacheShare: 1}
-		total.Add(a.Exe(pl, pl.Processors, 1))
+		total.Add(a.ExeD(pl, d[i], pl.Processors, 1))
 	}
 	return &Schedule{Assignments: asg, Makespan: total.Sum(), Sequential: true}, nil
 }

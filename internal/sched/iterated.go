@@ -190,7 +190,7 @@ func LocalSearchScheduleContext(ctx context.Context, pl model.Platform, apps []m
 	if err := model.ValidateAll(pl, apps); err != nil {
 		return nil, err
 	}
-	sc := getScratch()
+	sc := getScratch(LocalSearch, pl, apps)
 	defer putScratch(sc)
 	return localSearchSchedule(ctx, sc, pl, apps, opts, rng)
 }
@@ -199,18 +199,20 @@ func LocalSearchScheduleContext(ctx context.Context, pl model.Platform, apps []m
 // on the membership, Amdahl equalization, max finish time. It performs
 // the exact arithmetic of building the candidate Schedule without
 // materializing it, so the hill climb allocates nothing per toggle.
+// sc.part must already be reset over (pl, apps) with the solve's
+// constants table; only its membership changes.
 func localSearchMakespan(sc *scratch, pl model.Platform, apps []model.Application, m []bool) (float64, error) {
-	if err := sc.part.Reset(pl, apps, m); err != nil {
+	if err := sc.part.SetMembers(m); err != nil {
 		return 0, err
 	}
 	sc.shares = sc.part.SharesInto(sc.shares)
-	procs, _, err := sc.eq.equalize(pl, apps, sc.shares)
+	procs, _, err := sc.eq.equalize(pl, apps, sc.k.D, sc.shares)
 	if err != nil {
 		return 0, err
 	}
 	var span float64
 	for i, a := range apps {
-		span = math.Max(span, a.Exe(pl, procs[i], sc.shares[i]))
+		span = math.Max(span, a.ExeD(pl, sc.k.D[i], procs[i], sc.shares[i]))
 	}
 	return span, nil
 }
@@ -220,6 +222,8 @@ func localSearchMakespan(sc *scratch, pl model.Platform, apps []model.Applicatio
 // is materialized as a Schedule (bit-identical to scoring, since both
 // run the same deterministic arithmetic).
 func localSearchSchedule(ctx context.Context, sc *scratch, pl model.Platform, apps []model.Application, opts LocalSearchOptions, rng *solve.RNG) (*Schedule, error) {
+	// The warm start leaves sc.part over (pl, apps) with the solve's
+	// constants table, so every candidate below only sets its membership.
 	warm, err := dominantSchedule(sc, pl, apps, DominantMinRatio, rng)
 	if err != nil {
 		return nil, err
@@ -236,7 +240,7 @@ func localSearchSchedule(ctx context.Context, sc *scratch, pl model.Platform, ap
 	sc.bestM = bestM
 	// Second warm-start candidate: the best ratio-sorted prefix, which
 	// scans all n+1 nested memberships the dominance theory singles out.
-	if err := core.BestRatioPrefixInto(&sc.prefix, pl, apps); err == nil {
+	if err := core.BestRatioPrefixInto(&sc.prefix, pl, apps, &sc.k); err == nil {
 		// The prefix partition already holds the candidate membership, so
 		// score its shares directly.
 		prefM := sc.prefix.MembersInto(nil)
@@ -280,7 +284,7 @@ func localSearchSchedule(ctx context.Context, sc *scratch, pl model.Platform, ap
 	if bestIsWarm {
 		return warm, nil
 	}
-	if err := sc.part.Reset(pl, apps, bestM); err != nil {
+	if err := sc.part.SetMembers(bestM); err != nil {
 		return nil, err
 	}
 	sc.shares = sc.part.SharesInto(sc.shares)

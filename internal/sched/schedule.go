@@ -123,11 +123,11 @@ func (s *Schedule) Validate(pl model.Platform, apps []model.Application) error {
 }
 
 // maxFinish recomputes the makespan from assignments for concurrent
-// schedules.
-func maxFinish(pl model.Platform, apps []model.Application, asg []Assignment) float64 {
+// schedules, given each application's d_i.
+func maxFinish(pl model.Platform, apps []model.Application, d []float64, asg []Assignment) float64 {
 	var m float64
 	for i, a := range apps {
-		m = math.Max(m, a.Exe(pl, asg[i].Processors, asg[i].CacheShare))
+		m = math.Max(m, a.ExeD(pl, d[i], asg[i].Processors, asg[i].CacheShare))
 	}
 	return m
 }

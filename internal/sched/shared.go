@@ -41,13 +41,14 @@ func SharedCacheSchedule(pl model.Platform, apps []model.Application) (*Schedule
 	if err := model.ValidateAll(pl, apps); err != nil {
 		return nil, err
 	}
-	sc := getScratch()
+	sc := getScratch(SharedCache, pl, apps)
 	defer putScratch(sc)
 	return sharedCacheSchedule(sc, pl, apps)
 }
 
 // sharedCacheSchedule is the scratch-backed fixed-point iteration; every
-// equalizer pass reuses the same coefficient and processor buffers.
+// equalizer pass reuses the same coefficient and processor buffers and
+// reads d_i from the scratch's constants table.
 func sharedCacheSchedule(sc *scratch, pl model.Platform, apps []model.Application) (*Schedule, error) {
 	n := len(apps)
 	procs := growF64(sc.dampP, n)
@@ -59,7 +60,7 @@ func sharedCacheSchedule(sc *scratch, pl model.Platform, apps []model.Applicatio
 	sc.occ = occ
 	for iter := 0; iter < sharedCacheIterations; iter++ {
 		occupancies(apps, procs, occ)
-		next, _, err := sc.eq.equalize(pl, apps, occ)
+		next, _, err := sc.eq.equalize(pl, apps, sc.k.D, occ)
 		if err != nil {
 			return nil, err
 		}
@@ -77,7 +78,7 @@ func sharedCacheSchedule(sc *scratch, pl model.Platform, apps []model.Applicatio
 	occupancies(apps, procs, occ)
 	// Final consistent pass: equalize once more at the settled
 	// occupancies so finish times are exactly equal.
-	final, _, err := sc.eq.equalize(pl, apps, occ)
+	final, _, err := sc.eq.equalize(pl, apps, sc.k.D, occ)
 	if err != nil {
 		return nil, err
 	}
@@ -85,7 +86,7 @@ func sharedCacheSchedule(sc *scratch, pl model.Platform, apps []model.Applicatio
 	for i := range asg {
 		asg[i] = Assignment{Processors: final[i], CacheShare: occ[i]}
 	}
-	return &Schedule{Assignments: asg, Makespan: maxFinish(pl, apps, asg)}, nil
+	return &Schedule{Assignments: asg, Makespan: maxFinish(pl, apps, sc.k.D, asg)}, nil
 }
 
 // occupancies fills occ with the access-pressure-proportional cache

@@ -39,6 +39,8 @@ run_bench() {
       -count "$BENCH_COUNT" ./internal/serve
     go test -run '^$' -bench 'BenchmarkFleet' -benchmem -benchtime "$BENCH_TIME" \
       -count "$BENCH_COUNT" ./internal/fleet
+    go test -run '^$' -bench 'BenchmarkHeuristic' -benchmem -benchtime "$BENCH_TIME" \
+      -count "$BENCH_COUNT" ./internal/sched
   } | tee "$LATEST"
 }
 
