@@ -58,8 +58,9 @@ func WithWorkers(n int) ClientOption {
 // WithCache enables or disables the memoization cache (default:
 // enabled). The cache memoizes solved (scenario, heuristic) pairs under
 // a canonical input hash, so repeated workloads are served with zero
-// recomputation; disable it for workloads that never repeat (the cache
-// would only accumulate dead entries).
+// recomputation. Its memory is bounded (8,192 entries, evicted by
+// CLOCK), so disabling it for workloads that never repeat only saves
+// building each key and inserting each result.
 func WithCache(enabled bool) ClientOption {
 	return func(c *clientConfig) { c.cache = enabled }
 }

@@ -188,13 +188,49 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) (int, error)
 	if err != nil {
 		return 2, err
 	}
+	t := tail{format: *format, golden: *golden, families: len(rep.Families), debug: ds}
+	switch {
+	case *golden != "" && *update:
+		t.save = func() error { return conform.SaveGolden(*golden, rep.Golden()) }
+	case gold != nil:
+		t.compare = func() []string { return gold.Compare(rep) }
+	}
+	return finish(rep, t, out, errOut)
+}
+
+// report is the part of a harness report the shared tail reads.
+type report interface {
+	Markdown(io.Writer) error
+	NDJSON(io.Writer) error
+	ViolationCount() int
+}
+
+// tail is what differs between the two harness modes once the sweep
+// is done.
+type tail struct {
+	mode     string // "fleet " in fleet mode, prefixed to its messages
+	format   string
+	golden   string // corpus path
+	families int
+	// save rewrites the corpus from this run (-update); compare returns
+	// the run's mismatches against the loaded corpus. At most one is set.
+	save    func() error
+	compare func() []string
+	debug   *obs.DebugServer
+}
+
+// finish drains the debug listener, writes the report, counts
+// violations and then rewrites or checks the golden corpus. It returns
+// the exit code like run.
+func finish(rep report, t tail, out, errOut io.Writer) (int, error) {
 	// Drain-then-flush: the run is complete, so let any in-flight
 	// scrape finish against the final metric state before the report is
 	// emitted and the process exits.
-	if err := ds.Close(); err != nil {
+	if err := t.debug.Close(); err != nil {
 		return 2, err
 	}
-	switch *format {
+	var err error
+	switch t.format {
 	case "markdown":
 		err = rep.Markdown(out)
 	case "ndjson":
@@ -206,28 +242,28 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) (int, error)
 
 	code := 0
 	if n := rep.ViolationCount(); n > 0 {
-		fmt.Fprintf(errOut, "conform: %d cross-check violation(s)\n", n)
+		fmt.Fprintf(errOut, "conform: %d %scross-check violation(s)\n", n, t.mode)
 		code = 1
 	}
 	switch {
-	case *golden != "" && *update:
+	case t.save != nil:
 		// A corpus must never capture violating behavior: digests of a
 		// run that failed its own cross-checks are not a baseline.
 		if code != 0 {
-			return code, fmt.Errorf("refusing to update %s: this run has cross-check violations", *golden)
+			return code, fmt.Errorf("refusing to update %s: this run has cross-check violations", t.golden)
 		}
-		if err := conform.SaveGolden(*golden, rep.Golden()); err != nil {
+		if err := t.save(); err != nil {
 			return 2, err
 		}
-		fmt.Fprintf(errOut, "conform: wrote golden corpus %s (%d families)\n", *golden, len(rep.Families))
-	case gold != nil:
-		if diffs := gold.Compare(rep); len(diffs) > 0 {
+		fmt.Fprintf(errOut, "conform: wrote %sgolden corpus %s (%d families)\n", t.mode, t.golden, t.families)
+	case t.compare != nil:
+		if diffs := t.compare(); len(diffs) > 0 {
 			for _, d := range diffs {
 				fmt.Fprintf(errOut, "conform: golden mismatch: %s\n", d)
 			}
 			code = 1
 		} else {
-			fmt.Fprintf(errOut, "conform: golden digests match (%d families)\n", len(rep.Families))
+			fmt.Fprintf(errOut, "conform: %sgolden digests match (%d families)\n", t.mode, t.families)
 		}
 	}
 	return code, nil
@@ -274,42 +310,12 @@ func runFleet(ctx context.Context, a fleetArgs, out, errOut io.Writer) (int, err
 	if err != nil {
 		return 2, err
 	}
-	// Drain-then-flush, exactly like the single-node path.
-	if err := a.debug.Close(); err != nil {
-		return 2, err
-	}
-	switch a.format {
-	case "markdown":
-		err = rep.Markdown(out)
-	case "ndjson":
-		err = rep.NDJSON(out)
-	}
-	if err != nil {
-		return 2, err
-	}
-	code := 0
-	if n := rep.ViolationCount(); n > 0 {
-		fmt.Fprintf(errOut, "conform: %d fleet cross-check violation(s)\n", n)
-		code = 1
-	}
+	t := tail{mode: "fleet ", format: a.format, golden: a.golden, families: len(rep.Families), debug: a.debug}
 	switch {
 	case a.golden != "" && a.update:
-		if code != 0 {
-			return code, fmt.Errorf("refusing to update %s: this run has cross-check violations", a.golden)
-		}
-		if err := conform.SaveFleetGolden(a.golden, rep.Golden()); err != nil {
-			return 2, err
-		}
-		fmt.Fprintf(errOut, "conform: wrote fleet golden corpus %s (%d families)\n", a.golden, len(rep.Families))
+		t.save = func() error { return conform.SaveFleetGolden(a.golden, rep.Golden()) }
 	case gold != nil:
-		if diffs := gold.Compare(rep); len(diffs) > 0 {
-			for _, d := range diffs {
-				fmt.Fprintf(errOut, "conform: golden mismatch: %s\n", d)
-			}
-			code = 1
-		} else {
-			fmt.Fprintf(errOut, "conform: fleet golden digests match (%d families)\n", len(rep.Families))
-		}
+		t.compare = func() []string { return gold.Compare(rep) }
 	}
-	return code, nil
+	return finish(rep, t, out, errOut)
 }

@@ -69,7 +69,7 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) (err error) 
 		retryAfter  = fs.Duration("retry-after", time.Second, "Retry-After hint sent with 429")
 		seed        = fs.Uint64("seed", 0, "service base seed; per-tenant seeds derive from it")
 		drain       = fs.Duration("drain", 10*time.Second, "SIGTERM drain deadline for in-flight requests")
-		cache       = fs.Bool("cache", true, "memoize solved (scenario, heuristic) pairs across requests")
+		cache       = fs.Bool("cache", true, "memoize solved (scenario, heuristic) pairs across requests, up to 8192 entries evicted by CLOCK")
 		selPath     = fs.String("selector", "", `trained ledger file arming {"selector": true} requests with predicted-winner-first selection`)
 	)
 	prof := obs.ProfileFlags(fs)

@@ -23,9 +23,10 @@ const DefaultSelectorGapBound = 1.05
 // instances of every family for seeds seedStart .. seedStart+seeds-1
 // and folds the outcomes into l. The evidence is a pure function of
 // the sweep parameters: the instances are seeded and the races are
-// worker-count invariant.
+// worker-count invariant. The engine memoizes nothing, because no
+// (scenario, heuristic) pair of the sweep repeats.
 func TrainLedger(ctx context.Context, l *selector.Ledger, fams []genscen.Family, seedStart, seeds, workers int) error {
-	eng := portfolio.New(portfolio.Config{Workers: workers, Cache: portfolio.NewCache()})
+	eng := portfolio.New(portfolio.Config{Workers: workers})
 	for _, fam := range fams {
 		for s := 0; s < seeds; s++ {
 			in, err := genscen.Generate(fam, uint64(seedStart+s), genscen.Config{})

@@ -59,3 +59,53 @@ func TestMemoizedEvaluateAllocBudget(t *testing.T) {
 		t.Errorf("memoized Evaluate allocates %g times, budget 16", n)
 	}
 }
+
+// TestCacheBoundMissAllocs pins eviction at zero allocations: a miss
+// into a full shard, which runs the CLOCK hand, allocates no more than
+// a miss into an empty shard, which grows the shard's ring and map.
+func TestCacheBoundMissAllocs(t *testing.T) {
+	const runs = numShards - 1 // AllocsPerRun calls f runs+1 times
+	apps := workload.NPB()
+	ctx := context.Background()
+	s := &sched.Schedule{}
+	compute := func() (*sched.Schedule, error) { return s, nil }
+	missAllocs := func(cache *Cache, pls []model.Platform) float64 {
+		i := 0
+		return testing.AllocsPerRun(runs, func() {
+			_, _, fromCache := cache.getOrCompute(ctx, pls[i], apps, sched.Fair, 0, compute)
+			if fromCache {
+				t.Fatal("expected a miss")
+			}
+			i++
+		})
+	}
+
+	// One platform per shard: every call misses into an empty shard.
+	var empty []model.Platform
+	seen := map[int]bool{}
+	for p := 1; len(empty) < numShards; p++ {
+		pl := model.TaihuLight()
+		pl.Processors = float64(p)
+		if sh := shardOf(appendScenarioKey(nil, pl, apps, sched.Fair, 0)); !seen[sh] {
+			seen[sh] = true
+			empty = append(empty, pl)
+		}
+	}
+	emptyAllocs := missAllocs(NewCache(), empty)
+
+	// One shard filled to its budget first: every call evicts.
+	const budget = 4
+	pls := shardPlatforms(apps, budget+runs+1)
+	cache := newCache(budget)
+	for _, pl := range pls[:budget] {
+		cache.getOrCompute(ctx, pl, apps, sched.Fair, 0, compute)
+	}
+	fullAllocs := missAllocs(cache, pls[budget:])
+	if st := cache.Stats(); st.CapacityEvictions != runs+1 {
+		t.Fatalf("%d capacity evictions, want %d", st.CapacityEvictions, runs+1)
+	}
+	if fullAllocs > emptyAllocs {
+		t.Errorf("a miss into a full shard allocates %g times, into an empty shard %g", fullAllocs, emptyAllocs)
+	}
+	t.Logf("allocs per miss: empty shard %g, full shard %g", emptyAllocs, fullAllocs)
+}

@@ -87,10 +87,12 @@ func BenchmarkPortfolioSweepMetrics(b *testing.B) {
 
 // BenchmarkPortfolioMemoized measures the same sweep served entirely
 // from a warm memoization cache: the steady-state cost of re-serving
-// known scenarios.
+// known scenarios. It runs at one worker because its allocations are
+// gated: with more workers every batch starts a goroutine per worker
+// and the pools refill per P, so allocs/op would grow with GOMAXPROCS.
 func BenchmarkPortfolioMemoized(b *testing.B) {
 	scenarios := npbSweepScenarios()
-	eng := New(Config{Workers: runtime.GOMAXPROCS(0), Cache: NewCache()})
+	eng := New(Config{Workers: 1, Cache: NewCache()})
 	eng.EvaluateBatch(scenarios) // warm
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -15,6 +16,15 @@ import (
 // negligible at any realistic worker count while costing a few KB.
 const numShards = 64
 
+// shardBudget is each shard's budget of completed entries, 8,192 over
+// the whole cache. coschedbench's serve-repeat mix (64 scenarios × 4
+// tenants) has a working set of 1,344 entries: 9 deterministic
+// heuristics per scenario plus 3 randomized ones per tenant. Its
+// fullest shard holds about 32 of them at the median and 39 at p99, so
+// the budget leaves about 3× headroom while capping the memo near 5 MB
+// (~0.65 KB of resident memory per entry).
+const shardBudget = 128
+
 // Cache memoizes solved (scenario, heuristic) pairs behind a sharded,
 // mutex-striped map. Entries are keyed by a canonical byte encoding of
 // (platform, applications, heuristic, seed) — seed is omitted for
@@ -22,26 +32,54 @@ const numShards = 64
 // workload hits regardless of the scenario seed. Concurrent requests
 // for the same key collapse into a single computation via a per-entry
 // sync.Once. A Cache must not be copied after first use.
+//
+// The cache is bounded: each shard keeps at most shardBudget completed
+// entries and evicts with CLOCK (second chance). A shard links its
+// entries into a ring swept by a hand; a hit sets the entry's
+// reference bit, and an insert into a full shard advances the hand,
+// clearing set bits and skipping entries still in flight, until it
+// finds a completed, unreferenced entry to replace. In-flight entries
+// are never evicted, so concurrent identical requests still collapse.
+// A shard exceeds its budget only when an insert finds every entry in
+// flight; its next insert sheds the excess.
 type Cache struct {
 	shards       [numShards]cacheShard
+	budget       int
 	hits, misses atomic.Uint64
 	evictions    atomic.Uint64
+	capEvictions atomic.Uint64
 }
 
+// cacheShard is one mutex stripe: the key index and the CLOCK ring of
+// the same entries, both guarded by mu. The ring may still hold an
+// entry cancellation removed from the map until the hand reclaims its
+// slot.
 type cacheShard struct {
-	mu sync.Mutex
-	m  map[string]*cacheEntry
+	mu   sync.Mutex
+	m    map[string]*cacheEntry
+	ring []*cacheEntry
+	hand int
 }
 
 type cacheEntry struct {
 	once     sync.Once
 	schedule *sched.Schedule
 	err      error
+	key      string
+	// done is set once the computation has returned; until then the
+	// hand skips the entry.
+	done atomic.Bool
+	// ref is the CLOCK reference bit, guarded by the shard's mutex.
+	ref bool
 }
 
 // NewCache returns an empty cache ready for concurrent use.
-func NewCache() *Cache {
-	c := &Cache{}
+func NewCache() *Cache { return newCache(shardBudget) }
+
+// newCache returns an empty cache keeping at most budget completed
+// entries per shard.
+func newCache(budget int) *Cache {
+	c := &Cache{budget: budget}
 	for i := range c.shards {
 		c.shards[i].m = make(map[string]*cacheEntry)
 	}
@@ -57,13 +95,21 @@ type CacheStats struct {
 	// Evictions counts entries dropped because their computation was
 	// abandoned by context cancellation.
 	Evictions uint64
-	Entries   int
+	// CapacityEvictions counts completed entries the CLOCK hand dropped
+	// to make room in a full shard.
+	CapacityEvictions uint64
+	Entries           int
 }
 
 // Stats snapshots the counters. Hits+Misses equals the number of
 // getOrCompute calls that completed.
 func (c *Cache) Stats() CacheStats {
-	s := CacheStats{Hits: c.hits.Load(), Misses: c.misses.Load(), Evictions: c.evictions.Load()}
+	s := CacheStats{
+		Hits:              c.hits.Load(),
+		Misses:            c.misses.Load(),
+		Evictions:         c.evictions.Load(),
+		CapacityEvictions: c.capEvictions.Load(),
+	}
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
@@ -99,14 +145,19 @@ func (c *Cache) getOrCompute(ctx context.Context, pl model.Platform, apps []mode
 		sh.mu.Lock()
 		ent, ok := sh.m[string(key)]
 		if !ok {
-			ent = &cacheEntry{}
-			sh.m[string(key)] = ent
+			ent = &cacheEntry{key: string(key)}
+			sh.m[ent.key] = ent
+			c.admit(sh, ent)
+		} else if !ent.ref {
+			// Written only when clear, so hits on a hot entry stay reads.
+			ent.ref = true
 		}
 		sh.mu.Unlock()
 
 		computed := false
 		ent.once.Do(func() {
 			ent.schedule, ent.err = compute()
+			ent.done.Store(true)
 			computed = true
 		})
 		if ent.err != nil && isContextErr(ent.err) {
@@ -133,6 +184,56 @@ func (c *Cache) getOrCompute(ctx context.Context, pl model.Platform, apps []mode
 		}
 		return ent.schedule, ent.err, !computed
 	}
+}
+
+// admit links a new entry into sh's ring; the caller holds sh.mu.
+// While the ring is at its budget the CLOCK hand frees a slot: the
+// first completed, unreferenced entry is replaced, and its key is
+// deleted only if the map still maps the key to it (a cancelled
+// entry's key may already belong to a live retry).
+func (c *Cache) admit(sh *cacheShard, ent *cacheEntry) {
+	for len(sh.ring) >= c.budget {
+		i := sh.sweep()
+		if i < 0 {
+			break // every entry is in flight
+		}
+		old := sh.ring[i]
+		if cur, ok := sh.m[old.key]; ok && cur == old {
+			delete(sh.m, old.key)
+			c.capEvictions.Add(1)
+		}
+		if len(sh.ring) == c.budget {
+			sh.ring[i] = ent
+			sh.hand = i + 1
+			return
+		}
+		// Over budget after an all-in-flight insert: shed the slot.
+		sh.ring = slices.Delete(sh.ring, i, i+1)
+		sh.hand = i
+	}
+	sh.ring = append(sh.ring, ent)
+}
+
+// sweep advances the hand to the first completed entry whose reference
+// bit is clear, clearing set bits on the way, and returns its index.
+// Two turns clear every bit, so it returns -1 only when every entry is
+// in flight.
+func (sh *cacheShard) sweep() int {
+	for range 2 * len(sh.ring) {
+		if sh.hand >= len(sh.ring) {
+			sh.hand = 0
+		}
+		e := sh.ring[sh.hand]
+		switch {
+		case !e.done.Load():
+		case e.ref:
+			e.ref = false
+		default:
+			return sh.hand
+		}
+		sh.hand++
+	}
+	return -1
 }
 
 // scenarioKey builds the canonical key as a string; tests use it to

@@ -22,6 +22,7 @@ import (
 //	portfolio_cache_hits_total     counter    memo cache hits (when caching)
 //	portfolio_cache_misses_total   counter    memo cache misses
 //	portfolio_cache_evictions_total counter   cancellation-evicted entries
+//	portfolio_cache_capacity_evictions_total counter  CLOCK-evicted entries of full shards
 //	portfolio_cache_entries        gauge      live memo entries
 type Metrics struct {
 	batches     *obs.Counter
@@ -69,6 +70,8 @@ func (m *Metrics) bindCache(c *Cache) {
 		func() float64 { return float64(c.misses.Load()) })
 	m.reg.CounterFunc("portfolio_cache_evictions_total", "Cancellation-evicted memo entries",
 		func() float64 { return float64(c.evictions.Load()) })
+	m.reg.CounterFunc("portfolio_cache_capacity_evictions_total", "Memo entries evicted to bound a full shard",
+		func() float64 { return float64(c.capEvictions.Load()) })
 	m.reg.GaugeFunc("portfolio_cache_entries", "Live memo entries",
 		func() float64 { return float64(c.Stats().Entries) })
 }

@@ -98,6 +98,9 @@ func TestMetricsCounts(t *testing.T) {
 	if byName["portfolio_cache_misses_total"] == 0 {
 		t.Error("portfolio_cache_misses_total = 0")
 	}
+	if v, ok := byName["portfolio_cache_capacity_evictions_total"]; !ok || v != 0 {
+		t.Errorf("portfolio_cache_capacity_evictions_total = %v (exported %v), want 0 below the budget", v, ok)
+	}
 
 	var sb strings.Builder
 	if err := reg.WriteProm(&sb); err != nil {

@@ -18,7 +18,10 @@
 //   - Memoization. Solved (scenario, heuristic) pairs are remembered in
 //     a sharded, mutex-striped cache keyed by a canonical scenario
 //     hash; repeated scenarios cost one map lookup, and concurrent
-//     identical requests collapse into a single computation.
+//     identical requests collapse into a single computation. The cache
+//     is bounded: each shard keeps a fixed number of completed entries
+//     and evicts with CLOCK (second chance), never an entry still in
+//     flight.
 package portfolio
 
 import (
@@ -90,7 +93,8 @@ func (e *Engine) CacheStats() CacheStats {
 // Uncached returns a view of e that shares its worker semaphore and
 // metrics but memoizes nothing, or e itself when it has no cache.
 // Callers whose scenarios never recur (the online DES policies) race on
-// it so they do not fill a shared cache with dead entries.
+// it so their dead entries do not evict those of repeating traffic from
+// a shared cache.
 func (e *Engine) Uncached() *Engine {
 	if e.cache == nil {
 		return e

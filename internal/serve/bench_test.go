@@ -14,11 +14,14 @@ import (
 // full handler stack — admission, decode, portfolio race, response
 // encoding — with metrics on, the production configuration. The cache
 // is warm after the first iteration, so this is the steady-state
-// serving cost the RPS gate budgets against.
+// serving cost the RPS gate budgets against. The client runs one
+// worker because the arm's allocations are gated: with more workers
+// every race starts a goroutine per worker and the pools refill per P,
+// so allocs/op would grow with GOMAXPROCS.
 func BenchmarkServeSchedule(b *testing.B) {
 	reg := obs.NewRegistry()
 	s := New(Config{
-		Client:   repro.NewClient(repro.WithMetrics(reg)),
+		Client:   repro.NewClient(repro.WithWorkers(1), repro.WithMetrics(reg)),
 		Registry: reg,
 	})
 	body := `{"apps": [
