@@ -166,12 +166,12 @@ func (c *Client) Schedule(ctx context.Context, h Heuristic, pl Platform, apps []
 	return res.Schedule, nil
 }
 
-// Best races the client's heuristic set (see WithHeuristics)
-// concurrently on the worker pool and returns the schedule with the
-// smallest makespan, plus the full per-heuristic report for audit. It
-// returns ErrInfeasible when no heuristic produced a feasible schedule,
-// and ctx.Err() — within one in-flight heuristic evaluation per worker
-// — when cancelled.
+// Best races the client's heuristic set (see WithHeuristics), one
+// heuristic after another on the calling goroutine, and returns the
+// schedule with the smallest makespan, plus the full per-heuristic
+// report for audit. It returns ErrInfeasible when no heuristic produced
+// a feasible schedule, and ctx.Err() — within one in-flight heuristic
+// evaluation — when cancelled.
 //
 // On a client armed with WithSelector, Best serves the ledger's
 // predicted winner when the prediction clears the confidence
@@ -216,8 +216,8 @@ func (c *Client) Select(ctx context.Context, sc PortfolioScenario) (*SelectorDec
 	return c.sel.Select(ctx, sc)
 }
 
-// Evaluate runs one fully-specified scenario on the worker pool and
-// reports every heuristic's outcome. A scenario naming no heuristics
+// Evaluate races one fully-specified scenario on the calling goroutine
+// and reports every heuristic's outcome. A scenario naming no heuristics
 // inherits the client's set. The returned error is non-nil only for
 // invalid scenarios and cancellation; per-heuristic failures land in
 // the report.
@@ -244,17 +244,17 @@ type BatchResult struct {
 //
 // Scenarios naming no heuristics inherit the client's set. A non-nil
 // error from emit stops the batch and is returned; cancelling ctx stops
-// it with ctx.Err() within one in-flight task per worker. Either way
-// the iterator stops being pulled, in-flight evaluations are drained
-// (no goroutines leak), and already-emitted results remain valid.
+// it with ctx.Err() within one in-flight evaluation per scenario.
+// Either way the iterator stops being pulled, in-flight evaluations are
+// drained (no goroutines leak), and already-emitted results remain valid.
 // Scenario-level validation failures land in the emitted report's Err
 // field and do not stop the stream.
 func (c *Client) EvaluateBatch(ctx context.Context, scenarios iter.Seq[PortfolioScenario], emit func(BatchResult) error) error {
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	// window bounds both the scenarios in flight (each fans its
-	// heuristics out on the engine's shared semaphore) and the completed
+	// window bounds both the scenarios in flight (each races serially,
+	// so at most Workers of them evaluate at once) and the completed
 	// reports waiting for their turn in the ordered output.
 	window := 2 * c.engine.Workers()
 	pending := make(chan chan *PortfolioReport, window)

@@ -7,7 +7,7 @@
 //
 //	cosched [flags]
 //	cosched -apps apps.json -heuristic DominantMinRatio -ways 20
-//	cosched -portfolio -workers 8
+//	cosched -portfolio
 //	cosched -batch scenarios.json -workers 8
 //
 // Without -apps the built-in NPB workload of the paper's Table 2 is used.
@@ -16,15 +16,16 @@
 //	[{"name": "CG", "work": 5.7e10, "seq": 0.05, "freq": 0.535,
 //	  "missRate": 6.59e-4, "refCache": 4e7, "footprint": 0}, ...]
 //
-// With -portfolio every heuristic is raced concurrently on a bounded
-// worker pool and the best schedule wins; the ranking is printed and the
-// winner feeds the remaining output sections (-ways, -int, -sim, -json).
+// With -portfolio every heuristic is raced, one after another, and the
+// best schedule wins; the ranking is printed and the winner feeds the
+// remaining output sections (-ways, -int, -sim, -json).
 //
 // With -batch the input is an array (or NDJSON stream) of scenarios
-// served in one invocation ('-' reads stdin); one NDJSON report line is
-// streamed per scenario, in input order, as each completes — long
-// batches run in bounded memory. Scenario fields "platform",
-// "heuristics" and "seed" are optional and default to the flag values:
+// served in one invocation ('-' reads stdin), up to -workers at once;
+// one NDJSON report line is streamed per scenario, in input order, as
+// each completes — long batches run in bounded memory. Scenario fields
+// "platform", "heuristics" and "seed" are optional and default to the
+// flag values:
 //
 //	[{"platform": {"processors": 256, "cacheSize": 32e9, "ls": 0.17,
 //	   "ll": 1, "alpha": 0.5},
@@ -100,8 +101,8 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 		jsonOut   = fs.String("json", "", "write the schedule as JSON to this file ('-' for stdout)")
 		integer   = fs.Bool("int", false, "also round to whole processors and report the cost")
 		local     = fs.Bool("localsearch", false, "refine with Amdahl-aware membership local search")
-		port      = fs.Bool("portfolio", false, "race every heuristic concurrently and keep the best schedule")
-		workers   = fs.Int("workers", 0, "worker pool size for -portfolio/-batch (0 = GOMAXPROCS)")
+		port      = fs.Bool("portfolio", false, "race every heuristic and keep the best schedule")
+		workers   = fs.Int("workers", 0, "scenarios of a -batch raced at once (0 = GOMAXPROCS); one race is serial")
 		batch     = fs.String("batch", "", "JSON file of scenarios to serve in one invocation ('-' for stdin)")
 		telem     = fs.String("telemetry", "", "append per-heuristic win/loss/margin NDJSON from every full race to this file ('-' for stderr); cmd/ledger ingests it")
 		selPath   = fs.String("selector", "", "trained ledger file for -portfolio: serve the predicted winner first, race only on doubt")

@@ -7,7 +7,7 @@
 //
 //	dessim [flags]
 //	dessim -scenario scenario.json
-//	dessim -arrivals poisson:rate=0.002,n=64 -policy portfolio -workers 8
+//	dessim -arrivals poisson:rate=0.002,n=64 -policy portfolio
 //	dessim -arrivals batch:interval=0,size=6,n=6 -policy norepartition:DominantMinRatio
 //
 // The scenario JSON format is:
@@ -104,7 +104,6 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) (err error) 
 		duration  = fs.Float64("duration", -1, "cut off arrivals after this virtual time (-1 keeps scenario value, 0 = no cutoff)")
 		maxRes    = fs.Int("maxresident", -1, "max jobs sharing the node, rest queue FIFO (-1 keeps scenario value, 0 = unlimited)")
 		seedFlag  = fs.Uint64("seed", 0, "seed for arrivals and randomized policies (0 keeps scenario value)")
-		workers   = fs.Int("workers", 0, "portfolio policy worker pool (0 = GOMAXPROCS)")
 		fleetRun  = fs.Bool("fleet", false, "simulate a multi-node fleet (scenario JSON is the fleet spec format)")
 		routing   = fs.String("routing", "", "fleet routing policy: least-loaded, cache-affinity, power-of-two-choices or join-shortest-queue (overrides scenario)")
 		ledgerP   = fs.String("selector", "", `win-rate ledger JSON backing a "portfolio:selector" policy (see cmd/ledger)`)
@@ -193,11 +192,11 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) (err error) 
 		fmt.Fprintf(errOut, "dessim: debug listener on http://%s\n", ds.Addr())
 	}
 
-	// One v2 client per invocation: its worker pool backs every
-	// portfolio policy via BuildWith, so -workers bounds the run's policy
-	// parallelism through one semaphore. No cache — online resident sets
-	// never repeat.
-	client := repro.NewClient(repro.WithWorkers(*workers), repro.WithCache(false), repro.WithMetrics(reg))
+	// One v2 client per invocation: its engine backs every portfolio
+	// policy via BuildWith. A run races serially, so it holds one of the
+	// engine's slots at a time. No cache — online resident sets never
+	// repeat.
+	client := repro.NewClient(repro.WithCache(false), repro.WithMetrics(reg))
 	// Registration is idempotent, so this handle shares its series with
 	// the client's; holding our own lets us attach the tracer.
 	m := des.NewMetrics(reg)
@@ -210,7 +209,7 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) (err error) 
 	var emit func(*json.Encoder) (des.ReplanStats, error)
 	var spans []sim.Span
 	if *fleetRun {
-		sc, err := fsp.BuildWith(client.Engine(), *workers)
+		sc, err := fsp.BuildWith(client.Engine(), client.Workers())
 		if err != nil {
 			return err
 		}
@@ -226,7 +225,7 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) (err error) 
 		}
 		emit = func(enc *json.Encoder) (des.ReplanStats, error) { return emitFleet(enc, sc, res, *events) }
 	} else {
-		sc, err := sp.BuildWith(client.Engine(), *workers)
+		sc, err := sp.BuildWith(client.Engine(), client.Workers())
 		if err != nil {
 			return err
 		}
@@ -235,7 +234,7 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) (err error) 
 			// spec or -policy already chose one explicitly.
 			if sp.Policy == "" || sp.Policy == "portfolio" {
 				sp.Policy = "portfolio:selector"
-				if sc, err = sp.BuildWith(client.Engine(), *workers); err != nil {
+				if sc, err = sp.BuildWith(client.Engine(), client.Workers()); err != nil {
 					return err
 				}
 			}

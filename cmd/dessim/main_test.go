@@ -107,13 +107,13 @@ func TestFlagsOverrideScenario(t *testing.T) {
 }
 
 // TestDeterministicOutput: same seed, same flags -> byte-identical
-// NDJSON at different worker counts.
+// NDJSON across runs.
 func TestDeterministicOutput(t *testing.T) {
 	args := []string{"-arrivals", "poisson:rate=1e-9,n=12", "-policy", "portfolio", "-seed", "42"}
-	out1, _ := runMain(t, append(args, "-workers", "1")...)
-	out2, _ := runMain(t, append(args, "-workers", "7")...)
+	out1, _ := runMain(t, args...)
+	out2, _ := runMain(t, args...)
 	if out1 != out2 {
-		t.Fatalf("output differs between worker counts:\n%s\nvs\n%s", out1, out2)
+		t.Fatalf("output differs between runs:\n%s\nvs\n%s", out1, out2)
 	}
 }
 

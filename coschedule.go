@@ -22,8 +22,8 @@
 //	if err != nil { ... }
 //	fmt.Println(best.Makespan, len(rep.Results))
 //
-// Best races every heuristic concurrently and serves the winner; use
-// NewClient options to tune it: WithWorkers bounds the pool, WithCache
+// Best races every heuristic and serves the winner; use NewClient
+// options to tune it: WithWorkers bounds the pool, WithCache
 // toggles memoization, WithHeuristics restricts the raced set, WithSeed
 // drives the randomized policies. Client.Schedule evaluates a single
 // heuristic, Client.EvaluateBatch streams NDJSON-scale scenario batches
@@ -47,10 +47,11 @@
 //
 // Heuristic evaluation is CPU-bound, so the default of GOMAXPROCS
 // workers saturates the machine; smaller pools bound the client's share
-// of it when co-resident with other work. All calls on one client share
-// its pool, and results are bit-for-bit identical for any pool size
-// (each heuristic's randomness is derived from the scenario seed and
-// its position, never from execution order).
+// of it when co-resident with other work. One call races its heuristics
+// serially, so the pool fills with concurrent calls and batch scenarios.
+// All calls on one client share its pool, and results are bit-for-bit
+// identical for any pool size (each heuristic's randomness is derived
+// from the scenario seed and its position, never from execution order).
 //
 // The cache is sharded and mutex-striped, keyed by a canonical hash of
 // (platform, applications, heuristic, seed); the seed is ignored for
@@ -66,7 +67,7 @@
 // *ValidationError, *HeuristicError — that works with errors.Is/As
 // across every package boundary; see the declarations in this package.
 // Cancelling a context mid-call returns ctx.Err() promptly (within one
-// in-flight heuristic evaluation per worker, or a few simulator
+// in-flight heuristic evaluation per race, or a few simulator
 // events), leaks no goroutines, and leaves the client fully reusable.
 //
 // For the evaluation harness reproducing the paper's figures, see

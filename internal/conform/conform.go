@@ -227,18 +227,26 @@ func RunContext(ctx context.Context, opt Options) (*Report, error) {
 		famHash := sha256.New()
 		var gapLogSum float64
 		var sel selAccum
-		for i := 0; i < opt.Seeds; i++ {
+		ins, scs, err := familyScenarios(fam, opt.BaseSeed, opt.Seeds, opt.Gen)
+		if err != nil {
+			return nil, err
+		}
+		// worker-determinism races the family as one batch, the only call
+		// that spreads scenarios over the parallel engine; at Workers == 1
+		// it would only repeat the serial arm.
+		parallelReps := make([]*portfolio.Report, len(ins))
+		if opt.Workers > 1 {
+			if parallelReps, err = parallel.EvaluateBatchContext(ctx, scs); err != nil {
+				return nil, err
+			}
+		}
+		for i, in := range ins {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			seed := opt.BaseSeed + uint64(i)
-			in, err := genscen.Generate(fam, seed, opt.Gen)
+			sr, err := runScenario(in, opt, serial, parallel, parallelReps[i])
 			if err != nil {
-				return nil, err
-			}
-			sr, err := runScenario(in, opt, serial, parallel)
-			if err != nil {
-				return nil, fmt.Errorf("conform: %s seed %d: %w", fam, seed, err)
+				return nil, fmt.Errorf("conform: %s seed %d: %w", fam, in.Seed, err)
 			}
 			fr.Scenarios++
 			famHash.Write([]byte(sr.digest))
@@ -266,6 +274,21 @@ func RunContext(ctx context.Context, opt Options) (*Report, error) {
 	return rep, nil
 }
 
+// familyScenarios generates the family's instances for seeds base ..
+// base+n-1 and their full-portfolio scenarios, both in seed order.
+func familyScenarios(fam genscen.Family, base uint64, n int, cfg genscen.Config) ([]*genscen.Instance, []portfolio.Scenario, error) {
+	ins := make([]*genscen.Instance, n)
+	scs := make([]portfolio.Scenario, n)
+	for i := range ins {
+		var err error
+		if ins[i], err = genscen.Generate(fam, base+uint64(i), cfg); err != nil {
+			return nil, nil, err
+		}
+		scs[i] = ins[i].PortfolioScenario(nil)
+	}
+	return ins, scs, nil
+}
+
 // scenarioResult is the outcome of one (family, seed) scenario.
 type scenarioResult struct {
 	digest     string
@@ -275,10 +298,11 @@ type scenarioResult struct {
 	selector   *selDecision // nil unless the run had a ledger
 }
 
-// runScenario executes every check on one instance. It returns an
+// runScenario executes every check on one instance; repP is its report
+// from the parallel batch, nil when that arm is off. It returns an
 // error only for harness-level failures (generation, simulation
 // refusing to run); cross-check disagreements land in violations.
-func runScenario(in *genscen.Instance, opt Options, serial, parallel *portfolio.Engine) (*scenarioResult, error) {
+func runScenario(in *genscen.Instance, opt Options, serial, parallel *portfolio.Engine, repP *portfolio.Report) (*scenarioResult, error) {
 	sr := &scenarioResult{}
 	flag := func(check, format string, args ...any) {
 		sr.violations = append(sr.violations, Violation{
@@ -295,17 +319,9 @@ func runScenario(in *genscen.Instance, opt Options, serial, parallel *portfolio.
 	}
 	ds := reportDigest(repS)
 
-	// worker-determinism: bit-identical reports across pool sizes. At
-	// Workers == 1 the comparison would race a 1-worker pool against
-	// itself — pure double cost, zero signal — so it is skipped.
-	if opt.Workers > 1 {
-		repP, err := parallel.Evaluate(in.PortfolioScenario(nil))
-		if err != nil {
-			return nil, err
-		}
-		if dp := reportDigest(repP); ds != dp {
-			flag("worker-determinism", "portfolio report differs between 1 and %d workers", opt.Workers)
-		}
+	// worker-determinism: bit-identical reports across pool sizes.
+	if repP != nil && reportDigest(repP) != ds {
+		flag("worker-determinism", "portfolio report differs between 1 and %d workers", opt.Workers)
 	}
 
 	// heuristic errors: every heuristic must schedule a valid instance.
@@ -589,9 +605,9 @@ func checkDESStatic(in *genscen.Instance, opt Options, flag func(string, string,
 
 // checkDESOnline: staggered arrivals under the portfolio policy must
 // yield bit-identical runs — full event logs included — at one policy
-// worker and at many. With Workers == 1 only the single run executes
-// (it still proves the scenario simulates); the comparison arm needs a
-// genuinely different pool size to carry signal. The returned string
+// worker and at many (both race serially; the check guards against
+// fan-out added later). With Workers == 1 only the single run executes
+// (it still proves the scenario simulates). The returned string
 // is the 1-worker run's canonical digest, folded into the scenario
 // digest so online-simulator drift fails the golden gate too; the
 // second return is that run's delta-rescheduling telemetry.

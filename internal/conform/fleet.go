@@ -158,7 +158,8 @@ func RunFleet(opt FleetOptions) (*FleetReport, error) {
 //
 //   - routing-determinism: every routing policy's full fleet result —
 //     routing log and all node event logs — is bit-identical at one
-//     worker and at Workers;
+//     worker and at Workers (both race serially; the check guards
+//     against fan-out added later);
 //   - single-node reduction: a one-node fleet is bit-identical to a
 //     standalone internal/des run of that node with the derived policy
 //     seed (fleet adds routing, never arithmetic);

@@ -21,23 +21,27 @@ const DefaultSelectorGapBound = 1.05
 
 // TrainLedger races the full extended portfolio over the genscen
 // instances of every family for seeds seedStart .. seedStart+seeds-1
-// and folds the outcomes into l. The evidence is a pure function of
-// the sweep parameters: the instances are seeded and the races are
-// worker-count invariant. The engine memoizes nothing, because no
-// (scenario, heuristic) pair of the sweep repeats.
+// and folds the outcomes into l, in seed order. Each family races as
+// one batch, spread over the engine's workers. The evidence is a pure
+// function of the sweep parameters: the instances are seeded and the
+// races are worker-count invariant. The engine memoizes nothing,
+// because no (scenario, heuristic) pair of the sweep repeats.
 func TrainLedger(ctx context.Context, l *selector.Ledger, fams []genscen.Family, seedStart, seeds, workers int) error {
 	eng := portfolio.New(portfolio.Config{Workers: workers})
 	for _, fam := range fams {
-		for s := 0; s < seeds; s++ {
-			in, err := genscen.Generate(fam, uint64(seedStart+s), genscen.Config{})
-			if err != nil {
-				return err
+		ins, scs, err := familyScenarios(fam, uint64(seedStart), seeds, genscen.Config{})
+		if err != nil {
+			return err
+		}
+		reps, err := eng.EvaluateBatchContext(ctx, scs)
+		if err != nil {
+			return err
+		}
+		for s, rep := range reps {
+			if rep.Err != nil {
+				return rep.Err
 			}
-			rep, err := eng.EvaluateContext(ctx, in.PortfolioScenario(nil))
-			if err != nil {
-				return err
-			}
-			l.Observe(selector.Extract(in.Platform, in.Apps).Bucket(), rep.Outcomes())
+			l.Observe(selector.Extract(ins[s].Platform, ins[s].Apps).Bucket(), rep.Outcomes())
 		}
 	}
 	return nil
@@ -109,7 +113,8 @@ func (a *selAccum) summary() *SelectorSummary {
 // decision on the parallel engine and requires it to be bit-identical:
 // which heuristic was predicted, whether the shortcut was taken, the
 // served schedules and the audited gap must all agree, because
-// selection is a pure function of (ledger, scenario).
+// selection is a pure function of (ledger, scenario). Both arms race
+// serially; the check guards against fan-out added later.
 func checkSelector(in *genscen.Instance, opt Options, serial, parallel *portfolio.Engine, flag func(string, string, ...any)) (*selDecision, error) {
 	decide := func(eng *portfolio.Engine) (*portfolio.Decision, error) {
 		pol := portfolio.NewSelector(portfolio.SelectorConfig{

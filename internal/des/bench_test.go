@@ -38,8 +38,9 @@ func BenchmarkDESPoisson(b *testing.B) {
 // BenchmarkDESPortfolio measures the same stream repartitioned by the
 // portfolio engine — the upper bound of per-event decision cost (every
 // concurrent heuristic raced at every arrival/completion). The race
-// runs on one worker (Build(1)): benchgate gates allocs/op strictly,
-// and a pooled race's allocation count follows goroutine scheduling.
+// runs serially on the simulating goroutine at any engine size, so the
+// allocs/op that benchgate gates strictly never follow goroutine
+// scheduling; Build(1) keeps the private engine small.
 func BenchmarkDESPortfolio(b *testing.B) {
 	sp := Spec{
 		Arrivals:    ArrivalSpec{Process: "poisson", Rate: 4e-9, N: 32},
@@ -95,9 +96,9 @@ func BenchmarkDESPortfolioMetrics(b *testing.B) {
 // profiles (nonzero sequential fraction), so every cold solve runs the
 // bisection equalizer rather than the perfectly-parallel Lemma-2
 // shortcut — the representative cost replanning avoids. Both policy
-// variants run the engine race serially (Build(1)) so the delta/full
-// ratio measures replanning work, not pool parallelism, and is
-// comparable across CPU counts.
+// variants run the engine race serially, as every online race does, so
+// the delta/full ratio measures replanning work, not pool parallelism,
+// and is comparable across CPU counts.
 func runHighRate(b *testing.B, policy string, n int) {
 	b.Helper()
 	sp := Spec{

@@ -115,19 +115,42 @@ type ReplaySpec struct {
 // (the fuzz surface); programmatic users construct processes directly.
 const maxSpecArrivals = 1 << 20
 
-// DecodeSpec parses and validates a scenario. It rejects unknown fields
-// so typos fail loudly rather than silently falling back to defaults.
+// DecodeSpec parses and validates a scenario. It rejects trailing data
+// and unknown fields, so typos fail loudly instead of falling back to
+// defaults.
 func DecodeSpec(r io.Reader) (*Spec, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	var sp Spec
-	if err := dec.Decode(&sp); err != nil {
+	if err := DecodeOne(dec, &sp); err != nil {
 		return nil, fmt.Errorf("des: parsing scenario: %w", err)
 	}
 	if err := sp.Validate(); err != nil {
 		return nil, err
 	}
 	return &sp, nil
+}
+
+// DecodeOne decodes the one JSON document dec holds into v; see
+// ExpectEnd.
+func DecodeOne(dec *json.Decoder, v any) error {
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	return ExpectEnd(dec)
+}
+
+// ExpectEnd fails unless only whitespace is left in dec: a second
+// document or trailing bytes reject the input whole.
+func ExpectEnd(dec *json.Decoder) error {
+	switch tok, err := dec.Token(); {
+	case err == io.EOF:
+		return nil
+	case err != nil:
+		return fmt.Errorf("trailing data: %w", err)
+	default:
+		return fmt.Errorf("trailing data (%v)", tok)
+	}
 }
 
 // Validate checks the spec for structural problems: non-finite or

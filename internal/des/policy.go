@@ -207,9 +207,9 @@ func onlineHeuristics() []sched.Heuristic {
 
 // PortfolioPolicy races the whole heuristic portfolio over the residual
 // workload at every decision point and applies the winner — the
-// portfolio engine turned into an online repartitioner. Concurrency
-// comes from the engine's worker pool; results are bit-deterministic at
-// any pool size, so the simulation is too.
+// portfolio engine turned into an online repartitioner. The race runs
+// serially on the simulating goroutine; results are bit-deterministic
+// at any pool size, so the simulation is too.
 //
 // Delta rescheduling: the policy keeps a sched.PlanMemo of the
 // deterministic heuristics' plans, keyed by the exact bit pattern of

@@ -20,10 +20,11 @@
 // bit-deterministic at any worker count. The nodes advance, score and
 // drain one after another in a plain loop: each step is microseconds of
 // work, too little to pay for a goroutine fork/join per node per
-// arrival. The only parallelism is the portfolio race inside
-// "portfolio" node policies, whose pool bounds how the race executes,
-// never what it computes; the conform fleet harness pins digests at 1
-// and 8 workers against a committed golden corpus.
+// arrival. A "portfolio" node policy races its heuristics serially on
+// the same goroutine too, so a fleet run has no parallelism of its own:
+// concurrent runs on one engine share its semaphore instead. The
+// conform fleet harness pins digests at 1 and 8 workers against a
+// committed golden corpus.
 package fleet
 
 import (
@@ -71,15 +72,11 @@ type Scenario struct {
 	// Seed drives every random draw: node policy substreams and the
 	// router's stream are both derived from it.
 	Seed uint64
-	// Workers sizes the private race pool backing "portfolio" node
-	// policies when Engine is nil (< 1 = GOMAXPROCS); it is unused
-	// otherwise. Nodes always advance serially. Results are
-	// bit-identical at any value.
-	Workers int
 	// Engine optionally supplies the portfolio engine backing
-	// "portfolio" node policies (nil = a private pool bounded by
-	// Workers). The policies share its worker pool and metrics but not
-	// its memoization cache: see des.NewPortfolioPolicy.
+	// "portfolio" node policies (nil = a private one). The policies
+	// share its semaphore and metrics but not its memoization cache:
+	// see des.NewPortfolioPolicy. Each race runs serially on the
+	// simulating goroutine, so a run holds at most one of its slots.
 	Engine *portfolio.Engine
 	// Metrics instruments every node of the run (counters are atomic,
 	// so one registry serves the whole fleet). Nil disables
@@ -174,7 +171,7 @@ func SimulateContext(ctx context.Context, sc Scenario) (*Result, error) {
 	}
 	engine := sc.Engine
 	if engine == nil {
-		engine = portfolio.New(portfolio.Config{Workers: sc.Workers})
+		engine = portfolio.New(portfolio.Config{})
 	}
 	nodes := make([]*des.Node, len(sc.Nodes))
 	names := make([]string, len(sc.Nodes))
@@ -187,7 +184,7 @@ func SimulateContext(ctx context.Context, sc Scenario) (*Result, error) {
 		if spec == "" {
 			spec = "DominantMinRatio"
 		}
-		pol, err := des.ParsePolicyShared(engine, spec, sc.Workers, NodePolicySeed(sc.Seed, i))
+		pol, err := des.ParsePolicyShared(engine, spec, 0, NodePolicySeed(sc.Seed, i))
 		if err != nil {
 			return nil, fmt.Errorf("fleet: node %s: %w", names[i], err)
 		}

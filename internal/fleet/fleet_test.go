@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/des"
 	"repro/internal/model"
+	"repro/internal/portfolio"
 	"repro/internal/solve"
 	"repro/internal/workload"
 )
@@ -65,7 +66,7 @@ func TestSingleNodeReducesToDES(t *testing.T) {
 			Routing:  routing,
 			Arrivals: testProc(t, 24, 3),
 			Seed:     seed,
-			Workers:  1,
+			Engine:   portfolio.New(portfolio.Config{Workers: 1}),
 		})
 		if err != nil {
 			t.Fatalf("%s: fleet: %v", routing, err)
@@ -88,9 +89,9 @@ func TestSingleNodeReducesToDES(t *testing.T) {
 }
 
 // TestWorkerDeterminism: the whole fleet result — routing log and every
-// node's event log — is bit-identical at 1 and 8 workers, for every
-// routing policy and a portfolio node policy (the parallel-policy
-// case).
+// node's event log — is bit-identical on engines of 1 and 8 workers,
+// for every routing policy and a portfolio node policy. Races run
+// serially either way; the check catches any fan-out added later.
 func TestWorkerDeterminism(t *testing.T) {
 	for _, routing := range Routings {
 		run := func(workers int) *Result {
@@ -103,7 +104,7 @@ func TestWorkerDeterminism(t *testing.T) {
 				Routing:  routing,
 				Arrivals: testProc(t, 30, 9),
 				Seed:     13,
-				Workers:  workers,
+				Engine:   portfolio.New(portfolio.Config{Workers: workers}),
 			})
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", routing, workers, err)
@@ -167,7 +168,7 @@ func TestCacheAffinityRouting(t *testing.T) {
 		Routing:  "cache-affinity",
 		Arrivals: proc,
 		Seed:     1,
-		Workers:  1,
+		Engine:   portfolio.New(portfolio.Config{Workers: 1}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -285,7 +286,8 @@ func TestDurationCutoff(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := Simulate(Scenario{
-		Nodes: testNodes(2), Arrivals: proc, Duration: 2, Seed: 1, Workers: 1,
+		Nodes: testNodes(2), Arrivals: proc, Duration: 2, Seed: 1,
+		Engine: portfolio.New(portfolio.Config{Workers: 1}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -301,7 +303,8 @@ func TestCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := SimulateContext(ctx, Scenario{
-		Nodes: testNodes(2), Arrivals: testProc(t, 16, 2), Seed: 1, Workers: 2,
+		Nodes: testNodes(2), Arrivals: testProc(t, 16, 2), Seed: 1,
+		Engine: portfolio.New(portfolio.Config{Workers: 2}),
 	})
 	if err != context.Canceled {
 		t.Errorf("cancelled run returned %v, want context.Canceled", err)
@@ -311,9 +314,10 @@ func TestCancellation(t *testing.T) {
 // raceEnabled is set by race_test.go under the race detector.
 var raceEnabled bool
 
-// TestSerialNodesAllocs: nodes advance, score and drain serially at any
-// Workers value, so a 64-node fleet allocates the same at 8 workers as
-// at 1. A goroutine per node per arrival would multiply the count.
+// TestSerialNodesAllocs: nodes advance, score and drain serially on an
+// engine of any size, so a 64-node fleet allocates the same at 8
+// workers as at 1. A goroutine per node per arrival would multiply the
+// count.
 func TestSerialNodesAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts vary under the race detector")
@@ -321,7 +325,8 @@ func TestSerialNodesAllocs(t *testing.T) {
 	allocs := func(workers int) float64 {
 		return testing.AllocsPerRun(3, func() {
 			if _, err := Simulate(Scenario{
-				Nodes: testNodes(64), Arrivals: testProc(t, 128, 5), Seed: 3, Workers: workers,
+				Nodes: testNodes(64), Arrivals: testProc(t, 128, 5), Seed: 3,
+				Engine: portfolio.New(portfolio.Config{Workers: workers}),
 			}); err != nil {
 				t.Fatal(err)
 			}

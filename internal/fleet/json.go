@@ -51,12 +51,12 @@ type Spec struct {
 
 // DecodeSpec parses and validates a fleet scenario. Unknown fields are
 // rejected so typos fail loudly rather than silently falling back to
-// defaults.
+// defaults, and so is anything after the document (see des.DecodeOne).
 func DecodeSpec(r io.Reader) (*Spec, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	var sp Spec
-	if err := dec.Decode(&sp); err != nil {
+	if err := des.DecodeOne(dec, &sp); err != nil {
 		return nil, fmt.Errorf("fleet: parsing scenario: %w", err)
 	}
 	if err := sp.Validate(); err != nil {
@@ -106,12 +106,15 @@ func (sp *Spec) Build(workers int) (Scenario, error) {
 }
 
 // BuildWith is Build with a caller-supplied portfolio engine backing
-// "portfolio" node policies, so a server can share one worker pool
-// across requests. A nil engine gives the run a private pool bounded
-// by workers.
+// "portfolio" node policies, so a server can share one semaphore
+// across requests. A nil engine gives the run a private engine of
+// workers slots.
 func (sp *Spec) BuildWith(engine *portfolio.Engine, workers int) (Scenario, error) {
 	if err := sp.Validate(); err != nil {
 		return Scenario{}, err
+	}
+	if engine == nil {
+		engine = portfolio.New(portfolio.Config{Workers: workers})
 	}
 	nodes := make([]Node, len(sp.Nodes))
 	for i, n := range sp.Nodes {
@@ -142,7 +145,6 @@ func (sp *Spec) BuildWith(engine *portfolio.Engine, workers int) (Scenario, erro
 		Arrivals: proc,
 		Duration: sp.Duration,
 		Seed:     sp.Seed,
-		Workers:  workers,
 		Engine:   engine,
 	}, nil
 }

@@ -88,8 +88,9 @@ func BenchmarkPortfolioSweepMetrics(b *testing.B) {
 // BenchmarkPortfolioMemoized measures the same sweep served entirely
 // from a warm memoization cache: the steady-state cost of re-serving
 // known scenarios. It runs at one worker because its allocations are
-// gated: with more workers every batch starts a goroutine per worker
-// and the pools refill per P, so allocs/op would grow with GOMAXPROCS.
+// gated: with more workers the nine-scenario batch starts helper
+// goroutines and the pools refill per P, so allocs/op would grow with
+// GOMAXPROCS.
 func BenchmarkPortfolioMemoized(b *testing.B) {
 	scenarios := npbSweepScenarios()
 	eng := New(Config{Workers: 1, Cache: NewCache()})

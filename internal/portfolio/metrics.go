@@ -1,6 +1,8 @@
 package portfolio
 
 import (
+	"time"
+
 	"repro/internal/obs"
 )
 
@@ -12,12 +14,12 @@ import (
 //
 // Metric catalog:
 //
-//	portfolio_batches_total        counter    EvaluateBatch calls
+//	portfolio_batches_total        counter    Evaluate and EvaluateBatch calls
 //	portfolio_scenarios_total      counter    scenarios raced
 //	portfolio_evals_total          counter    (scenario, heuristic) evaluations
-//	portfolio_race_seconds         histogram  wall time of one batch race
+//	portfolio_race_seconds         histogram  wall time of one call
 //	portfolio_eval_seconds         histogram  wall time of one heuristic evaluation
-//	portfolio_queue_depth          gauge      tasks admitted but not yet resolved
+//	portfolio_queue_depth          gauge      evaluations of started races, not yet resolved
 //	portfolio_wins_total{heuristic} counter   per-heuristic race wins
 //	portfolio_cache_hits_total     counter    memo cache hits (when caching)
 //	portfolio_cache_misses_total   counter    memo cache misses
@@ -55,6 +57,24 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		queueDepth:  reg.Gauge("portfolio_queue_depth", "Evaluations admitted but not yet resolved"),
 		wins:        reg.CounterVec("portfolio_wins_total", "Race wins per heuristic", "heuristic"),
 		reg:         reg,
+	}
+}
+
+// startCall counts a call racing n scenarios and returns its start
+// time, or the zero time with metrics off so the clock is never read.
+func (m *Metrics) startCall(n int) time.Time {
+	if m == nil {
+		return time.Time{}
+	}
+	m.batches.Inc()
+	m.scenarios.Add(uint64(n))
+	return time.Now()
+}
+
+// endCall observes the wall time of a call started by startCall.
+func (m *Metrics) endCall(start time.Time) {
+	if m != nil {
+		m.raceSeconds.Observe(time.Since(start).Seconds())
 	}
 }
 

@@ -1,20 +1,21 @@
-// Package portfolio evaluates many scheduling heuristics — and many
-// scenarios — concurrently, and picks the best schedule each scenario
-// admits. It is the paper's comparison methodology turned into an
-// engine: where the study ranks the ten policies of Sections 5–6 across
-// sweeps, the portfolio scheduler runs the whole policy set for every
-// incoming (Platform, Applications) scenario on a bounded worker pool
-// and serves the winner, with a full per-heuristic report for audit.
+// Package portfolio evaluates many scheduling heuristics on many
+// scenarios and picks the best schedule each scenario admits. It is the
+// paper's comparison methodology turned into an engine: where the study
+// ranks the ten policies of Sections 5–6 across sweeps, the portfolio
+// scheduler races the whole policy set for every incoming (Platform,
+// Applications) scenario under a bounded worker pool and serves the
+// winner, with a full per-heuristic report for audit.
 //
 // Three properties make it the substrate for scale work:
 //
 //   - Determinism. Every heuristic's randomness is derived from the
 //     scenario seed and the heuristic's position, never from execution
 //     order, so concurrent and serial runs agree bit-for-bit.
-//   - Bounded concurrency. One Engine owns one semaphore; heuristic ×
-//     scenario tasks from any number of Evaluate/EvaluateBatch calls
-//     share it, so callers can fan out freely without oversubscribing
-//     the machine.
+//   - Bounded concurrency. One Engine owns one semaphore, and every
+//     heuristic evaluation of every call holds one of its slots, so
+//     callers can fan out freely without oversubscribing the machine.
+//     A race is serial: only a multi-scenario batch spreads whole
+//     scenarios over several goroutines.
 //   - Memoization. Solved (scenario, heuristic) pairs are remembered in
 //     a sharded, mutex-striped cache keyed by a canonical scenario
 //     hash; repeated scenarios cost one map lookup, and concurrent
@@ -46,10 +47,11 @@ const seedStride = 0x9E3779B97F4A7C15
 
 // Config parameterizes an Engine.
 type Config struct {
-	// Workers bounds the number of heuristic evaluations in flight at
-	// once. Values < 1 default to GOMAXPROCS. One worker reproduces the
-	// serial evaluation order's results exactly (as does any other
-	// worker count — see the determinism property).
+	// Workers bounds the heuristic evaluations in flight at once across
+	// every call on the engine, and the goroutines one EvaluateBatch
+	// call races its scenarios on. Values < 1 default to GOMAXPROCS.
+	// Results are identical at any worker count (see the determinism
+	// property).
 	Workers int
 	// Cache memoizes solved (scenario, heuristic) pairs. Nil disables
 	// memoization. A Cache may be shared between engines.
@@ -61,7 +63,7 @@ type Config struct {
 }
 
 // Engine is a concurrent portfolio scheduler. It is safe for use from
-// multiple goroutines; all evaluations share one worker pool.
+// multiple goroutines; all evaluations share one semaphore.
 type Engine struct {
 	sem     chan struct{}
 	cache   *Cache
@@ -78,7 +80,7 @@ func New(cfg Config) *Engine {
 	return &Engine{sem: make(chan struct{}, w), cache: cfg.Cache, metrics: cfg.Metrics}
 }
 
-// Workers reports the size of the engine's worker pool.
+// Workers reports how many heuristic evaluations may run at once.
 func (e *Engine) Workers() int { return cap(e.sem) }
 
 // CacheStats reports the memoization cache's counters; zero if the
@@ -166,45 +168,31 @@ func (r *Report) BestSchedule() *sched.Schedule {
 	return nil
 }
 
-// Evaluate runs every heuristic of the scenario on the worker pool and
-// reports all outcomes. The returned error is non-nil only for invalid
-// scenarios; per-heuristic failures land in the Report.
+// Evaluate runs every heuristic of the scenario and reports all
+// outcomes. The returned error is non-nil only for invalid scenarios;
+// per-heuristic failures land in the Report.
 func (e *Engine) Evaluate(s Scenario) (*Report, error) {
 	return e.EvaluateContext(context.Background(), s)
 }
 
 // EvaluateContext is Evaluate under a context: cancellation abandons
 // the remaining heuristics and surfaces ctx.Err() both as the call
-// error and on every unevaluated Result. See EvaluateBatchContext for
-// the cancellation contract.
+// error and on every unevaluated Result. The race runs on the calling
+// goroutine; see EvaluateBatchContext for the cancellation contract.
 func (e *Engine) EvaluateContext(ctx context.Context, s Scenario) (*Report, error) {
-	reports, err := e.EvaluateBatchContext(ctx, []Scenario{s})
-	rep := reports[0]
-	if err == nil {
-		err = rep.Err
+	start := e.metrics.startCall(1)
+	rep := e.race(ctx, &s, 0)
+	e.metrics.endCall(start)
+	if err := ctx.Err(); err != nil {
+		return rep, err
 	}
-	return rep, err
+	return rep, rep.Err
 }
 
-// task is one (scenario, heuristic) evaluation cell.
-type task struct {
-	sc  *Scenario
-	rep *Report
-	hi  int
-	h   sched.Heuristic
-}
-
-// taskSlab recycles the task list of EvaluateBatch calls. Entries are
-// zeroed before the slab returns to the pool so it never pins scenario
-// or report memory.
-type taskSlab struct{ tasks []task }
-
-var taskSlabPool = sync.Pool{New: func() any { return new(taskSlab) }}
-
-// EvaluateBatch evaluates many scenarios at once, fanning every
-// (scenario, heuristic) pair out to the shared worker pool. The
-// returned slice aligns with scenarios. Scenario-level validation
-// failures are recorded in the corresponding Report's Err.
+// EvaluateBatch evaluates many scenarios at once, spreading whole
+// scenarios over the engine's workers. The returned slice aligns with
+// scenarios. Scenario-level validation failures are recorded in the
+// corresponding Report's Err.
 func (e *Engine) EvaluateBatch(scenarios []Scenario) []*Report {
 	reports, _ := e.EvaluateBatchContext(context.Background(), scenarios)
 	return reports
@@ -212,157 +200,106 @@ func (e *Engine) EvaluateBatch(scenarios []Scenario) []*Report {
 
 // EvaluateBatchContext is EvaluateBatch under a context.
 //
-// The call spawns at most Workers goroutines regardless of batch size
-// (a full paper sweep is tens of thousands of tasks), and each task
-// additionally holds a slot of the engine-wide semaphore, so concurrent
-// EvaluateBatch calls on one engine still respect the global bound.
-// Tasks are drained through an atomic cursor over a pooled slab —
-// results land at fixed (scenario, heuristic) indices, so scheduling
-// order never influences the output.
+// The scenario is the unit of dispatch: the caller races scenarios one
+// after another, joined by up to Workers−1 helper goroutines that claim
+// whole scenarios. Every heuristic evaluation holds a slot of the
+// engine-wide semaphore, so concurrent calls on one engine still
+// respect the global bound. Results land at fixed (scenario, heuristic)
+// indices, so scheduling order never influences the output.
 //
-// Cancellation contract: workers poll ctx before claiming each task, so
-// a cancelled batch stops within one in-flight heuristic evaluation per
-// worker. The call then returns ctx.Err() alongside the reports; every
-// task that never ran carries ctx.Err() as its Result.Err (cancelled
-// results never shadow computed ones — pickBest skips errors). Pooled
-// scratch is returned in a reusable state, and a subsequent call on a
-// live context is bit-identical to one on a fresh engine.
+// Cancellation contract: a race polls ctx before each evaluation, so a
+// cancelled batch stops within one in-flight heuristic evaluation per
+// racing goroutine. The call then returns ctx.Err() alongside the
+// reports; every evaluation that never ran carries ctx.Err() as its
+// Result.Err (cancelled results never shadow computed ones — pickBest
+// skips errors), and a subsequent call on a live context is
+// bit-identical to one on a fresh engine.
 func (e *Engine) EvaluateBatchContext(ctx context.Context, scenarios []Scenario) ([]*Report, error) {
-	m := e.metrics
-	var raceStart time.Time
-	if m != nil {
-		raceStart = time.Now()
-	}
+	start := e.metrics.startCall(len(scenarios))
 	reports := make([]*Report, len(scenarios))
-	slab := taskSlabPool.Get().(*taskSlab)
-	tasks := slab.tasks[:0]
-	for si := range scenarios {
-		sc := &scenarios[si]
-		rep := &Report{Best: -1}
-		reports[si] = rep
-		if err := model.ValidateAll(sc.Platform, sc.Apps); err != nil {
-			rep.Err = fmt.Errorf("portfolio: scenario %d: %w", si, err)
-			continue
-		}
-		hs := sc.heuristics()
-		rep.Results = make([]Result, len(hs))
-		for hi := range hs {
-			tasks = append(tasks, task{sc, rep, hi, hs[hi]})
-		}
-	}
-
-	if m != nil {
-		m.batches.Inc()
-		m.scenarios.Add(uint64(len(scenarios)))
-		m.evals.Add(uint64(len(tasks)))
-		// Depth rises by the whole admission and falls once per resolved
-		// task (computed or cancellation-filled), so it always returns to
-		// its pre-call level.
-		m.queueDepth.Add(int64(len(tasks)))
-	}
-
-	workers := cap(e.sem)
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	done := ctx.Done()
-	if workers <= 1 {
-		// Serial fast path: no goroutines, no synchronization beyond the
-		// engine-wide semaphore.
-		for i := range tasks {
-			if ctx.Err() != nil {
-				break
-			}
-			t := &tasks[i]
-			select {
-			case e.sem <- struct{}{}:
-			case <-done:
-				continue // loop re-checks ctx and breaks
-			}
-			t.rep.Results[t.hi] = e.evalOne(ctx, t.sc, t.h, t.hi)
-			<-e.sem
-			if m != nil {
-				m.queueDepth.Dec()
-			}
-		}
+	if helpers := min(cap(e.sem), len(scenarios)) - 1; helpers > 0 {
+		e.raceHelped(ctx, scenarios, reports, helpers)
 	} else {
-		var cursor atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					if ctx.Err() != nil {
-						return
-					}
-					i := int(cursor.Add(1)) - 1
-					if i >= len(tasks) {
-						return
-					}
-					t := &tasks[i]
-					select {
-					case e.sem <- struct{}{}:
-					case <-done:
-						return
-					}
-					t.rep.Results[t.hi] = e.evalOne(ctx, t.sc, t.h, t.hi)
-					<-e.sem
-					if m != nil {
-						m.queueDepth.Dec()
-					}
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	// Tasks skipped by cancellation carry the context error so callers
-	// can tell "not computed" from "computed infeasible". This runs
-	// strictly after every worker exited, so the writes cannot race.
-	if err := ctx.Err(); err != nil {
-		for i := range tasks {
-			t := &tasks[i]
-			res := &t.rep.Results[t.hi]
-			if res.Schedule == nil && res.Err == nil {
-				res.Heuristic = t.h
-				res.Err = err
-				if m != nil {
-					m.queueDepth.Dec()
-				}
-			}
+		for si := range scenarios {
+			reports[si] = e.race(ctx, &scenarios[si], si)
 		}
 	}
-	for i := range tasks {
-		tasks[i] = task{}
-	}
-	slab.tasks = tasks[:0]
-	taskSlabPool.Put(slab)
-	for _, rep := range reports {
-		rep.pickBest()
-	}
-	if m != nil {
-		for _, rep := range reports {
-			if br := rep.BestResult(); br != nil {
-				m.wins.With(br.Heuristic.String()).Inc()
-			}
-		}
-		m.raceSeconds.Observe(time.Since(raceStart).Seconds())
-	}
+	e.metrics.endCall(start)
 	return reports, ctx.Err()
 }
 
-// evalOne times one heuristic evaluation into the eval-latency
-// histogram when metrics are on; the wall-clock read happens only on
-// the enabled path, so a metrics-off run never touches the clock.
-func (e *Engine) evalOne(ctx context.Context, sc *Scenario, h sched.Heuristic, hi int) Result {
-	m := e.metrics
-	if m == nil {
-		return e.solveOne(ctx, sc, h, hi)
+// raceHelped races scenarios on the caller and helpers extra
+// goroutines, each claiming the next unraced scenario. It is its own
+// function because what a go statement captures is heap-allocated on
+// every call that could reach it, even when no helper starts.
+func (e *Engine) raceHelped(ctx context.Context, scenarios []Scenario, reports []*Report, helpers int) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	claim := func() {
+		defer wg.Done()
+		for si := int(next.Add(1)) - 1; si < len(scenarios); si = int(next.Add(1)) - 1 {
+			reports[si] = e.race(ctx, &scenarios[si], si)
+		}
 	}
-	start := time.Now()
-	res := e.solveOne(ctx, sc, h, hi)
-	m.evalSeconds.Observe(time.Since(start).Seconds())
-	return res
+	wg.Add(helpers + 1)
+	for range helpers {
+		go claim()
+	}
+	claim()
+	wg.Wait()
+}
+
+// race evaluates the scenario's heuristics in order on the calling
+// goroutine, each holding one engine-semaphore slot, and picks the
+// winner. An evaluation cancellation skipped carries ctx.Err(), so "not
+// computed" differs from "computed infeasible". si numbers the scenario
+// in a validation error.
+func (e *Engine) race(ctx context.Context, sc *Scenario, si int) *Report {
+	rep := &Report{Best: -1}
+	if err := model.ValidateAll(sc.Platform, sc.Apps); err != nil {
+		rep.Err = fmt.Errorf("portfolio: scenario %d: %w", si, err)
+		return rep
+	}
+	hs := sc.heuristics()
+	rep.Results = make([]Result, len(hs))
+	m := e.metrics
+	if m != nil {
+		m.evals.Add(uint64(len(hs)))
+		// Depth rises by the whole race and falls once per resolved
+		// evaluation, computed or skipped, so it always returns to its
+		// pre-race level.
+		m.queueDepth.Add(int64(len(hs)))
+	}
+	done := ctx.Done()
+	for hi, h := range hs {
+		res := &rep.Results[hi]
+		*res = Result{Heuristic: h, Err: ctx.Err()}
+		if res.Err == nil {
+			select {
+			case e.sem <- struct{}{}:
+				// The clock is read only with metrics on.
+				var start time.Time
+				if m != nil {
+					start = time.Now()
+				}
+				*res = e.solveOne(ctx, sc, h, hi)
+				if m != nil {
+					m.evalSeconds.Observe(time.Since(start).Seconds())
+				}
+				<-e.sem
+			case <-done:
+				res.Err = ctx.Err()
+			}
+		}
+		if m != nil {
+			m.queueDepth.Dec()
+		}
+	}
+	rep.pickBest()
+	if br := rep.BestResult(); m != nil && br != nil {
+		m.wins.With(br.Heuristic.String()).Inc()
+	}
+	return rep
 }
 
 // solveOne schedules one heuristic, through the cache when present.

@@ -1,8 +1,12 @@
 package portfolio
 
 import (
+	"context"
 	"math"
+	"runtime"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/model"
 	"repro/internal/sched"
@@ -82,27 +86,94 @@ func TestConcurrentMatchesSerial(t *testing.T) {
 	scenarios := testScenarios(t, 10)
 	serial := New(Config{Workers: 1}).EvaluateBatch(scenarios)
 	for _, cache := range []*Cache{nil, NewCache()} {
-		wide := New(Config{Workers: 16, Cache: cache}).EvaluateBatch(scenarios)
-		for si := range scenarios {
-			a, b := serial[si], wide[si]
-			if a.Best != b.Best {
-				t.Fatalf("scenario %d: best %d (serial) vs %d (concurrent)", si, a.Best, b.Best)
+		requireSameReports(t, serial, New(Config{Workers: 16, Cache: cache}).EvaluateBatch(scenarios))
+	}
+}
+
+// requireSameReports fails t unless got matches want bit-for-bit:
+// winners, makespans and every assignment.
+func requireSameReports(t *testing.T, want, got []*Report) {
+	t.Helper()
+	for si := range want {
+		a, b := want[si], got[si]
+		if a.Best != b.Best {
+			t.Fatalf("scenario %d: best %d (serial) vs %d (concurrent)", si, a.Best, b.Best)
+		}
+		for hi := range a.Results {
+			sa, sb := a.Results[hi].Schedule, b.Results[hi].Schedule
+			if sa.Makespan != sb.Makespan || sa.Sequential != sb.Sequential {
+				t.Fatalf("scenario %d %v: makespan %v (serial) vs %v (concurrent)",
+					si, a.Results[hi].Heuristic, sa.Makespan, sb.Makespan)
 			}
-			for hi := range a.Results {
-				sa, sb := a.Results[hi].Schedule, b.Results[hi].Schedule
-				if sa.Makespan != sb.Makespan || sa.Sequential != sb.Sequential {
-					t.Fatalf("scenario %d %v: makespan %v (serial) vs %v (concurrent)",
-						si, a.Results[hi].Heuristic, sa.Makespan, sb.Makespan)
-				}
-				for i := range sa.Assignments {
-					if sa.Assignments[i] != sb.Assignments[i] {
-						t.Fatalf("scenario %d %v app %d: %+v vs %+v",
-							si, a.Results[hi].Heuristic, i, sa.Assignments[i], sb.Assignments[i])
-					}
+			for i := range sa.Assignments {
+				if sa.Assignments[i] != sb.Assignments[i] {
+					t.Fatalf("scenario %d %v app %d: %+v vs %+v",
+						si, a.Results[hi].Heuristic, i, sa.Assignments[i], sb.Assignments[i])
 				}
 			}
 		}
 	}
+}
+
+// TestEvaluateBatchOneScenarioRacesOnCaller pins the dispatch rule: a
+// one-scenario call races on its caller and starts no goroutine, even
+// when the engine is busy. The test holds every semaphore slot, so each
+// of its concurrent calls blocks in its first evaluation; the goroutine
+// count then rises only by the calls themselves. A call that fanned its
+// heuristics out would add up to Workers blocked goroutines apiece.
+func TestEvaluateBatchOneScenarioRacesOnCaller(t *testing.T) {
+	const workers, calls, slack = 4, 16, 4
+	eng := New(Config{Workers: workers})
+	for range workers {
+		eng.sem <- struct{}{}
+	}
+	base := settledGoroutines(t, 0)
+	scenarios := make([]Scenario, calls)
+	for i := range scenarios {
+		scenarios[i] = npbScenario(uint64(i))
+	}
+	reports := make([]*Report, calls)
+	var wg sync.WaitGroup
+	for i := range scenarios {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var err error
+			if reports[i], err = eng.EvaluateContext(context.Background(), scenarios[i]); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	if n := settledGoroutines(t, base+calls); n > base+calls+slack {
+		t.Errorf("%d blocked one-scenario calls raised the goroutine count by %d, want at most %d",
+			calls, n-base, calls+slack)
+	}
+	for range workers {
+		<-eng.sem
+	}
+	wg.Wait()
+	requireSameReports(t, New(Config{Workers: 1}).EvaluateBatch(scenarios), reports)
+}
+
+// settledGoroutines waits until at least atLeast goroutines exist and the
+// count has held still for a while, then returns it.
+func settledGoroutines(t *testing.T, atLeast int) int {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	n, still := runtime.NumGoroutine(), 0
+	for still < 50 || n < atLeast {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutine count did not settle at or above %d (now %d)", atLeast, n)
+		}
+		time.Sleep(time.Millisecond)
+		cur := runtime.NumGoroutine()
+		if cur == n {
+			still++
+		} else {
+			n, still = cur, 0
+		}
+	}
+	return n
 }
 
 // TestEvaluateMatchesDirectSchedule pins the engine's RNG substream

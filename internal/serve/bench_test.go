@@ -15,9 +15,8 @@ import (
 // encoding — with metrics on, the production configuration. The cache
 // is warm after the first iteration, so this is the steady-state
 // serving cost the RPS gate budgets against. The client runs one
-// worker because the arm's allocations are gated: with more workers
-// every race starts a goroutine per worker and the pools refill per P,
-// so allocs/op would grow with GOMAXPROCS.
+// worker; a one-scenario race runs on its caller at any worker count,
+// so the arm's gated allocations do not depend on GOMAXPROCS.
 func BenchmarkServeSchedule(b *testing.B) {
 	reg := obs.NewRegistry()
 	s := New(Config{

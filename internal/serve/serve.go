@@ -370,8 +370,7 @@ func (s *Server) handleSimulateFleet(w http.ResponseWriter, r *http.Request) {
 
 // decodeOne reads exactly one JSON document from the request body.
 func decodeOne(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
-	if err := dec.Decode(v); err != nil {
+	if err := des.DecodeOne(json.NewDecoder(r.Body), v); err != nil {
 		return fmt.Errorf("parsing request body: %w", err)
 	}
 	return nil

@@ -234,10 +234,11 @@ func metricValue(t *testing.T, url, name string) float64 {
 
 func TestBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	cases := []struct {
+	type badCase struct {
 		path, body string
 		status     int
-	}{
+	}
+	cases := []badCase{
 		{"/v1/schedule", "{not json", http.StatusBadRequest},
 		{"/v1/schedule", `{"apps": [], "heuristics": ["Bogus"]}`, http.StatusBadRequest},
 		{"/v1/schedule", `{"apps": [{"name": "X", "work": -1}]}`, http.StatusBadRequest},
@@ -245,6 +246,16 @@ func TestBadRequests(t *testing.T) {
 		{"/v1/simulate", `{"arrivals": {"process": "warp"}}`, http.StatusBadRequest},
 		{"/v1/simulate-fleet", `{"routing": "warp"}`, http.StatusBadRequest},
 		{"/v1/simulate-fleet", `{"nodes": [], "bogus": 1}`, http.StatusBadRequest},
+	}
+	// A single-document endpoint takes its body whole: a second document
+	// or trailing garbage is rejected, a trailing newline is not.
+	for path, doc := range singleDocBodies {
+		cases = append(cases,
+			badCase{path, doc + doc, http.StatusBadRequest},
+			badCase{path, doc + "garbage", http.StatusBadRequest})
+		if resp, body := post(t, ts.URL+path, "", doc+"\n"); resp.StatusCode != http.StatusOK {
+			t.Errorf("%s with a trailing newline: status %d (%s)", path, resp.StatusCode, body)
+		}
 	}
 	for _, tc := range cases {
 		resp, body := post(t, ts.URL+tc.path, "", tc.body)
@@ -266,6 +277,14 @@ func TestBadRequests(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("GET /v1/schedule = %d, want 404", resp.StatusCode)
 	}
+}
+
+// singleDocBodies maps each single-document endpoint to a valid body.
+var singleDocBodies = map[string]string{
+	"/v1/schedule":       twoApps,
+	"/v1/evaluate":       twoApps,
+	"/v1/simulate":       `{"arrivals": {"process": "poisson", "rate": 2e-9, "n": 4}}`,
+	"/v1/simulate-fleet": `{"nodes": [{}, {}], "arrivals": {"process": "poisson", "rate": 2e-9, "n": 4}}`,
 }
 
 // TestAdmission429 fills every inflight slot, then checks the next
@@ -462,6 +481,14 @@ func TestDrainCompletesInFlight(t *testing.T) {
 	scenario := strings.ReplaceAll(twoApps, "\n", " ") + "\n"
 	if _, err := io.WriteString(pw, scenario); err != nil {
 		t.Fatal(err)
+	}
+	// The write can return while the connection still waits in the
+	// listener's accept queue, where a drain would drop it. Wait until
+	// the server has admitted the request.
+	for deadline := time.Now().Add(10 * time.Second); s.Admitted() != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("request not admitted: %d admitted", s.Admitted())
+		}
 	}
 	// The request is now in flight (body held open). Start the drain;
 	// it must wait for us, not abort the stream.

@@ -95,12 +95,8 @@ func DecodeScenarios(r io.Reader, name string, d Defaults, emit func(repro.Portf
 			if _, err := dec.Token(); err != nil { // consume ']'
 				return fmt.Errorf("parsing %s: %w", name, err)
 			}
-			switch tok, err := dec.Token(); {
-			case err == io.EOF:
-			case err != nil:
-				return fmt.Errorf("parsing %s: trailing data after the scenario array: %v", name, err)
-			default:
-				return fmt.Errorf("parsing %s: trailing data after the scenario array (%v)", name, tok)
+			if err := des.ExpectEnd(dec); err != nil {
+				return fmt.Errorf("parsing %s after the scenario array: %w", name, err)
 			}
 			return nil
 		}
