@@ -1,9 +1,11 @@
 // Command benchgate is the statistical benchmark gate: it parses `go
 // test -bench` output (repeated runs recommended, e.g. -count=10),
 // aggregates each benchmark into median ± MAD, compares against a
-// committed JSON baseline with per-metric tolerances, writes a
-// BENCH_*.json trajectory artifact, and exits non-zero on significant
-// regressions or on baseline benchmarks missing from the run.
+// committed JSON baseline with per-metric tolerances, appends the run
+// to an NDJSON trajectory (one line per run: label, git SHA, machine
+// context, samples, findings, verdict), and exits non-zero on
+// significant regressions or on baseline benchmarks missing from the
+// run.
 //
 // Usage:
 //
@@ -25,8 +27,10 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"os/exec"
 	"regexp"
 	"runtime"
+	"strings"
 
 	"repro/internal/benchgate"
 )
@@ -40,8 +44,8 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		baselinePath = fs.String("baseline", "benchmarks/baseline.json", "baseline JSON path")
-		trajectory   = fs.String("trajectory", "", "trajectory artifact to write (e.g. BENCH_4.json)")
-		label        = fs.String("label", "", "label recorded in the trajectory")
+		trajectory   = fs.String("trajectory", "", "NDJSON trajectory to append this run to (e.g. benchmarks/trajectory.ndjson)")
+		label        = fs.String("label", "", "label recorded in the trajectory (e.g. a short git SHA)")
 		update       = fs.Bool("update", false, "rewrite the in-scope baseline entries from this run")
 		tolNs        = fs.Float64("tol-ns", 30, "ns/op tolerance, percent (< 0 reports but never gates)")
 		tolB         = fs.Float64("tol-b", 10, "B/op tolerance, percent (< 0 reports but never gates)")
@@ -137,13 +141,14 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 
 	if *trajectory != "" {
 		t := benchgate.NewTrajectory(*label, *baselinePath, ctx, cur, rep)
+		t.SHA = gitSHA()
 		t.Pass = !fail
-		if err := t.Save(*trajectory); err != nil {
+		if err := t.Append(*trajectory); err != nil {
 			fmt.Fprintln(stderr, err)
 			return 2
 		}
 		if !*quiet {
-			fmt.Fprintf(stdout, "benchgate: trajectory written to %s\n", *trajectory)
+			fmt.Fprintf(stdout, "benchgate: run appended to trajectory %s\n", *trajectory)
 		}
 	}
 
@@ -189,6 +194,16 @@ func checkRatios(rows []benchgate.Ratio, scope, cur map[string]benchgate.Sample,
 		ok = false
 	}
 	return ok
+}
+
+// gitSHA returns the commit checked out in the working directory, or ""
+// outside a git work tree.
+func gitSHA() string {
+	out, err := exec.Command("git", "rev-parse", "HEAD").Output()
+	if err != nil {
+		return ""
+	}
+	return strings.TrimSpace(string(out))
 }
 
 // nameFilter compiles the -only/-skip selection into a predicate over

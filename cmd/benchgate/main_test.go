@@ -103,18 +103,23 @@ func TestGateFailsOnMissingBenchmark(t *testing.T) {
 
 func TestGateWritesTrajectory(t *testing.T) {
 	dir := t.TempDir()
-	traj := filepath.Join(dir, "BENCH_test.json")
+	traj := filepath.Join(dir, "trajectory.ndjson")
 	base := benchLog(1000, 2000, 300)
-	code, out := gate(t, base, benchLog(1001, 2001, 300), "-trajectory", traj, "-label", "PR test")
-	if code != 0 {
-		t.Fatalf("gate failed (%d):\n%s", code, out)
+	for _, label := range []string{"abc1234", "abc1234+dirty"} {
+		code, out := gate(t, base, benchLog(1001, 2001, 300), "-trajectory", traj, "-label", label)
+		if code != 0 {
+			t.Fatalf("gate failed (%d):\n%s", code, out)
+		}
 	}
 	got, err := benchgate.LoadTrajectory(traj)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Pass || got.Label != "PR test" || len(got.Benchmarks) != 2 {
-		t.Errorf("trajectory artifact wrong: %+v", got)
+	if len(got) != 2 || got[0].Label != "abc1234" || got[1].Label != "abc1234+dirty" {
+		t.Fatalf("two gate runs did not append two labelled points: %+v", got)
+	}
+	if !got[1].Pass || len(got[1].Benchmarks) != 2 {
+		t.Errorf("trajectory point wrong: %+v", got[1])
 	}
 }
 

@@ -1,6 +1,7 @@
 package benchgate
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -8,8 +9,8 @@ import (
 	"regexp"
 )
 
-// baselineSchema versions the JSON layout of baseline and trajectory
-// files.
+// baselineSchema versions the JSON layout of baseline files and
+// trajectory lines.
 const baselineSchema = 1
 
 // Baseline is the committed reference the gate compares against.
@@ -46,9 +47,13 @@ func NewBaseline(cur map[string]Sample, ctx Context) *Baseline {
 
 // LoadBaseline reads and validates a baseline JSON file.
 func LoadBaseline(path string) (*Baseline, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("benchgate: reading baseline: %w", err)
+	}
 	var b Baseline
-	if err := loadJSON(path, "baseline", &b); err != nil {
-		return nil, err
+	if err := json.Unmarshal(data, &b); err != nil {
+		return nil, fmt.Errorf("benchgate: parsing baseline %s: %w", path, err)
 	}
 	if b.Schema != baselineSchema {
 		return nil, fmt.Errorf("benchgate: baseline %s has schema %d, want %d", path, b.Schema, baselineSchema)
@@ -67,29 +72,30 @@ func LoadBaseline(path string) (*Baseline, error) {
 }
 
 // Save writes the baseline as deterministic, indented JSON (map keys
-// are sorted by encoding/json).
-func (b *Baseline) Save(path string) error { return saveJSON(path, "baseline", b) }
-
-// saveJSON writes v to path as indented JSON with a trailing newline.
-func saveJSON(path, what string, v any) error {
-	data, err := json.MarshalIndent(v, "", "  ")
+// are sorted by encoding/json) with a trailing newline.
+func (b *Baseline) Save(path string) error {
+	data, err := json.MarshalIndent(b, "", "  ")
 	if err != nil {
-		return fmt.Errorf("benchgate: encoding %s: %w", what, err)
+		return fmt.Errorf("benchgate: encoding baseline: %w", err)
 	}
 	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return fmt.Errorf("benchgate: writing %s: %w", what, err)
+		return fmt.Errorf("benchgate: writing baseline: %w", err)
 	}
 	return nil
 }
 
-// Trajectory is the machine-readable artifact one gate run emits
-// (BENCH_<n>.json): the aggregated current samples, the comparison
-// findings against the baseline, and the overall verdict. Committed
-// trajectory files form the repository's performance history.
+// Trajectory is one point of the benchmark history: what one gate run
+// measured (the aggregated samples), the findings against the baseline
+// and the verdict, tagged with the run's label, git commit and machine
+// context. Runs append it as one compact JSON line to an append-only
+// NDJSON file (benchmarks/trajectory.ndjson), so the committed file is
+// the repository's performance trajectory.
 type Trajectory struct {
 	Schema int `json:"schema"`
-	// Label identifies the run, e.g. "PR 4".
-	Label   string  `json:"label,omitempty"`
+	// Label identifies the run, e.g. a short git SHA.
+	Label string `json:"label,omitempty"`
+	// SHA is the git commit the run measured, when known.
+	SHA     string  `json:"sha,omitempty"`
 	Context Context `json:"context,omitempty"`
 	// Baseline is the path of the baseline the run compared against.
 	Baseline   string            `json:"baseline,omitempty"`
@@ -98,7 +104,7 @@ type Trajectory struct {
 	Pass       bool              `json:"pass"`
 }
 
-// NewTrajectory assembles the artifact for one gate run.
+// NewTrajectory assembles the trajectory point of one gate run.
 func NewTrajectory(label, baselinePath string, ctx Context, cur map[string]Sample, rep *Report) *Trajectory {
 	return &Trajectory{
 		Schema:     baselineSchema,
@@ -111,27 +117,46 @@ func NewTrajectory(label, baselinePath string, ctx Context, cur map[string]Sampl
 	}
 }
 
-// Save writes the trajectory as deterministic, indented JSON.
-func (t *Trajectory) Save(path string) error { return saveJSON(path, "trajectory", t) }
-
-// LoadTrajectory reads a trajectory artifact back, for round-trip
-// verification and history tooling.
-func LoadTrajectory(path string) (*Trajectory, error) {
-	var t Trajectory
-	if err := loadJSON(path, "trajectory", &t); err != nil {
-		return nil, err
-	}
-	return &t, nil
-}
-
-// loadJSON decodes the JSON file at path into v.
-func loadJSON(path, what string, v any) error {
-	data, err := os.ReadFile(path)
+// Append adds the trajectory to the NDJSON file at path as one compact
+// line, creating the file if needed. The encoding is deterministic (map
+// keys are sorted).
+func (t *Trajectory) Append(path string) error {
+	line, err := json.Marshal(t)
 	if err != nil {
-		return fmt.Errorf("benchgate: reading %s: %w", what, err)
+		return fmt.Errorf("benchgate: encoding trajectory: %w", err)
 	}
-	if err := json.Unmarshal(data, v); err != nil {
-		return fmt.Errorf("benchgate: parsing %s %s: %w", what, path, err)
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
+	if err != nil {
+		return fmt.Errorf("benchgate: opening trajectory: %w", err)
+	}
+	_, err = f.Write(append(line, '\n'))
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("benchgate: appending to trajectory %s: %w", path, err)
 	}
 	return nil
+}
+
+// LoadTrajectory reads every point of an NDJSON trajectory file, oldest
+// first. Blank lines are skipped; any other line that does not decode
+// is an error, so a corrupt history is never read as a shorter one.
+func LoadTrajectory(path string) ([]Trajectory, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("benchgate: reading trajectory: %w", err)
+	}
+	var points []Trajectory
+	for i, line := range bytes.Split(data, []byte("\n")) {
+		if len(bytes.TrimSpace(line)) == 0 {
+			continue
+		}
+		var t Trajectory
+		if err := json.Unmarshal(line, &t); err != nil {
+			return nil, fmt.Errorf("benchgate: trajectory %s line %d: %w", path, i+1, err)
+		}
+		points = append(points, t)
+	}
+	return points, nil
 }

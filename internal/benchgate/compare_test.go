@@ -194,7 +194,7 @@ func TestSpeedupMissingBenchmarkFailsLoudly(t *testing.T) {
 
 func TestBaselineAndTrajectoryRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	ctx := Context{GOOS: "linux", GOARCH: "amd64", CPU: "test-cpu"}
+	ctx := Context{GOOS: "linux", GOARCH: "amd64", CPU: "test-cpu", GOMAXPROCS: 2}
 	cur := map[string]Sample{
 		"BenchmarkA": {
 			NsOp:     Metric{Median: 123.5, MAD: 1.5, N: 10},
@@ -220,30 +220,69 @@ func TestBaselineAndTrajectoryRoundTrip(t *testing.T) {
 	if !rep.Pass() {
 		t.Fatalf("self-comparison failed: %+v", rep.Findings)
 	}
-	tpath := filepath.Join(dir, "BENCH_test.json")
-	traj := NewTrajectory("PR test", bpath, ctx, cur, rep)
-	if err := traj.Save(tpath); err != nil {
+	tpath := filepath.Join(dir, "trajectory.ndjson")
+	traj := NewTrajectory("abc1234", bpath, ctx, cur, rep)
+	traj.SHA = "abc1234def"
+	if err := traj.Append(tpath); err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadTrajectory(tpath)
+	points, err := LoadTrajectory(tpath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(back.Benchmarks, cur) || back.Label != "PR test" || !back.Pass {
-		t.Errorf("trajectory round trip mismatch: %+v", back)
-	}
-	if len(back.Findings) != len(rep.Findings) {
-		t.Errorf("findings lost in round trip: %d vs %d", len(back.Findings), len(rep.Findings))
+	if len(points) != 1 || !reflect.DeepEqual(points[0], *traj) {
+		t.Errorf("trajectory round trip mismatch:\nsaved  %+v\nloaded %+v", *traj, points)
 	}
 
-	// A second Save must be byte-identical (deterministic encoding).
-	tpath2 := filepath.Join(dir, "BENCH_test2.json")
-	if err := traj.Save(tpath2); err != nil {
+	// Appending the same point to a second file must write the same
+	// bytes (deterministic encoding).
+	tpath2 := filepath.Join(dir, "trajectory2.ndjson")
+	if err := traj.Append(tpath2); err != nil {
 		t.Fatal(err)
 	}
 	d1, d2 := mustRead(t, tpath), mustRead(t, tpath2)
 	if d1 != d2 {
 		t.Error("trajectory encoding is not deterministic")
+	}
+}
+
+// TestTrajectoryAppends: a trajectory file is append-only NDJSON, one
+// compact line per run; LoadTrajectory returns every point in order
+// and refuses a file with a corrupt line.
+func TestTrajectoryAppends(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "trajectory.ndjson")
+	rep := &Report{}
+	first := NewTrajectory("aaa1111", "baseline.json", Context{CPU: "cpu-a", GOMAXPROCS: 2},
+		map[string]Sample{"BenchmarkA": {NsOp: Metric{Median: 100, N: 10}}}, rep)
+	second := NewTrajectory("bbb2222+dirty", "baseline.json", Context{CPU: "cpu-a", GOMAXPROCS: 4},
+		map[string]Sample{"BenchmarkA": {NsOp: Metric{Median: 90, N: 10}}}, rep)
+	second.Pass = false
+	for _, p := range []*Trajectory{first, second} {
+		if err := p.Append(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data := mustRead(t, path)
+	if lines := strings.Count(data, "\n"); lines != 2 {
+		t.Fatalf("two appends wrote %d lines:\n%s", lines, data)
+	}
+	points, err := LoadTrajectory(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(points) != 2 || !reflect.DeepEqual(points[0], *first) || !reflect.DeepEqual(points[1], *second) {
+		t.Errorf("two appends did not round-trip:\n%+v", points)
+	}
+
+	if err := writeFile(path, data+"{\"schema\":1,\"label\":\n"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadTrajectory(path); err == nil || !strings.Contains(err.Error(), "line 3") {
+		t.Errorf("corrupt third line: err = %v, want a line 3 error", err)
+	}
+	if _, err := LoadTrajectory(filepath.Join(dir, "absent.ndjson")); err == nil {
+		t.Error("loading an absent trajectory succeeded")
 	}
 }
 

@@ -3,7 +3,8 @@
 // (-count=N), aggregates each benchmark × metric into a median with a
 // MAD (median absolute deviation) noise window, compares the result
 // against a committed JSON baseline with per-metric tolerances, and
-// emits a machine-readable trajectory artifact (BENCH_*.json). A
+// appends a machine-readable point to the benchmark trajectory
+// (benchmarks/trajectory.ndjson). A
 // regression is flagged only when it is both outside the relative
 // tolerance AND outside the noise window, so the gate follows the
 // repeated-measurement methodology of the source paper instead of
@@ -37,12 +38,15 @@ type Measurement struct {
 	HasAllocs bool
 }
 
-// Context is the run metadata `go test -bench` prints before results.
+// Context is the run metadata `go test -bench` prints before results,
+// plus the GOMAXPROCS its benchmark names carry as a "-N" suffix (the
+// suffix is stripped from Measurement.Name; 0 when no name has one).
 type Context struct {
-	GOOS   string `json:"goos,omitempty"`
-	GOARCH string `json:"goarch,omitempty"`
-	Pkg    string `json:"pkg,omitempty"`
-	CPU    string `json:"cpu,omitempty"`
+	GOOS       string `json:"goos,omitempty"`
+	GOARCH     string `json:"goarch,omitempty"`
+	Pkg        string `json:"pkg,omitempty"`
+	CPU        string `json:"cpu,omitempty"`
+	GOMAXPROCS int    `json:"gomaxprocs,omitempty"`
 }
 
 // Parse reads `go test -bench` output and returns every benchmark
@@ -85,9 +89,12 @@ func Parse(r io.Reader) ([]Measurement, Context, error) {
 		if !strings.HasPrefix(line, "Benchmark") {
 			continue
 		}
-		m, err := parseLine(line)
+		m, procs, err := parseLine(line)
 		if err != nil {
 			return nil, ctx, fmt.Errorf("benchgate: line %d: %w", lineNo, err)
+		}
+		if ctx.GOMAXPROCS == 0 {
+			ctx.GOMAXPROCS = procs
 		}
 		ms = append(ms, m)
 	}
@@ -97,23 +104,25 @@ func Parse(r io.Reader) ([]Measurement, Context, error) {
 	return ms, ctx, nil
 }
 
-// parseLine parses one "BenchmarkFoo/sub-8  100  123 ns/op  4 B/op  2 allocs/op" line.
-func parseLine(line string) (Measurement, error) {
+// parseLine parses one "BenchmarkFoo/sub-8  100  123 ns/op  4 B/op  2 allocs/op"
+// line, returning the measurement and the name's GOMAXPROCS suffix.
+func parseLine(line string) (Measurement, int, error) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 {
-		return Measurement{}, fmt.Errorf("malformed benchmark line %q: want at least name, iterations and one metric", line)
+		return Measurement{}, 0, fmt.Errorf("malformed benchmark line %q: want at least name, iterations and one metric", line)
 	}
-	m := Measurement{Name: stripProcs(fields[0])}
+	name, procs := stripProcs(fields[0])
+	m := Measurement{Name: name}
 	iters, err := strconv.ParseInt(fields[1], 10, 64)
 	if err != nil || iters < 0 {
-		return Measurement{}, fmt.Errorf("malformed iteration count %q in %q", fields[1], line)
+		return Measurement{}, 0, fmt.Errorf("malformed iteration count %q in %q", fields[1], line)
 	}
 	m.Iterations = iters
 	sawNs := false
 	for i := 2; i+1 < len(fields); i += 2 {
 		val, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {
-			return Measurement{}, fmt.Errorf("malformed metric value %q in %q", fields[i], line)
+			return Measurement{}, 0, fmt.Errorf("malformed metric value %q in %q", fields[i], line)
 		}
 		switch unit := fields[i+1]; unit {
 		case "ns/op":
@@ -131,21 +140,23 @@ func parseLine(line string) (Measurement, error) {
 		}
 	}
 	if !sawNs {
-		return Measurement{}, fmt.Errorf("benchmark line %q has no ns/op metric", line)
+		return Measurement{}, 0, fmt.Errorf("benchmark line %q has no ns/op metric", line)
 	}
-	return m, nil
+	return m, procs, nil
 }
 
 // stripProcs removes the "-N" GOMAXPROCS suffix go test appends to
-// benchmark names. The suffix is only stripped when it is a plain
-// integer, so sub-benchmark names containing dashes survive intact.
-func stripProcs(name string) string {
+// benchmark names and returns N (0 without a suffix). The suffix is
+// only stripped when it is a plain integer, so sub-benchmark names
+// containing dashes survive intact.
+func stripProcs(name string) (string, int) {
 	i := strings.LastIndexByte(name, '-')
 	if i < 0 {
-		return name
+		return name, 0
 	}
-	if _, err := strconv.Atoi(name[i+1:]); err != nil {
-		return name
+	procs, err := strconv.Atoi(name[i+1:])
+	if err != nil {
+		return name, 0
 	}
-	return name[:i]
+	return name[:i], procs
 }

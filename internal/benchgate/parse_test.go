@@ -32,10 +32,13 @@ func TestParseTable(t *testing.T) {
 		{
 			name:  "benchmem metrics and GOMAXPROCS suffix",
 			input: "BenchmarkSweep/workers=4-8   30   456 ns/op   1024 B/op   17 allocs/op\n",
-			check: func(t *testing.T, ms []Measurement, _ Context) {
+			check: func(t *testing.T, ms []Measurement, ctx Context) {
 				m := ms[0]
 				if m.Name != "BenchmarkSweep/workers=4" {
 					t.Errorf("GOMAXPROCS suffix not stripped: %q", m.Name)
+				}
+				if ctx.GOMAXPROCS != 8 {
+					t.Errorf("context GOMAXPROCS = %d, want the stripped suffix 8", ctx.GOMAXPROCS)
 				}
 				if !m.HasBOp || m.BOp != 1024 || !m.HasAllocs || m.AllocsOp != 17 {
 					t.Errorf("benchmem metrics wrong: %+v", m)
@@ -127,16 +130,20 @@ func TestParseTable(t *testing.T) {
 }
 
 func TestStripProcs(t *testing.T) {
-	cases := map[string]string{
-		"BenchmarkFoo-8":              "BenchmarkFoo",
-		"BenchmarkFoo":                "BenchmarkFoo",
-		"BenchmarkFoo/sub=a-b-4":      "BenchmarkFoo/sub=a-b",
-		"BenchmarkFoo/sub=a-b":        "BenchmarkFoo/sub=a-b", // non-numeric tail survives
-		"BenchmarkSweep/workers=1-16": "BenchmarkSweep/workers=1",
+	type stripped struct {
+		name  string
+		procs int
+	}
+	cases := map[string]stripped{
+		"BenchmarkFoo-8":              {"BenchmarkFoo", 8},
+		"BenchmarkFoo":                {"BenchmarkFoo", 0},
+		"BenchmarkFoo/sub=a-b-4":      {"BenchmarkFoo/sub=a-b", 4},
+		"BenchmarkFoo/sub=a-b":        {"BenchmarkFoo/sub=a-b", 0}, // non-numeric tail survives
+		"BenchmarkSweep/workers=1-16": {"BenchmarkSweep/workers=1", 16},
 	}
 	for in, want := range cases {
-		if got := stripProcs(in); got != want {
-			t.Errorf("stripProcs(%q) = %q, want %q", in, got, want)
+		if name, procs := stripProcs(in); name != want.name || procs != want.procs {
+			t.Errorf("stripProcs(%q) = %q, %d, want %q, %d", in, name, procs, want.name, want.procs)
 		}
 	}
 }

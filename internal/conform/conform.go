@@ -28,7 +28,8 @@
 //   - des-static: the online simulator with every job at t = 0 and a
 //     frozen wave policy reproduces internal/sim bit-for-bit;
 //   - des-online: the online simulator under the portfolio policy with
-//     staggered arrivals is bit-identical across policy worker counts.
+//     staggered arrivals is bit-identical across policy worker counts,
+//     and its accounting holds on the sample path (see checkSamplePath).
 //
 // Every scenario also contributes to a per-family digest — a canonical
 // hash of all schedules produced — which is compared against a
@@ -628,6 +629,7 @@ func checkDESOnline(in *genscen.Instance, opt Options, span float64, flag func(s
 	if err != nil {
 		return "", des.ReplanStats{}, fmt.Errorf("des-online workers=1: %w", err)
 	}
+	checkSamplePath(r1, in.Platform, "", flag)
 	d1 := onlineDigest(r1)
 	if opt.Workers <= 1 {
 		return d1, r1.Replan, nil
@@ -640,6 +642,46 @@ func checkDESOnline(in *genscen.Instance, opt Options, span float64, flag func(s
 		flag("des-online", "online run differs between 1 and %d policy workers", opt.Workers)
 	}
 	return d1, r1.Replan, nil
+}
+
+// queueTol is the relative tolerance of the queue-time identity: the
+// integral and the wait sum add the same intervals in different orders.
+// budgetTol mirrors the des engine's slack on the processor and cache
+// budgets of an allocation, which the time integrals inherit.
+const (
+	queueTol  = 1e-12
+	budgetTol = 1e-6
+)
+
+// checkSamplePath checks the accounting of one online run on its own
+// sample path, flagging violations under "sample-path" with prefix
+// naming the run in the detail:
+//
+//   - QueueTime, the integral of the queue length, equals the sum of
+//     the jobs' waits (Little's law on the sample path): a job is
+//     queued exactly from its arrival to its first processors. The
+//     integral also counts a started job that a policy parks at a zero
+//     allocation, which its wait does not. The built-in policies never
+//     do that: the heuristics give every resident a positive processor
+//     share (short of a share underflowing to zero, which takes work
+//     ratios beyond 1e300), and a frozen wave keeps its shares. So any
+//     gap here is an accounting error.
+//   - ProcessorTime ≤ p·Makespan and CacheTime ≤ Makespan, up to the
+//     engine's budget slack.
+func checkSamplePath(r *des.Result, pl model.Platform, prefix string, flag func(string, string, ...any)) {
+	var wait solve.Kahan
+	for _, j := range r.Jobs {
+		wait.Add(j.Wait)
+	}
+	if d := math.Abs(r.QueueTime - wait.Sum()); d > queueTol*math.Max(r.QueueTime, wait.Sum()) {
+		flag("sample-path", "%squeue time %v != summed wait %v", prefix, r.QueueTime, wait.Sum())
+	}
+	if r.ProcessorTime > pl.Processors*r.Makespan*(1+budgetTol) {
+		flag("sample-path", "%sprocessor time %v exceeds p x makespan %v", prefix, r.ProcessorTime, pl.Processors*r.Makespan)
+	}
+	if r.CacheTime > r.Makespan*(1+budgetTol) {
+		flag("sample-path", "%scache time %v exceeds makespan %v", prefix, r.CacheTime, r.Makespan)
+	}
 }
 
 // hexFloat renders a float64 exactly (hexadecimal mantissa/exponent),

@@ -165,7 +165,10 @@ func RunFleet(opt FleetOptions) (*FleetReport, error) {
 //     seed (fleet adds routing, never arithmetic);
 //   - fleet-beats-solo: the best routing policy's mean stretch is no
 //     worse than the best single node absorbing the whole stream alone
-//     — adding nodes behind a router must never hurt the aggregate.
+//     — adding nodes behind a router must never hurt the aggregate;
+//   - sample-path: every routing policy's routes per node match the
+//     node's job counts, and every node's accounting holds
+//     (checkFleetSamplePath).
 //
 // Every scenario contributes each routing policy's canonical digest to
 // a per-family digest compared against a committed golden corpus
@@ -251,6 +254,7 @@ func runFleetScenario(ctx context.Context, in *genscen.FleetInstance, opt FleetO
 		if err != nil {
 			return "", "", nil, fmt.Errorf("%s workers=1: %w", routing, err)
 		}
+		checkFleetSamplePath(r1, in.Nodes, routing+": ", flag)
 		d1 := fleetDigest(r1)
 		if opt.Workers > 1 {
 			rp, err := runFleet(sp, opt.Workers)
@@ -330,6 +334,28 @@ func runFleetScenario(ctx context.Context, in *genscen.FleetInstance, opt FleetO
 
 	sum := sha256.Sum256([]byte(strings.Join(parts, "\n") + "\nsolo\n" + hexFloat(bestSolo)))
 	return hex.EncodeToString(sum[:]), best, violations, nil
+}
+
+// checkFleetSamplePath checks a fleet run's bookkeeping: the routes to
+// each node equal that node's NodeResult.Jobs and the length of its
+// per-job metrics, they sum to Result.Jobs, and each node's own run
+// passes checkSamplePath.
+func checkFleetSamplePath(r *fleet.Result, nodes []fleet.Node, prefix string, flag func(string, string, ...any)) {
+	routed := make([]int, len(r.Nodes))
+	for _, rt := range r.Routes {
+		routed[rt.Node]++
+	}
+	total := 0
+	for i, nr := range r.Nodes {
+		total += nr.Jobs
+		if routed[i] != nr.Jobs || nr.Jobs != len(nr.Result.Jobs) {
+			flag("sample-path", "%snode %s: %d routes, %d jobs, %d job metrics", prefix, nr.Name, routed[i], nr.Jobs, len(nr.Result.Jobs))
+		}
+		checkSamplePath(nr.Result, nodes[i].Platform, prefix+"node "+nr.Name+": ", flag)
+	}
+	if total != r.Jobs {
+		flag("sample-path", "%snode job counts sum to %d, fleet admitted %d", prefix, total, r.Jobs)
+	}
 }
 
 // fleetDigest canonically serializes a fleet result: the routing log

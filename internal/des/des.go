@@ -169,16 +169,26 @@ type jobState struct {
 }
 
 // engine is the mutable state of one Simulate call.
+//
+// Arrival events are processed in job-id order (they are queued in
+// arrival order and the heap breaks time ties by push order), the FIFO
+// admits oldest first, and an arrival is made resident directly only
+// when the FIFO is empty (see admitOrQueue). The unfinished jobs
+// therefore always split into two runs of ascending ids: residents,
+// then every job from fifo on — the FIFO waiters [fifo, arrived)
+// followed by the arrivals queued in the heap but not yet processed
+// [arrived, len(jobs)).
 type engine struct {
 	sc          Scenario
 	pq          eventQueue
 	jobs        []jobState
-	residents   []int // job ids currently on the node, admission order
-	fifo        []int // job ids waiting for a residency slot
+	residents   []int // job ids currently on the node, ascending
+	fifo        int   // oldest FIFO waiter: jobs [fifo, arrived) wait for a slot
+	arrived     int   // arrival events processed: jobs [arrived, len(jobs)) are pending
 	now         float64
 	gen         uint64 // current completion-event generation
 	res         *Result
-	queueLen    int     // current queue length (fifo + zero-alloc residents)
+	queueLen    int     // current queue length (FIFO + zero-alloc residents)
 	lastArrival float64 // last time pulled from the process, for monotonicity
 	exhausted   bool
 
@@ -502,15 +512,19 @@ func (e *engine) pruneResidents() {
 	e.residents = live
 }
 
-// admitOrQueue makes an arrived job resident if a slot is free, else
-// parks it in the FIFO. Returns whether the resident set changed.
+// admitOrQueue processes the arrival of job id (the next in id order)
+// and makes it resident if a slot is free, else leaves it at the tail
+// of the FIFO. Returns whether the resident set changed. A slot is
+// free only when the FIFO is empty: admitQueued runs first at every
+// step, and the resident set does not shrink within a batch.
 func (e *engine) admitOrQueue(id int) bool {
+	e.arrived++
 	if e.sc.MaxResident > 0 && len(e.residents) >= e.sc.MaxResident {
-		e.fifo = append(e.fifo, id)
 		e.log(EventArrival, id)
 		return false
 	}
 	e.residents = append(e.residents, id)
+	e.fifo++
 	e.log(EventArrival, id)
 	return true
 }
@@ -519,10 +533,9 @@ func (e *engine) admitOrQueue(id int) bool {
 // first. Returns whether anything was admitted.
 func (e *engine) admitQueued() bool {
 	admitted := false
-	for len(e.fifo) > 0 && (e.sc.MaxResident == 0 || len(e.residents) < e.sc.MaxResident) {
-		id := e.fifo[0]
-		e.fifo = e.fifo[1:]
-		e.residents = append(e.residents, id)
+	for e.fifo < e.arrived && (e.sc.MaxResident == 0 || len(e.residents) < e.sc.MaxResident) {
+		e.residents = append(e.residents, e.fifo)
+		e.fifo++
 		admitted = true
 	}
 	return admitted
@@ -650,7 +663,7 @@ func (e *engine) planCompletions() (stuck []int) {
 // recountQueue refreshes the current queue length: FIFO waiters plus
 // residents holding no processors.
 func (e *engine) recountQueue() {
-	n := len(e.fifo)
+	n := e.arrived - e.fifo
 	for _, id := range e.residents {
 		if e.jobs[id].procs == 0 {
 			n++
@@ -686,7 +699,7 @@ func (e *engine) log(kind EventKind, job int) {
 		Kind:     kind,
 		Job:      job,
 		Resident: running,
-		Queued:   len(e.fifo) + parked,
+		Queued:   e.arrived - e.fifo + parked,
 	}
 	if job >= 0 {
 		ev.Name = e.jobs[job].app.Name

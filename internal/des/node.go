@@ -147,17 +147,12 @@ func (n *Node) Finish(ctx context.Context) (*Result, error) {
 // Now returns the node's current virtual time.
 func (n *Node) Now() float64 { return n.e.now }
 
-// JobsInSystem counts unfinished jobs on the node: running residents,
-// parked residents and FIFO waiters alike (the join-shortest-queue
-// router's load signal).
+// JobsInSystem counts unfinished jobs on the node in O(1): running
+// residents, parked residents and FIFO waiters alike (the
+// join-shortest-queue router's load signal). It also counts arrivals
+// injected at this instant and not yet processed.
 func (n *Node) JobsInSystem() int {
-	in := 0
-	for id := range n.e.jobs {
-		if !n.e.jobs[id].done {
-			in++
-		}
-	}
-	return in
+	return len(n.e.residents) + len(n.e.jobs) - n.e.fifo
 }
 
 // BacklogAt estimates the remaining work on the node as wall time at
@@ -167,22 +162,23 @@ func (n *Node) JobsInSystem() int {
 // dedicated machine — an optimistic but deterministic proxy, since the
 // allocation it will actually receive is unknowable before the policy
 // runs. The estimate is a pure function of node state, so routers built
-// on it stay bit-deterministic.
+// on it stay bit-deterministic. It visits the unfinished jobs only, in
+// arrival order: O(JobsInSystem), not O(jobs ever received).
 func (n *Node) BacklogAt(t float64) float64 {
+	e := n.e
 	backlog := 0.0
-	for id := range n.e.jobs {
-		st := &n.e.jobs[id]
-		if st.done {
-			continue
-		}
+	for _, id := range e.residents {
+		st := &e.jobs[id]
 		if st.procs > 0 && !math.IsInf(st.exe, 1) {
-			rem := (1-st.frac)*st.exe - (t - n.e.now)
-			if rem > 0 {
+			if rem := (1-st.frac)*st.exe - (t - e.now); rem > 0 {
 				backlog += rem
 			}
 			continue
 		}
 		backlog += (1 - st.frac) * st.dedicated
+	}
+	for id := e.fifo; id < len(e.jobs); id++ {
+		backlog += (1 - e.jobs[id].frac) * e.jobs[id].dedicated
 	}
 	return backlog
 }
@@ -190,11 +186,19 @@ func (n *Node) BacklogAt(t float64) float64 {
 // VisitUnfinished calls f for every unfinished job on the node, in
 // arrival order, with the job's application name and remaining work
 // fraction — the raw material for footprint-affinity routing scores.
+// Like BacklogAt it visits the unfinished jobs only. The walk is one
+// loop over both runs of ids (see engine) so that it stays small enough
+// to inline: f is then inlined into the caller's loop, not called
+// indirectly once per job.
 func (n *Node) VisitUnfinished(f func(name string, remaining float64)) {
-	for id := range n.e.jobs {
-		if st := &n.e.jobs[id]; !st.done {
-			f(st.app.Name, 1-st.frac)
+	e := n.e
+	ids := e.residents
+	for k := range len(ids) + len(e.jobs) - e.fifo {
+		id := e.fifo + k - len(ids)
+		if k < len(ids) {
+			id = ids[k]
 		}
+		f(e.jobs[id].app.Name, 1-e.jobs[id].frac)
 	}
 }
 

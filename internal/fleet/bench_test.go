@@ -72,3 +72,28 @@ func BenchmarkFleetDES(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkFleetRouteLong is BenchmarkFleetRoute's spec with a
+// 1,024-job stream instead of 64, at the same rate, so its time per
+// arrival compares directly with the short arm's: routing state that
+// grows with the jobs a node has ever received, rather than with its
+// unfinished ones, shows as a per-arrival gap between the two.
+func BenchmarkFleetRouteLong(b *testing.B) {
+	sp := benchSpec("cache-affinity", "DominantMinRatio", 4)
+	sp.Arrivals.N = 1024
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sc, err := sp.Build(1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := Simulate(sc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Jobs != 1024 {
+			b.Fatalf("routed %d jobs", res.Jobs)
+		}
+	}
+}

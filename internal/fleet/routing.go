@@ -43,7 +43,7 @@ type NodeState struct {
 	// remaining work as wall time.
 	Backlog float64
 	// InSystem is the node's unfinished job count (running, parked and
-	// FIFO-queued alike).
+	// FIFO-queued alike), des.Node.JobsInSystem. It is read in O(1).
 	InSystem int
 	// Affinity is the footprint-overlap score against the arriving job:
 	// the summed remaining fractions of the node's unfinished jobs

@@ -4,7 +4,7 @@
 #
 #   scripts/bench.sh            run benchmarks -> benchmarks/latest.txt, print the gate report
 #   scripts/bench.sh baseline   run, then rewrite the go-test entries of benchmarks/baseline.json
-#   scripts/bench.sh compare    run, gate against the baseline, write the trajectory artifact
+#   scripts/bench.sh compare    run, gate against the baseline, append the run to the trajectory
 #
 # Every mode checks the ratio table in benchmarks/baseline.json
 # (portfolio parallel speedup, delta replanning, learned selection);
@@ -13,8 +13,9 @@
 # Environment:
 #   BENCH_TIME        -benchtime (default 30x)
 #   BENCH_COUNT       -count: repeated runs feeding the median/MAD aggregation (default 10)
-#   BENCH_LABEL       trajectory label (default "PR 10")
-#   BENCH_TRAJECTORY  trajectory artifact path (default BENCH_10.json)
+#   BENCH_LABEL       trajectory label (default: the short git SHA, "+dirty" when
+#                     the tree has uncommitted changes)
+#   BENCH_TRAJECTORY  append-only NDJSON trajectory (default benchmarks/trajectory.ndjson)
 #   BENCHGATE_FLAGS   extra flags passed to benchgate (e.g. "-tol-ns 50")
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -24,8 +25,13 @@ LATEST=$BENCH_DIR/latest.txt
 BASELINE=$BENCH_DIR/baseline.json
 BENCH_TIME=${BENCH_TIME:-30x}
 BENCH_COUNT=${BENCH_COUNT:-10}
-BENCH_LABEL=${BENCH_LABEL:-"PR 10"}
-BENCH_TRAJECTORY=${BENCH_TRAJECTORY:-BENCH_10.json}
+if [ -z "${BENCH_LABEL:-}" ]; then
+  BENCH_LABEL=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
+  if [ -n "$(git status --porcelain 2>/dev/null)" ]; then
+    BENCH_LABEL+=+dirty
+  fi
+fi
+BENCH_TRAJECTORY=${BENCH_TRAJECTORY:-$BENCH_DIR/trajectory.ndjson}
 BENCHGATE_FLAGS=${BENCHGATE_FLAGS:-}
 
 run_bench() {
