@@ -612,12 +612,17 @@ func checkDESStatic(in *genscen.Instance, opt Options, flag func(string, string,
 // is the 1-worker run's canonical digest, folded into the scenario
 // digest so online-simulator drift fails the golden gate too; the
 // second return is that run's delta-rescheduling telemetry.
+//
+// Every arrival of that run gets processors at once, so its queue
+// integral and waits are all zero. A second run of the same spec with
+// at most onlineCap residents queues jobs, and its sample path is
+// checked too; it stays out of the digest.
 func checkDESOnline(in *genscen.Instance, opt Options, span float64, flag func(string, string, ...any)) (string, des.ReplanStats, error) {
 	sp, err := in.OnlineSpec("portfolio", span)
 	if err != nil {
 		return "", des.ReplanStats{}, err
 	}
-	run := func(workers int) (*des.Result, error) {
+	run := func(sp *des.Spec, workers int) (*des.Result, error) {
 		sc, err := sp.Build(workers)
 		if err != nil {
 			return nil, err
@@ -625,16 +630,23 @@ func checkDESOnline(in *genscen.Instance, opt Options, span float64, flag func(s
 		sc.Metrics = des.NewMetrics(opt.Metrics)
 		return des.Simulate(sc)
 	}
-	r1, err := run(1)
+	r1, err := run(sp, 1)
 	if err != nil {
 		return "", des.ReplanStats{}, fmt.Errorf("des-online workers=1: %w", err)
 	}
 	checkSamplePath(r1, in.Platform, "", flag)
+	capped := *sp
+	capped.MaxResident = onlineCap
+	rc, err := run(&capped, 1)
+	if err != nil {
+		return "", des.ReplanStats{}, fmt.Errorf("des-online cap %d: %w", onlineCap, err)
+	}
+	checkSamplePath(rc, in.Platform, fmt.Sprintf("cap %d: ", onlineCap), flag)
 	d1 := onlineDigest(r1)
 	if opt.Workers <= 1 {
 		return d1, r1.Replan, nil
 	}
-	rp, err := run(opt.Workers)
+	rp, err := run(sp, opt.Workers)
 	if err != nil {
 		return "", des.ReplanStats{}, fmt.Errorf("des-online workers=%d: %w", opt.Workers, err)
 	}
@@ -644,13 +656,15 @@ func checkDESOnline(in *genscen.Instance, opt Options, span float64, flag func(s
 	return d1, r1.Replan, nil
 }
 
-// queueTol is the relative tolerance of the queue-time identity: the
-// integral and the wait sum add the same intervals in different orders.
+// queueTol is the relative tolerance of the queue-time and response
+// identities: each side adds the same intervals in a different order.
 // budgetTol mirrors the des engine's slack on the processor and cache
-// budgets of an allocation, which the time integrals inherit.
+// budgets of an allocation, which the time integrals inherit. onlineCap
+// is the residency cap of the des-online arm's queueing run.
 const (
 	queueTol  = 1e-12
 	budgetTol = 1e-6
+	onlineCap = 2
 )
 
 // checkSamplePath checks the accounting of one online run on its own
@@ -668,10 +682,15 @@ const (
 //     gap here is an accounting error.
 //   - ProcessorTime ≤ p·Makespan and CacheTime ≤ Makespan, up to the
 //     engine's budget slack.
+//   - Every job's Response equals Wait + (Finish − Start), to queueTol
+//     relative to its Finish.
 func checkSamplePath(r *des.Result, pl model.Platform, prefix string, flag func(string, string, ...any)) {
 	var wait solve.Kahan
 	for _, j := range r.Jobs {
 		wait.Add(j.Wait)
+		if d := math.Abs(j.Response - (j.Wait + (j.Finish - j.Start))); !(d <= queueTol*j.Finish) {
+			flag("sample-path", "%sjob %d response %v != wait %v + service %v", prefix, j.Job, j.Response, j.Wait, j.Finish-j.Start)
+		}
 	}
 	if d := math.Abs(r.QueueTime - wait.Sum()); d > queueTol*math.Max(r.QueueTime, wait.Sum()) {
 		flag("sample-path", "%squeue time %v != summed wait %v", prefix, r.QueueTime, wait.Sum())

@@ -21,6 +21,12 @@
 // engine) already bit-deterministic — so a fixed seed yields an
 // identical event log across runs and worker counts.
 //
+// The engine is a Node, fed one arrival at a time. Every online run
+// drives Nodes through one arrival intake, EachArrival, which pulls the
+// arrival process, validates it and applies the Duration window:
+// Simulate drives one Node with it, and internal/fleet routes each
+// arrival to one of many.
+//
 // The degenerate scenario (every job at t = 0, a no-repartition policy)
 // reproduces internal/sim's static execution bit-for-bit; the property
 // tests rely on this cross-check. See cmd/dessim for the CLI surface.
@@ -57,11 +63,10 @@ type Scenario struct {
 	// Policy decides the allocation of the resident set at every
 	// arrival and completion.
 	Policy Policy
-	// Duration, when > 0, cuts off the arrival stream. The admission
-	// window is the half-open interval [0, Duration): an arrival at
-	// exactly t == Duration is discarded (counted in Result.Truncated),
-	// regardless of which arrival process produced it. Already-admitted
-	// jobs always run to completion.
+	// Duration, when > 0, cuts off the arrival stream: the intake
+	// (EachArrival) admits the half-open window [0, Duration) and
+	// counts the rest in Result.Truncated. Already-admitted jobs always
+	// run to completion.
 	Duration float64
 	// MaxResident, when > 0, bounds how many jobs share the node at
 	// once; excess arrivals wait in a FIFO queue.
@@ -168,7 +173,8 @@ type jobState struct {
 	done    bool
 }
 
-// engine is the mutable state of one Simulate call.
+// engine is the event loop of one Node: its jobs, pending events and
+// the Result it accumulates.
 //
 // Arrival events are processed in job-id order (they are queued in
 // arrival order and the heap breaks time ties by push order), the FIFO
@@ -179,7 +185,7 @@ type jobState struct {
 // followed by the arrivals queued in the heap but not yet processed
 // [arrived, len(jobs)).
 type engine struct {
-	sc          Scenario
+	cfg         NodeConfig
 	pq          eventQueue
 	jobs        []jobState
 	residents   []int // job ids currently on the node, ascending
@@ -189,8 +195,7 @@ type engine struct {
 	gen         uint64 // current completion-event generation
 	res         *Result
 	queueLen    int     // current queue length (FIFO + zero-alloc residents)
-	lastArrival float64 // last time pulled from the process, for monotonicity
-	exhausted   bool
+	lastArrival float64 // last injected arrival time, for monotonicity
 
 	// Recycled per-event scratch: the current event batch, the policy's
 	// resident view, and the re-plan's stuck list. All are rebuilt from
@@ -210,117 +215,106 @@ func Simulate(sc Scenario) (*Result, error) {
 	return SimulateContext(context.Background(), sc)
 }
 
-// ctxCheckEvery is how many event-loop iterations pass between context
-// polls in SimulateContext. Every iteration already costs at least one
-// policy invocation or heap operation, so 8 keeps the poll overhead
-// unmeasurable while bounding the cancellation latency to a handful of
-// events.
+// ctxCheckEvery is how many arrivals EachArrival pulls, and how many
+// events Node.Finish processes, between context polls. Every arrival or
+// event already costs at least one policy invocation or heap
+// operation, so 8 keeps the poll overhead unmeasurable while bounding
+// the cancellation latency to a handful of events.
 const ctxCheckEvery = 8
 
-// SimulateContext is Simulate under a context. The event loop polls ctx
-// every ctxCheckEvery events and abandons the run with ctx.Err() once
-// it is cancelled; the partially-advanced simulation state is simply
-// dropped (the engine is per-call, so no pooled state can leak), and a
-// subsequent call with a live context is bit-identical to an
-// uncancelled run.
+// SimulateContext is Simulate under a context: a Node driven by the
+// arrival intake. EachArrival hands it every admitted arrival, which it
+// advances the node to and injects, and Node.Finish drains the node.
+// Both poll ctx and abandon the run with ctx.Err() once it is
+// cancelled; the partially-advanced node is simply dropped (it is
+// per-call, so no pooled state can leak), and a subsequent call with a
+// live context is bit-identical to an uncancelled run.
 func SimulateContext(ctx context.Context, sc Scenario) (*Result, error) {
-	if err := sc.Platform.Validate(); err != nil {
+	n, err := NewNode(NodeConfig{Platform: sc.Platform, Policy: sc.Policy, MaxResident: sc.MaxResident, Metrics: sc.Metrics})
+	if err != nil {
 		return nil, err
 	}
-	if sc.Arrivals == nil {
-		return nil, fmt.Errorf("des: scenario needs an arrival process")
-	}
-	if sc.Policy == nil {
-		return nil, fmt.Errorf("des: scenario needs an online policy")
-	}
-	if math.IsNaN(sc.Duration) || math.IsInf(sc.Duration, 0) || sc.Duration < 0 {
-		return nil, fmt.Errorf("des: duration must be finite and >= 0, got %v", sc.Duration)
-	}
-	if sc.MaxResident < 0 {
-		return nil, fmt.Errorf("des: max resident must be >= 0, got %d", sc.MaxResident)
-	}
-	e := &engine{sc: sc, res: &Result{}}
-	if err := e.pullArrival(); err != nil {
+	truncated, err := EachArrival(ctx, sc.Arrivals, sc.Duration, func(a Arrival) error {
+		if err := n.AdvanceBefore(a.Time); err != nil {
+			return err
+		}
+		return n.Inject(a)
+	})
+	if err != nil {
 		return nil, err
 	}
-	if e.pq.Len() == 0 {
-		return nil, fmt.Errorf("des: arrival process produced no arrivals within the duration")
+	res, err := n.Finish(ctx)
+	if err != nil {
+		return nil, err
 	}
-	for steps := 0; e.pq.Len() > 0; steps++ {
-		if steps%ctxCheckEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		if err := e.step(); err != nil {
-			return nil, err
-		}
-	}
-	for id := range e.jobs {
-		if !e.jobs[id].done {
-			return nil, fmt.Errorf("des: deadlock: job %d (%s) can never finish (zero allocation with no pending events)", id, e.jobs[id].app.Name)
-		}
-	}
-	e.finalize()
-	if tp, ok := sc.Policy.(ReplanReporter); ok {
-		e.res.Replan = tp.ReplanStats()
-	}
-	if m := sc.Metrics; m != nil {
-		m.simulations.Inc()
-		m.jobs.Add(uint64(len(e.res.Jobs)))
-		m.observeReplan(e.res.Replan)
-	}
-	return e.res, nil
+	res.Truncated = truncated
+	return res, nil
 }
 
 // ReplanReporter is implemented by policies that expose
-// delta-rescheduling telemetry (HeuristicPolicy, PortfolioPolicy). The
-// engine type-asserts the scenario's policy against it after a run and
-// copies the stats into Result.Replan; policies without a fast path
+// delta-rescheduling telemetry (HeuristicPolicy, PortfolioPolicy).
+// Node.Finish type-asserts the node's policy against it and copies the
+// stats into Result.Replan; policies without a fast path
 // (NoRepartition, custom policies) simply leave Replan zero.
 type ReplanReporter interface {
 	ReplanStats() ReplanStats
 }
 
-// pullArrival fetches the next arrival from the process (unless
-// exhausted or beyond the Duration cutoff), registers the job and
-// queues its arrival event. A process that violates its contract —
-// non-finite times, invalid applications, or times going backwards —
-// fails the run with an error; the built-in constructors validate
-// their streams, so this only fires for misbehaving custom processes.
-func (e *engine) pullArrival() error {
-	if e.exhausted {
-		return nil
+// EachArrival is the arrival intake of every online run, single-node
+// and fleet alike. It pulls proc to exhaustion and calls f, in stream
+// order, with each arrival in the half-open window [0, duration)
+// (duration 0 admits the whole stream), and returns how many arrivals
+// the window discarded, draining the stream past the window to count
+// them all. It fails on an arrival that is invalid or goes backwards
+// (the built-in constructors validate their streams, so only a
+// misbehaving custom process trips this), on a stream that admits
+// nothing, and on an error from f. ctx is polled every ctxCheckEvery
+// arrivals and its error returned unwrapped.
+func EachArrival(ctx context.Context, proc ArrivalProcess, duration float64, f func(Arrival) error) (truncated int, err error) {
+	if proc == nil {
+		return 0, fmt.Errorf("des: scenario needs an arrival process")
 	}
-	for {
-		a, ok := e.sc.Arrivals.Next()
+	if math.IsNaN(duration) || math.IsInf(duration, 0) || duration < 0 {
+		return 0, fmt.Errorf("des: duration must be finite and >= 0, got %v", duration)
+	}
+	admitted, last := 0, 0.0
+	for pulled := 0; ; pulled++ {
+		if pulled%ctxCheckEvery == 0 {
+			if err := ctx.Err(); err != nil {
+				return 0, err
+			}
+		}
+		a, ok := proc.Next()
 		if !ok {
-			e.exhausted = true
-			return nil
+			break
 		}
 		if err := validateArrival(a); err != nil {
-			return fmt.Errorf("des: arrival process %s emitted an invalid arrival: %w", e.sc.Arrivals.Name(), err)
+			return 0, fmt.Errorf("des: arrival process %s emitted an invalid arrival: %w", proc.Name(), err)
 		}
-		if a.Time < e.lastArrival {
-			return fmt.Errorf("des: arrival process %s went backwards: t=%g after t=%g", e.sc.Arrivals.Name(), a.Time, e.lastArrival)
+		if a.Time < last {
+			return 0, fmt.Errorf("des: arrival process %s went backwards: t=%g after t=%g", proc.Name(), a.Time, last)
 		}
-		e.lastArrival = a.Time
-		// Half-open admission window [0, Duration): the boundary arrival
-		// is truncated, for every arrival process alike.
-		if e.sc.Duration > 0 && a.Time >= e.sc.Duration {
-			e.res.Truncated++
-			continue // keep draining to count every truncated arrival
+		last = a.Time
+		if duration > 0 && a.Time >= duration {
+			truncated++
+			continue
 		}
-		e.addJob(a)
-		return nil
+		if err := f(a); err != nil {
+			return 0, err
+		}
+		admitted++
 	}
+	if admitted == 0 {
+		return 0, fmt.Errorf("des: arrival process produced no arrivals within the duration")
+	}
+	return truncated, nil
 }
 
 // addJob records a validated arrival as a new job and queues its
 // arrival event. The job's model constants on the platform are
 // computed here, once, for every later Exe evaluation to read.
 func (e *engine) addJob(a Arrival) {
-	pl := e.sc.Platform
+	pl := e.cfg.Platform
 	d := a.App.D(pl)
 	e.jobs = append(e.jobs, jobState{
 		app: a.App, d: d, dedicated: a.App.ExeD(pl, d, pl.Processors, 1),
@@ -343,22 +337,16 @@ func validateArrival(a Arrival) error {
 // re-plan) are discarded without touching the clock, so they never
 // perturb the progress arithmetic.
 func (e *engine) step() error {
-	batch := e.batch[:0]
-	var t float64
-	for e.pq.Len() > 0 {
-		ev := e.pq.pop()
-		if e.stale(ev) {
-			continue
-		}
-		batch = append(batch, ev)
-		t = ev.time
-		break
-	}
-	if len(batch) == 0 {
-		e.batch = batch
+	t, ok := e.nextEventTime()
+	if !ok {
 		return nil
 	}
-	batch = e.absorbAt(t, batch)
+	batch := e.batch[:0]
+	for e.pq.Len() > 0 && e.pq.peekTime() == t {
+		if ev := e.pq.pop(); !e.stale(ev) {
+			batch = append(batch, ev)
+		}
+	}
 
 	// Advance progress to t with the same arithmetic as internal/sim:
 	// frac += dt/exe per running job, finishing every job that reaches
@@ -366,23 +354,16 @@ func (e *engine) step() error {
 	changed := e.advance(t)
 
 	// Completions freed residency slots; admit FIFO waiters, then
-	// process this batch's arrivals. Pulling an arrival may reveal
-	// another one at the same instant (e.g. a size-k batch process):
-	// absorb those into the current batch so simultaneous arrivals see
-	// exactly one policy invocation, like internal/sim's single t=0
-	// allocation.
+	// process this batch's arrivals. The batch holds every arrival at
+	// t: a driver advances a node strictly before an arrival instant
+	// (AdvanceBefore) and then injects it, so simultaneous arrivals
+	// (e.g. a size-k batch process) see exactly one policy invocation,
+	// like internal/sim's single t=0 allocation.
 	changed = e.admitQueued() || changed
-	for i := 0; i < len(batch); i++ {
-		if batch[i].kind != qArrival {
-			continue
-		}
-		if e.admitOrQueue(batch[i].job) {
+	for _, ev := range batch {
+		if ev.kind == qArrival && e.admitOrQueue(ev.job) {
 			changed = true
 		}
-		if err := e.pullArrival(); err != nil {
-			return err
-		}
-		batch = e.absorbAt(t, batch)
 	}
 
 	// Delta-rescheduling short-circuit: a step that neither finished nor
@@ -451,18 +432,6 @@ func (e *engine) stale(ev qEvent) bool {
 	return ev.kind == qCompletion && ev.gen != e.gen
 }
 
-// absorbAt appends every still-valid event scheduled at exactly t to
-// the batch.
-func (e *engine) absorbAt(t float64, batch []qEvent) []qEvent {
-	for e.pq.Len() > 0 && e.pq.peekTime() == t {
-		ev := e.pq.pop()
-		if !e.stale(ev) {
-			batch = append(batch, ev)
-		}
-	}
-	return batch
-}
-
 // advance moves every resident job forward from e.now to t, crediting
 // progress and finishing jobs that reach the completion tolerance.
 // Returns whether any job finished.
@@ -519,7 +488,7 @@ func (e *engine) pruneResidents() {
 // step, and the resident set does not shrink within a batch.
 func (e *engine) admitOrQueue(id int) bool {
 	e.arrived++
-	if e.sc.MaxResident > 0 && len(e.residents) >= e.sc.MaxResident {
+	if e.cfg.MaxResident > 0 && len(e.residents) >= e.cfg.MaxResident {
 		e.log(EventArrival, id)
 		return false
 	}
@@ -533,7 +502,7 @@ func (e *engine) admitOrQueue(id int) bool {
 // first. Returns whether anything was admitted.
 func (e *engine) admitQueued() bool {
 	admitted := false
-	for e.fifo < e.arrived && (e.sc.MaxResident == 0 || len(e.residents) < e.sc.MaxResident) {
+	for e.fifo < e.arrived && (e.cfg.MaxResident == 0 || len(e.residents) < e.cfg.MaxResident) {
 		e.residents = append(e.residents, e.fifo)
 		e.fifo++
 		admitted = true
@@ -563,26 +532,26 @@ func (e *engine) repartition() error {
 			Started:   st.started,
 		}
 	}
-	m := e.sc.Metrics
+	m := e.cfg.Metrics
 	var allocStart time.Time
 	if m != nil {
 		allocStart = time.Now()
 	}
-	asg, err := e.sc.Policy.Allocate(e.sc.Platform, view)
+	asg, err := e.cfg.Policy.Allocate(e.cfg.Platform, view)
 	if m != nil {
 		m.allocSeconds.Observe(time.Since(allocStart).Seconds())
-		m.Tracer.Span("allocate", e.sc.Policy.Name(), e.now, -1, allocStart)
+		m.Tracer.Span("allocate", e.cfg.Policy.Name(), e.now, -1, allocStart)
 	}
 	if err != nil {
-		return fmt.Errorf("des: policy %s at t=%g: %w", e.sc.Policy.Name(), e.now, err)
+		return fmt.Errorf("des: policy %s at t=%g: %w", e.cfg.Policy.Name(), e.now, err)
 	}
 	if len(asg) != len(view) {
-		return fmt.Errorf("des: policy %s returned %d assignments for %d resident jobs", e.sc.Policy.Name(), len(asg), len(view))
+		return fmt.Errorf("des: policy %s returned %d assignments for %d resident jobs", e.cfg.Policy.Name(), len(asg), len(view))
 	}
 	var sumP, sumX solve.Kahan
 	for i, a := range asg {
 		if a.Processors < 0 || math.IsNaN(a.Processors) || math.IsInf(a.Processors, 0) {
-			return fmt.Errorf("des: policy %s assigned invalid processors %v to job %d", e.sc.Policy.Name(), a.Processors, view[i].Job)
+			return fmt.Errorf("des: policy %s assigned invalid processors %v to job %d", e.cfg.Policy.Name(), a.Processors, view[i].Job)
 		}
 		// The share bound gets the same budgetTol slack as the sum
 		// checks below: heuristic share arithmetic (normalization,
@@ -590,16 +559,16 @@ func (e *engine) repartition() error {
 		// while tolerating the same slack on the budget would make the
 		// engine stricter than the schedules it replays.
 		if a.CacheShare < 0 || a.CacheShare > 1+budgetTol || math.IsNaN(a.CacheShare) {
-			return fmt.Errorf("des: policy %s assigned invalid cache share %v to job %d", e.sc.Policy.Name(), a.CacheShare, view[i].Job)
+			return fmt.Errorf("des: policy %s assigned invalid cache share %v to job %d", e.cfg.Policy.Name(), a.CacheShare, view[i].Job)
 		}
 		sumP.Add(a.Processors)
 		sumX.Add(a.CacheShare)
 	}
-	if sumP.Sum() > e.sc.Platform.Processors*(1+budgetTol) {
-		return fmt.Errorf("des: policy %s exceeded the processor budget: %v > %v", e.sc.Policy.Name(), sumP.Sum(), e.sc.Platform.Processors)
+	if sumP.Sum() > e.cfg.Platform.Processors*(1+budgetTol) {
+		return fmt.Errorf("des: policy %s exceeded the processor budget: %v > %v", e.cfg.Policy.Name(), sumP.Sum(), e.cfg.Platform.Processors)
 	}
 	if sumX.Sum() > 1+budgetTol {
-		return fmt.Errorf("des: policy %s exceeded the cache budget: %v > 1", e.sc.Policy.Name(), sumX.Sum())
+		return fmt.Errorf("des: policy %s exceeded the cache budget: %v > 1", e.cfg.Policy.Name(), sumX.Sum())
 	}
 	applied := false
 	for i, id := range e.residents {
@@ -607,7 +576,7 @@ func (e *engine) repartition() error {
 		if st.procs != asg[i].Processors || st.cache != asg[i].CacheShare {
 			applied = true
 			st.procs, st.cache = asg[i].Processors, asg[i].CacheShare
-			st.exe = st.app.ExeD(e.sc.Platform, st.d, st.procs, st.cache)
+			st.exe = st.app.ExeD(e.cfg.Platform, st.d, st.procs, st.cache)
 		}
 		if !st.started && st.procs > 0 {
 			st.started = true
@@ -705,7 +674,7 @@ func (e *engine) log(kind EventKind, job int) {
 		ev.Name = e.jobs[job].app.Name
 	}
 	e.res.Events = append(e.res.Events, ev)
-	if m := e.sc.Metrics; m != nil {
+	if m := e.cfg.Metrics; m != nil {
 		m.events[kind].Inc()
 		m.residentJobs.Set(int64(running))
 		m.queueDepth.Set(int64(ev.Queued))
@@ -738,7 +707,7 @@ func (e *engine) finalize() {
 		if st.finish > e.res.Makespan {
 			e.res.Makespan = st.finish
 		}
-		if om := e.sc.Metrics; om != nil {
+		if om := e.cfg.Metrics; om != nil {
 			om.waitHist.Observe(m.Wait)
 			om.stretchHist.Observe(m.Stretch)
 		}

@@ -173,7 +173,7 @@ func (sp *Spec) Validate() error {
 	if sp.MaxResident < 0 {
 		return fmt.Errorf("des: maxResident must be >= 0, got %d", sp.MaxResident)
 	}
-	return sp.Arrivals.validate()
+	return sp.Arrivals.Validate()
 }
 
 func (sp *Spec) platform() model.Platform {
@@ -186,9 +186,7 @@ func (sp *Spec) platform() model.Platform {
 // Validate checks the arrival spec alone — the same field-level checks
 // Spec.Validate applies — for scenario formats that embed an
 // ArrivalSpec without the rest of the single-node spec.
-func (as *ArrivalSpec) Validate() error { return as.validate() }
-
-func (as *ArrivalSpec) validate() error {
+func (as *ArrivalSpec) Validate() error {
 	checkN := func() error {
 		if as.N <= 0 || as.N > maxSpecArrivals {
 			return fmt.Errorf("des: arrivals.n must be in [1, %d], got %d", maxSpecArrivals, as.N)
@@ -272,9 +270,8 @@ func (as *ArrivalSpec) validate() error {
 }
 
 // Build turns the validated spec into a runnable Scenario: constructs
-// the platform, the job factory over the template apps, the arrival
-// process (seeded from Seed) and the policy (portfolio pool bounded by
-// workers).
+// the platform, the arrival stream (see ArrivalSpec.Stream) and the
+// policy (portfolio pool bounded by workers).
 func (sp *Spec) Build(workers int) (Scenario, error) {
 	return sp.BuildWith(nil, workers)
 }
@@ -288,20 +285,7 @@ func (sp *Spec) BuildWith(engine *portfolio.Engine, workers int) (Scenario, erro
 	if err := sp.Validate(); err != nil {
 		return Scenario{}, err
 	}
-	pl := sp.platform()
-	tpl := make([]model.Application, len(sp.Apps))
-	for i, a := range sp.Apps {
-		tpl[i] = a.Application()
-	}
-	if len(tpl) == 0 {
-		tpl = workload.NPB()
-	}
-	factory, err := CycleApps(tpl)
-	if err != nil {
-		return Scenario{}, err
-	}
-	rng := solve.NewRNG(sp.Seed)
-	proc, err := sp.Arrivals.build(factory, rng)
+	proc, err := sp.Arrivals.Stream(sp.Apps, sp.Seed)
 	if err != nil {
 		return Scenario{}, err
 	}
@@ -314,7 +298,7 @@ func (sp *Spec) BuildWith(engine *portfolio.Engine, workers int) (Scenario, erro
 		return Scenario{}, err
 	}
 	return Scenario{
-		Platform:    pl,
+		Platform:    sp.platform(),
 		Arrivals:    proc,
 		Policy:      pol,
 		Duration:    sp.Duration,
@@ -322,20 +306,24 @@ func (sp *Spec) BuildWith(engine *portfolio.Engine, workers int) (Scenario, erro
 	}, nil
 }
 
-// BuildProcess validates the spec and constructs its arrival process
-// over the given factory and RNG — the same construction Build performs
-// for a full Spec, exposed for composite scenario formats (the fleet
-// spec) that own their platform/policy wiring but reuse this package's
-// arrival processes.
-func (as *ArrivalSpec) BuildProcess(factory JobFactory, rng *solve.RNG) (ArrivalProcess, error) {
-	if err := as.validate(); err != nil {
+// Stream builds the arrival process of a scenario spec, single-node or
+// fleet: jobs are stamped from the template apps in arrival order
+// (CycleApps; the paper's NPB set when apps is empty), and the
+// process's randomness is seeded from seed. The spec is expected to
+// have passed Validate.
+func (as *ArrivalSpec) Stream(apps []AppSpec, seed uint64) (ArrivalProcess, error) {
+	tpl := make([]model.Application, len(apps))
+	for i, a := range apps {
+		tpl[i] = a.Application()
+	}
+	if len(tpl) == 0 {
+		tpl = workload.NPB()
+	}
+	factory, err := CycleApps(tpl)
+	if err != nil {
 		return nil, err
 	}
-	return as.build(factory, rng)
-}
-
-// build constructs the configured arrival process.
-func (as *ArrivalSpec) build(factory JobFactory, rng *solve.RNG) (ArrivalProcess, error) {
+	rng := solve.NewRNG(seed)
 	switch as.Process {
 	case "poisson":
 		return NewPoisson(as.Rate, as.N, factory, rng)
@@ -414,7 +402,7 @@ func ParseArrivalSpec(s string) (ArrivalSpec, error) {
 			}
 		}
 	}
-	if err := as.validate(); err != nil {
+	if err := as.Validate(); err != nil {
 		return as, err
 	}
 	return as, nil

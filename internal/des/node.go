@@ -25,15 +25,14 @@ type NodeConfig struct {
 	Metrics *Metrics
 }
 
-// Node is the simulation engine of one node opened up for external
-// driving: instead of consuming an ArrivalProcess it accepts arrivals
-// one at a time (Inject) interleaved with bounded time advancement
-// (AdvanceBefore), so a fleet-level router can decide each job's
-// destination from the nodes' live states. The event-loop arithmetic is
-// the package's Simulate loop verbatim — same batching, same progress
-// tolerances, same policy invocation discipline — so a single node fed
-// the same arrival stream reproduces Simulate bit-for-bit (pinned by
-// TestNodeMatchesSimulate and the conform fleet harness).
+// Node is the simulation engine of one node, driven from outside: it
+// accepts arrivals one at a time (Inject) interleaved with bounded time
+// advancement (AdvanceBefore), and Finish drains it into its Result.
+// Simulate is a Node driven by the arrival intake (EachArrival): it
+// advances the node to each admitted arrival and injects it. A
+// fleet-level router drives one Node per fleet node through the same
+// intake, deciding each job's destination from the nodes' live states
+// between the advance and the injection.
 type Node struct {
 	e        *engine
 	finished bool
@@ -50,20 +49,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	if cfg.MaxResident < 0 {
 		return nil, fmt.Errorf("des: max resident must be >= 0, got %d", cfg.MaxResident)
 	}
-	// The engine never pulls from an arrival process: exhausted is set
-	// from the start, so every pullArrival inside step() is a no-op and
-	// the nil Arrivals field is never dereferenced.
-	e := &engine{
-		sc: Scenario{
-			Platform:    cfg.Platform,
-			Policy:      cfg.Policy,
-			MaxResident: cfg.MaxResident,
-			Metrics:     cfg.Metrics,
-		},
-		res:       &Result{},
-		exhausted: true,
-	}
-	return &Node{e: e}, nil
+	return &Node{e: &engine{cfg: cfg, res: &Result{}}}, nil
 }
 
 // Inject registers one arrival. Arrival times must be non-decreasing
@@ -89,13 +75,17 @@ func (n *Node) Inject(a Arrival) error {
 }
 
 // AdvanceBefore processes every pending event strictly before t. The
-// strict bound is what preserves Simulate's same-instant batching: an
-// arrival injected at exactly t after the call still joins the event
-// batch at t (completions included) and sees one policy invocation,
-// exactly as absorbAt would have grouped them in a closed-loop run.
+// strict bound is what gives simultaneous arrivals one event batch: an
+// arrival injected at exactly t after the call joins the batch at t
+// (completions included) and sees one policy invocation. A NaN t is
+// rejected: no event time compares below it, so it would otherwise
+// drain the node.
 func (n *Node) AdvanceBefore(t float64) error {
 	if n.finished {
 		return fmt.Errorf("des: node already finished")
+	}
+	if math.IsNaN(t) {
+		return fmt.Errorf("des: advance time %v is not a number", t)
 	}
 	for {
 		t0, ok := n.e.nextEventTime()
@@ -108,10 +98,12 @@ func (n *Node) AdvanceBefore(t float64) error {
 	}
 }
 
-// Finish drains every remaining event and returns the node's Result,
-// with the same deadlock detection, per-job metrics and telemetry as
-// Simulate. A node that never received a job returns an empty result.
-// The node cannot be used afterwards.
+// Finish drains every remaining event and returns the node's Result:
+// per-job metrics and their summaries, and the policy's replan
+// telemetry. It fails on a deadlock (a job that can never finish
+// because no pending event would grant it processors) and polls ctx
+// every ctxCheckEvery events. A node that never received a job returns
+// an empty result. The node cannot be used afterwards.
 func (n *Node) Finish(ctx context.Context) (*Result, error) {
 	if n.finished {
 		return nil, fmt.Errorf("des: node already finished")
@@ -132,10 +124,10 @@ func (n *Node) Finish(ctx context.Context) (*Result, error) {
 		}
 	}
 	n.e.finalize()
-	if tp, ok := n.e.sc.Policy.(ReplanReporter); ok {
+	if tp, ok := n.e.cfg.Policy.(ReplanReporter); ok {
 		n.e.res.Replan = tp.ReplanStats()
 	}
-	if m := n.e.sc.Metrics; m != nil {
+	if m := n.e.cfg.Metrics; m != nil {
 		m.simulations.Inc()
 		m.jobs.Add(uint64(len(n.e.res.Jobs)))
 		m.observeReplan(n.e.res.Replan)

@@ -4,103 +4,11 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"reflect"
 	"testing"
 
 	"repro/internal/model"
 	"repro/internal/solve"
 )
-
-// driveNode replays an arrival stream through a Node the way the fleet
-// router does — advance to each arrival instant, inject, drain at the
-// end — and returns the result.
-func driveNode(t *testing.T, cfg NodeConfig, proc ArrivalProcess) *Result {
-	t.Helper()
-	n, err := NewNode(cfg)
-	if err != nil {
-		t.Fatalf("NewNode: %v", err)
-	}
-	for {
-		a, ok := proc.Next()
-		if !ok {
-			break
-		}
-		if err := n.AdvanceBefore(a.Time); err != nil {
-			t.Fatalf("AdvanceBefore(%g): %v", a.Time, err)
-		}
-		if err := n.Inject(a); err != nil {
-			t.Fatalf("Inject(t=%g): %v", a.Time, err)
-		}
-	}
-	res, err := n.Finish(context.Background())
-	if err != nil {
-		t.Fatalf("Finish: %v", err)
-	}
-	return res
-}
-
-// TestNodeMatchesSimulate is the node layer's defining property: a
-// single Node fed an arrival stream one arrival at a time — the fleet
-// driving pattern — produces a Result bit-identical to Simulate
-// consuming the same stream in its closed loop, for every policy kind
-// and for arrival processes with simultaneous arrivals (whose
-// same-instant batching is the delicate part of the equivalence).
-func TestNodeMatchesSimulate(t *testing.T) {
-	pl := model.TaihuLight()
-	apps := testApps(t, 5)
-	factory, err := CycleApps(apps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	procs := map[string]func() ArrivalProcess{
-		"poisson": func() ArrivalProcess {
-			p, err := NewPoisson(2e-9, 24, factory, solve.NewRNG(11))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return p
-		},
-		"batch": func() ArrivalProcess {
-			// Simultaneous arrivals every interval: exercises the
-			// same-instant event batching across the Inject boundary.
-			p, err := NewBatch(4e8, 3, 12, factory)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return p
-		},
-		"gamma": func() ArrivalProcess {
-			p, err := NewGammaBursts(2, 3e8, 4, 16, factory, solve.NewRNG(5))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return p
-		},
-	}
-	for _, spec := range []string{"DominantMinRatio", "portfolio", "norepartition"} {
-		for name, mk := range procs {
-			mkPolicy := func() Policy {
-				pol, err := ParsePolicy(spec, 2, 42)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return pol
-			}
-			want, err := Simulate(Scenario{
-				Platform: pl, Arrivals: mk(), Policy: mkPolicy(), MaxResident: 3,
-			})
-			if err != nil {
-				t.Fatalf("%s/%s: Simulate: %v", spec, name, err)
-			}
-			got := driveNode(t, NodeConfig{Platform: pl, Policy: mkPolicy(), MaxResident: 3}, mk())
-			if !reflect.DeepEqual(want, got) {
-				t.Errorf("%s/%s: node-driven result differs from Simulate\nsim:  makespan=%v events=%d reparts=%d\nnode: makespan=%v events=%d reparts=%d",
-					spec, name, want.Makespan, len(want.Events), want.Repartitions,
-					got.Makespan, len(got.Events), got.Repartitions)
-			}
-		}
-	}
-}
 
 // TestNodeAccessors sanity-checks the router-facing state queries.
 func TestNodeAccessors(t *testing.T) {
@@ -180,6 +88,14 @@ func TestNodeValidation(t *testing.T) {
 	}
 	if err := n.Inject(Arrival{Time: 5, App: app}); err != nil {
 		t.Fatal(err)
+	}
+	// No event time compares below NaN: advancing to it must fail, not
+	// run every pending event.
+	if err := n.AdvanceBefore(math.NaN()); err == nil {
+		t.Error("AdvanceBefore accepted a NaN time")
+	}
+	if got := n.JobsInSystem(); got != 1 || n.Now() != 0 {
+		t.Errorf("rejected AdvanceBefore(NaN) moved the node: %d jobs in system at t=%v, want 1 at 0", got, n.Now())
 	}
 	if err := n.Inject(Arrival{Time: 4, App: app}); err == nil {
 		t.Error("Inject accepted arrivals going backwards")

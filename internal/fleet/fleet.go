@@ -12,28 +12,33 @@
 // co-scheduling analog of prefix-affinity routing in inference
 // serving), power-of-two-choices and join-shortest-queue.
 //
+// The fleet is driven exactly like a single node: des.EachArrival, the
+// arrival intake des.Simulate uses too, pulls the stream, validates it
+// and applies the Duration window, and for every admitted arrival the
+// router advances each des.Node to the arrival instant, scores it and
+// injects the job into the one it picks.
+//
 // Determinism: the simulation is a pure function of the Scenario. Node
 // i's policy seed is derived from the fleet seed with the repository's
 // golden-ratio stride (NodePolicySeed), the router's stream is salted
 // and split off separately, arrivals are routed serially in stream
-// order, and the per-node event loops are internal/des verbatim —
-// bit-deterministic at any worker count. The nodes advance, score and
-// drain one after another in a plain loop: each step is microseconds of
-// work, too little to pay for a goroutine fork/join per node per
-// arrival. Routing an arrival is O(nodes + unfinished jobs): an idle
-// node advances with one heap peek, and des.Node's JobsInSystem is O(1)
-// while its BacklogAt and VisitUnfinished walk only unfinished jobs, so
-// the per-arrival cost does not grow with the length of the stream. A "portfolio" node policy races its heuristics serially on
-// the same goroutine too, so a fleet run has no parallelism of its own:
-// concurrent runs on one engine share its semaphore instead. The
-// conform fleet harness pins digests at 1 and 8 workers against a
-// committed golden corpus.
+// order, and every node is a des.Node — bit-deterministic at any worker
+// count. The nodes advance, score and drain one after another in a
+// plain loop: each step is microseconds of work, too little to pay for
+// a goroutine fork/join per node per arrival. Routing an arrival is
+// O(nodes + unfinished jobs): an idle node advances with one heap peek,
+// and des.Node's JobsInSystem is O(1) while its BacklogAt and
+// VisitUnfinished walk only unfinished jobs, so the per-arrival cost
+// does not grow with the length of the stream. A "portfolio" node
+// policy races its heuristics serially on the same goroutine too, so a
+// fleet run has no parallelism of its own: concurrent runs on one
+// engine share its semaphore instead. The conform fleet harness pins
+// digests at 1 and 8 workers against a committed golden corpus.
 package fleet
 
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"repro/internal/des"
 	"repro/internal/model"
@@ -66,11 +71,11 @@ type Scenario struct {
 	// Arrivals produces the fleet-wide job stream. The process is
 	// consumed by the run; build a fresh one per Simulate call.
 	Arrivals des.ArrivalProcess
-	// Duration, when > 0, cuts off the arrival stream: the admission
-	// window is [0, Duration), arrivals at or past the boundary are
-	// counted in Result.Truncated and never routed — the same half-open
-	// semantics as des.Scenario.Duration, enforced at the router so all
-	// nodes share one clock cutoff.
+	// Duration, when > 0, cuts off the arrival stream: the intake
+	// (des.EachArrival) admits the half-open window [0, Duration),
+	// exactly as for des.Scenario.Duration, and counts the rest in
+	// Result.Truncated without routing them, so all nodes share one
+	// clock cutoff.
 	Duration float64
 	// Seed drives every random draw: node policy substreams and the
 	// router's stream are both derived from it.
@@ -151,22 +156,12 @@ func Simulate(sc Scenario) (*Result, error) {
 	return SimulateContext(context.Background(), sc)
 }
 
-// ctxCheckEvery mirrors internal/des: the routing loop polls the
-// context every few arrivals (each iteration already advances node
-// event loops, which poll on their own during the final drain).
-const ctxCheckEvery = 8
-
 // SimulateContext is Simulate under a context; cancellation abandons
-// the run with ctx.Err() within a few arrivals.
+// the run with ctx.Err() within a few arrivals (see des.EachArrival)
+// or, during the final drain, a few events.
 func SimulateContext(ctx context.Context, sc Scenario) (*Result, error) {
 	if len(sc.Nodes) == 0 {
 		return nil, fmt.Errorf("fleet: scenario needs at least one node")
-	}
-	if sc.Arrivals == nil {
-		return nil, fmt.Errorf("fleet: scenario needs an arrival process")
-	}
-	if math.IsNaN(sc.Duration) || math.IsInf(sc.Duration, 0) || sc.Duration < 0 {
-		return nil, fmt.Errorf("fleet: duration must be finite and >= 0, got %v", sc.Duration)
 	}
 	router, err := ParseRouter(sc.Routing, routerSeed(sc.Seed))
 	if err != nil {
@@ -207,35 +202,11 @@ func SimulateContext(ctx context.Context, sc Scenario) (*Result, error) {
 
 	res := &Result{Routing: router.Name()}
 	states := make([]NodeState, len(nodes))
-	lastArrival := 0.0
-	for iter := 0; ; iter++ {
-		if iter%ctxCheckEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		a, ok := sc.Arrivals.Next()
-		if !ok {
-			break
-		}
-		if math.IsNaN(a.Time) || math.IsInf(a.Time, 0) || a.Time < 0 {
-			return nil, fmt.Errorf("fleet: arrival process %s emitted invalid time %v", sc.Arrivals.Name(), a.Time)
-		}
-		if err := a.App.Validate(); err != nil {
-			return nil, fmt.Errorf("fleet: arrival process %s emitted an invalid application: %w", sc.Arrivals.Name(), err)
-		}
-		if a.Time < lastArrival {
-			return nil, fmt.Errorf("fleet: arrival process %s went backwards: t=%g after t=%g", sc.Arrivals.Name(), a.Time, lastArrival)
-		}
-		lastArrival = a.Time
-		if sc.Duration > 0 && a.Time >= sc.Duration {
-			res.Truncated++
-			continue // keep draining to count every truncated arrival
-		}
+	res.Truncated, err = des.EachArrival(ctx, sc.Arrivals, sc.Duration, func(a des.Arrival) error {
 		// Advance every node to the arrival instant, then score them.
 		for i, n := range nodes {
 			if err := n.AdvanceBefore(a.Time); err != nil {
-				return nil, err
+				return err
 			}
 			states[i] = NodeState{
 				Index:    i,
@@ -246,16 +217,17 @@ func SimulateContext(ctx context.Context, sc Scenario) (*Result, error) {
 		}
 		pick := router.Pick(states, a)
 		if pick < 0 || pick >= len(nodes) {
-			return nil, fmt.Errorf("fleet: router %s picked node %d of %d", router.Name(), pick, len(nodes))
+			return fmt.Errorf("fleet: router %s picked node %d of %d", router.Name(), pick, len(nodes))
 		}
 		if err := nodes[pick].Inject(a); err != nil {
-			return nil, fmt.Errorf("fleet: node %s: %w", names[pick], err)
+			return fmt.Errorf("fleet: node %s: %w", names[pick], err)
 		}
 		res.Routes = append(res.Routes, Route{Job: res.Jobs, Time: a.Time, Node: pick})
 		res.Jobs++
-	}
-	if res.Jobs == 0 {
-		return nil, fmt.Errorf("fleet: arrival process produced no arrivals within the duration")
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// Drain every node and collect the per-node outcomes.

@@ -201,6 +201,9 @@ func TestValidation(t *testing.T) {
 	if _, err := Simulate(Scenario{Nodes: testNodes(1), Arrivals: testProc(t, 4, 1), Duration: math.Inf(1)}); err == nil {
 		t.Error("infinite duration accepted")
 	}
+	if _, err := Simulate(Scenario{Nodes: testNodes(1), Arrivals: testProc(t, 4, 1), Duration: 1}); err == nil {
+		t.Error("stream with no arrival inside the duration accepted")
+	}
 	if _, err := Simulate(Scenario{Nodes: testNodes(1), Arrivals: testProc(t, 4, 1), Routing: "bogus"}); err == nil {
 		t.Error("unknown routing policy accepted")
 	}
@@ -308,6 +311,45 @@ func TestCancellation(t *testing.T) {
 	})
 	if err != context.Canceled {
 		t.Errorf("cancelled run returned %v, want context.Canceled", err)
+	}
+}
+
+// brokenProcess emits a hand-written arrival sequence, bypassing the
+// validated constructors.
+type brokenProcess struct {
+	arrivals []des.Arrival
+	i        int
+}
+
+func (b *brokenProcess) Next() (des.Arrival, bool) {
+	if b.i >= len(b.arrivals) {
+		return des.Arrival{}, false
+	}
+	b.i++
+	return b.arrivals[b.i-1], true
+}
+
+func (b *brokenProcess) Name() string { return "broken" }
+
+// TestMisbehavingProcessErrors: a custom process that violates the
+// interface contract (backwards or non-finite times, invalid apps)
+// fails a fleet run with an error. In the backwards stream the second
+// arrival is routed to the idle node, whose own Inject checks accept
+// it, so only the intake's stream-wide order check can reject it.
+func TestMisbehavingProcessErrors(t *testing.T) {
+	app := workload.NPB()[0]
+	for name, arr := range map[string][]des.Arrival{
+		"backwards": {{Time: 5e9, App: app}, {Time: 1e9, App: app}},
+		"nan time":  {{Time: 0, App: app}, {Time: math.NaN(), App: app}},
+		"bad app":   {{Time: 0, App: app}, {Time: 1}},
+	} {
+		_, err := Simulate(Scenario{
+			Nodes: testNodes(2), Arrivals: &brokenProcess{arrivals: arr}, Seed: 1,
+			Engine: portfolio.New(portfolio.Config{Workers: 1}),
+		})
+		if err == nil {
+			t.Errorf("%s: misbehaving process accepted", name)
+		}
 	}
 }
 

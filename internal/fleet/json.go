@@ -9,8 +9,6 @@ import (
 	"repro/internal/des"
 	"repro/internal/model"
 	"repro/internal/portfolio"
-	"repro/internal/solve"
-	"repro/internal/workload"
 )
 
 // maxSpecNodes bounds fleet sizes accepted from untrusted input (the
@@ -124,18 +122,7 @@ func (sp *Spec) BuildWith(engine *portfolio.Engine, workers int) (Scenario, erro
 		}
 		nodes[i] = Node{Name: n.Name, Platform: pl, Policy: n.Policy, MaxResident: n.MaxResident}
 	}
-	tpl := make([]model.Application, len(sp.Apps))
-	for i, a := range sp.Apps {
-		tpl[i] = a.Application()
-	}
-	if len(tpl) == 0 {
-		tpl = workload.NPB()
-	}
-	factory, err := des.CycleApps(tpl)
-	if err != nil {
-		return Scenario{}, err
-	}
-	proc, err := sp.Arrivals.BuildProcess(factory, solve.NewRNG(sp.Seed))
+	proc, err := sp.Arrivals.Stream(sp.Apps, sp.Seed)
 	if err != nil {
 		return Scenario{}, err
 	}
