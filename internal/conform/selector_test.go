@@ -46,10 +46,7 @@ func TestSelectorModeGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := gold.Options()
-	opt.Workers = 8
-	opt.Selector = trainedLedger(t)
-	rep, err := Run(opt)
+	rep, err := Run(gold.Options(Options{Workers: 8, Selector: trainedLedger(t)}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +55,7 @@ func TestSelectorModeGolden(t *testing.T) {
 			t.Errorf("violation: %s seed %d [%s]: %s", v.Family, v.Seed, v.Check, v.Detail)
 		}
 	}
-	for _, diff := range gold.Compare(rep) {
+	for _, diff := range gold.Compare(rep.Golden()) {
 		t.Errorf("golden mismatch under selector: %s", diff)
 	}
 
