@@ -46,7 +46,8 @@
 // Without -scenario, -fleet simulates two identical TaihuLight nodes
 // over the NPB templates. -policy, -maxresident and -gantt are
 // single-node flags and are rejected with -fleet (use the spec's
-// per-node fields).
+// per-node fields). With -fleet, -selector backs the spec's
+// "portfolio:selector" nodes and fails when there are none.
 //
 // Observability: -json appends one "kind": "metrics" NDJSON line with
 // the full metrics snapshot; -metrics FILE writes the Prometheus text
@@ -216,6 +217,17 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) (err error) 
 		if *ledgerP != "" {
 			if sc.Ledger, err = selector.LoadFile(*ledgerP); err != nil {
 				return err
+			}
+			// The ledger reaches only nodes whose policy has a
+			// learned-selection mode; one it reaches nowhere is a misuse,
+			// as in single-node mode.
+			selecting := false
+			for _, n := range sc.Nodes {
+				pol, err := des.ParsePolicyShared(client.Engine(), n.Policy, 0, 0)
+				selecting = selecting || err == nil && des.ConfigureSelector(pol, sc.Ledger, selector.Thresholds{})
+			}
+			if !selecting {
+				return fmt.Errorf(`-selector: no fleet node has a learned-selection policy (set a node's "policy" to "portfolio:selector")`)
 			}
 		}
 		sc.Metrics = m

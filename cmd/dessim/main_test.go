@@ -307,3 +307,49 @@ func TestNodeLinesAreSimulateFleetNodes(t *testing.T) {
 		}
 	}
 }
+
+// TestSelectorFlag: -selector backs a learned-selection policy in both
+// modes and is rejected where no policy can consult it. An empty ledger
+// predicts nothing, so every selecting node falls back to the full race.
+func TestSelectorFlag(t *testing.T) {
+	ledger := filepath.Join(t.TempDir(), "ledger.json")
+	if err := os.WriteFile(ledger, []byte(`{"schema":"repro-ledger/v1","buckets":{}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	arrivals := "poisson:rate=4e-9,n=8"
+
+	// Single node: -selector implies portfolio:selector unless -policy
+	// names a policy without a learned-selection mode.
+	out, _ := runMain(t, "-selector", ledger, "-arrivals", arrivals, "-events=false")
+	if !strings.HasPrefix(out, `{"kind":"summary","policy":"portfolio:selector",`) {
+		t.Errorf("-selector ran %s, want the portfolio:selector policy", out)
+	}
+
+	// Fleet: the spec's node policies decide; a ledger no node consults
+	// is rejected.
+	spec := writeSpec(t, `{"nodes": [{}, {"policy": "portfolio:selector", "maxResident": 4}],
+		"arrivals": {"process": "poisson", "rate": 4e-9, "n": 8}, "seed": 5}`)
+	out, _ = runMain(t, "-fleet", "-scenario", spec, "-selector", ledger)
+	if plain, _ := runMain(t, "-fleet", "-scenario", spec); out != plain {
+		t.Errorf("an empty ledger changed the fleet run:\n got %s\nwant %s", out, plain)
+	}
+
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-selector", ledger, "-policy", "DominantMinRatio", "-arrivals", arrivals}, "has no learned-selection mode"},
+		{[]string{"-fleet", "-selector", ledger, "-arrivals", arrivals}, "no fleet node has a learned-selection policy"},
+		{[]string{"-selector", ledger + ".missing", "-arrivals", arrivals}, "ledger.json.missing"},
+		{[]string{"-fleet", "-scenario", spec, "-selector", ledger + ".missing"}, "ledger.json.missing"},
+	} {
+		var out, errOut bytes.Buffer
+		err := run(context.Background(), c.args, &out, &errOut)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("dessim %s: error %v, want one containing %q", strings.Join(c.args, " "), err, c.want)
+		}
+		if out.Len() != 0 {
+			t.Errorf("dessim %s: wrote %q before failing", strings.Join(c.args, " "), out.String())
+		}
+	}
+}

@@ -5,17 +5,19 @@
 // partition must be recomputed as jobs come and go: jobs arrive over
 // virtual time via pluggable arrival processes (Poisson, inhomogeneous
 // Poisson via Lewis–Shedler thinning, Gamma bursts, fixed batches,
-// trace replay), an event loop with a heap-ordered queue advances the
-// clock, and on every arrival and completion an online Policy re-invokes
-// the paper's heuristics (or the portfolio engine) over the currently
-// resident jobs, repartitioning processors and cache with each job's
-// *remaining* work charged under the new shares.
+// trace replay), an event loop advances the clock, and on every arrival
+// and completion an online Policy re-invokes the paper's heuristics (or
+// the portfolio engine) over the currently resident jobs, repartitioning
+// processors and cache with each job's *remaining* work charged under
+// the new shares.
 //
 // Within a constant allocation an Amdahl application's progress is
-// linear in time, so the engine is exact rather than time-stepped: the
-// clock hops from event to event, and completion predictions are
-// re-planned (heap events are generation-invalidated) whenever the
-// allocation changes. The whole simulation is a pure function of the
+// linear in time, so the engine is exact rather than time-stepped: a
+// node's only future events are its next pending arrival and each
+// resident's predicted completion, the clock hops to the earliest of
+// them, and every prediction is re-planned whenever the allocation
+// changes. Arrivals reach a node in time order, so the loop needs no
+// event queue. The whole simulation is a pure function of the
 // scenario — single-threaded event loop, all randomness drawn from
 // seeded solve.RNG streams, and policy parallelism (the portfolio
 // engine) already bit-deterministic — so a fixed seed yields an
@@ -168,39 +170,39 @@ type jobState struct {
 	// procs/cache change keeps every read bit-identical to recomputing
 	// — it only spares the event loop an Amdahl/miss-rate evaluation
 	// per resident per event.
-	exe     float64
+	exe float64
+	// due is the completion instant the last re-plan predicted for a
+	// resident, +Inf when it predicted none (see planCompletions).
+	due     float64
 	started bool
 	done    bool
 }
 
-// engine is the event loop of one Node: its jobs, pending events and
-// the Result it accumulates.
+// engine is the event loop of one Node: its jobs and the Result it
+// accumulates. The job table is the whole event state: the next event
+// is the earlier of the next pending arrival, jobs[arrived], and the
+// smallest due of the residents (see nextEvent).
 //
-// Arrival events are processed in job-id order (they are queued in
-// arrival order and the heap breaks time ties by push order), the FIFO
-// admits oldest first, and an arrival is made resident directly only
-// when the FIFO is empty (see admitOrQueue). The unfinished jobs
-// therefore always split into two runs of ascending ids: residents,
-// then every job from fifo on — the FIFO waiters [fifo, arrived)
-// followed by the arrivals queued in the heap but not yet processed
+// Arrivals are processed in job-id order (they are injected in time
+// order), the FIFO admits oldest first, and an arrival is made resident
+// directly only when the FIFO is empty (see admitOrQueue). The
+// unfinished jobs therefore always split into two runs of ascending
+// ids: residents, then every job from fifo on — the FIFO waiters
+// [fifo, arrived) followed by the injected arrivals not yet processed
 // [arrived, len(jobs)).
 type engine struct {
-	cfg         NodeConfig
-	pq          eventQueue
-	jobs        []jobState
-	residents   []int // job ids currently on the node, ascending
-	fifo        int   // oldest FIFO waiter: jobs [fifo, arrived) wait for a slot
-	arrived     int   // arrival events processed: jobs [arrived, len(jobs)) are pending
-	now         float64
-	gen         uint64 // current completion-event generation
-	res         *Result
-	queueLen    int     // current queue length (FIFO + zero-alloc residents)
-	lastArrival float64 // last injected arrival time, for monotonicity
+	cfg       NodeConfig
+	jobs      []jobState
+	residents []int // job ids currently on the node, ascending
+	fifo      int   // oldest FIFO waiter: jobs [fifo, arrived) wait for a slot
+	arrived   int   // arrivals processed: jobs [arrived, len(jobs)) are pending
+	now       float64
+	res       *Result
+	queueLen  int // current queue length (FIFO + zero-alloc residents)
 
-	// Recycled per-event scratch: the current event batch, the policy's
-	// resident view, and the re-plan's stuck list. All are rebuilt from
-	// live state at every use, so recycling cannot change results.
-	batch []qEvent
+	// Recycled buffers: the policy's resident view and the re-plan's
+	// stuck list. Both are rebuilt from live state at every use, so
+	// recycling cannot change results.
 	view  []Resident
 	stuck []int
 }
@@ -216,9 +218,9 @@ func Simulate(sc Scenario) (*Result, error) {
 }
 
 // ctxCheckEvery is how many arrivals EachArrival pulls, and how many
-// events Node.Finish processes, between context polls. Every arrival or
-// event already costs at least one policy invocation or heap
-// operation, so 8 keeps the poll overhead unmeasurable while bounding
+// event steps Node.Finish takes, between context polls. Every arrival
+// or step already costs a walk of the residents and usually a policy
+// invocation, so 8 keeps the poll overhead unmeasurable while bounding
 // the cancellation latency to a handful of events.
 const ctxCheckEvery = 8
 
@@ -310,17 +312,16 @@ func EachArrival(ctx context.Context, proc ArrivalProcess, duration float64, f f
 	return truncated, nil
 }
 
-// addJob records a validated arrival as a new job and queues its
-// arrival event. The job's model constants on the platform are
-// computed here, once, for every later Exe evaluation to read.
+// addJob records a validated arrival as a new, pending job. The job's
+// model constants on the platform are computed here, once, for every
+// later Exe evaluation to read.
 func (e *engine) addJob(a Arrival) {
 	pl := e.cfg.Platform
 	d := a.App.D(pl)
 	e.jobs = append(e.jobs, jobState{
 		app: a.App, d: d, dedicated: a.App.ExeD(pl, d, pl.Processors, 1),
-		arrival: a.Time, start: math.NaN(), finish: math.NaN(), exe: math.Inf(1),
+		arrival: a.Time, start: math.NaN(), finish: math.NaN(), exe: math.Inf(1), due: math.Inf(1),
 	})
-	e.pq.push(qEvent{time: a.Time, kind: qArrival, job: len(e.jobs) - 1})
 }
 
 // validateArrival rejects non-finite or negative arrival times and
@@ -332,59 +333,70 @@ func validateArrival(a Arrival) error {
 	return a.App.Validate()
 }
 
-// step processes the earliest event batch: every valid event at the
-// minimum pending time. Stale completion events (superseded by a
-// re-plan) are discarded without touching the clock, so they never
-// perturb the progress arithmetic.
-func (e *engine) step() error {
-	t, ok := e.nextEventTime()
-	if !ok {
-		return nil
-	}
-	batch := e.batch[:0]
-	for e.pq.Len() > 0 && e.pq.peekTime() == t {
-		if ev := e.pq.pop(); !e.stale(ev) {
-			batch = append(batch, ev)
+// runBefore steps the engine through every event strictly before t,
+// polling ctx every ctxCheckEvery steps.
+func (e *engine) runBefore(ctx context.Context, t float64) error {
+	for steps := 0; ; steps++ {
+		next := e.nextEvent()
+		if !(next < t) {
+			return nil
+		}
+		if steps%ctxCheckEvery == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		if err := e.step(next); err != nil {
+			return err
 		}
 	}
+}
 
+// nextEvent returns the instant of the engine's next event: the earlier
+// of its next pending arrival and its residents' earliest predicted
+// completion, or +Inf when it has neither.
+func (e *engine) nextEvent() float64 {
+	t := math.Inf(1)
+	if e.arrived < len(e.jobs) {
+		t = e.jobs[e.arrived].arrival
+	}
+	for _, id := range e.residents {
+		t = min(t, e.jobs[id].due)
+	}
+	return t
+}
+
+// step processes every event at t, the instant nextEvent returned: the
+// completions predicted for t and the pending arrivals at t.
+func (e *engine) step(t float64) error {
 	// Advance progress to t with the same arithmetic as internal/sim:
 	// frac += dt/exe per running job, finishing every job that reaches
 	// 1-doneTol.
 	changed := e.advance(t)
 
 	// Completions freed residency slots; admit FIFO waiters, then
-	// process this batch's arrivals. The batch holds every arrival at
-	// t: a driver advances a node strictly before an arrival instant
-	// (AdvanceBefore) and then injects it, so simultaneous arrivals
-	// (e.g. a size-k batch process) see exactly one policy invocation,
-	// like internal/sim's single t=0 allocation.
+	// process every arrival at t in id order. Callers advance a node
+	// strictly before an arrival instant (AdvanceBefore) and then inject
+	// it, so simultaneous arrivals (e.g. a size-k batch process) see
+	// exactly one policy invocation, like internal/sim's single t=0
+	// allocation.
 	changed = e.admitQueued() || changed
-	for _, ev := range batch {
-		if ev.kind == qArrival && e.admitOrQueue(ev.job) {
-			changed = true
-		}
+	for e.arrived < len(e.jobs) && e.jobs[e.arrived].arrival == t {
+		changed = e.admitOrQueue(e.arrived) || changed
 	}
 
 	// Delta-rescheduling short-circuit: a step that neither finished nor
 	// admitted anything (an arrival parked in the FIFO of a saturated
 	// node) leaves every resident's (frac-at-prediction, allocation)
-	// state exactly as the pending completion events assumed, so the
-	// predictions in the heap are still the ones a fresh re-plan would
-	// derive — skipping the policy call AND the re-plan is free. The one
-	// exception is a consumed completion event whose job fell an ulp
-	// short of the tolerance: its prediction is spent, so a re-plan must
-	// reissue it even though no visible state changed.
+	// state exactly as its due assumed, so the predictions are still
+	// the ones a fresh re-plan would derive — skipping the policy call
+	// AND the re-plan is free. The one exception is a resident due at t
+	// that fell an ulp short of the tolerance: its prediction is spent,
+	// so a re-plan must reissue it even though no visible state changed.
 	replan := changed
-	if !replan {
-		for _, ev := range batch {
-			if ev.kind == qCompletion {
-				replan = true
-				break
-			}
-		}
+	for i := 0; !replan && i < len(e.residents); i++ {
+		replan = e.jobs[e.residents[i]].due == t
 	}
-	e.batch = batch[:0]
 	if !replan {
 		e.recountQueue()
 		return nil
@@ -425,20 +437,13 @@ func (e *engine) step() error {
 	return nil
 }
 
-// stale reports whether a pending event was superseded by a later
-// completion re-plan; stale events are discarded without touching the
-// clock, so they never perturb the progress arithmetic.
-func (e *engine) stale(ev qEvent) bool {
-	return ev.kind == qCompletion && ev.gen != e.gen
-}
-
 // advance moves every resident job forward from e.now to t, crediting
 // progress and finishing jobs that reach the completion tolerance.
 // Returns whether any job finished.
 func (e *engine) advance(t float64) bool {
 	dt := t - e.now
 	if dt < 0 {
-		// The heap orders events by time; a negative step is impossible.
+		// nextEvent never precedes the clock; a negative step is impossible.
 		panic(fmt.Sprintf("des: time went backwards: %g -> %g", e.now, t))
 	}
 	e.now = t
@@ -485,7 +490,7 @@ func (e *engine) pruneResidents() {
 // and makes it resident if a slot is free, else leaves it at the tail
 // of the FIFO. Returns whether the resident set changed. A slot is
 // free only when the FIFO is empty: admitQueued runs first at every
-// step, and the resident set does not shrink within a batch.
+// step, and the resident set does not shrink while a step admits.
 func (e *engine) admitOrQueue(id int) bool {
 	e.arrived++
 	if e.cfg.MaxResident > 0 && len(e.residents) >= e.cfg.MaxResident {
@@ -593,19 +598,16 @@ func (e *engine) repartition() error {
 	return nil
 }
 
-// planCompletions re-plans every resident job's completion event from
-// the current state, invalidating all previous predictions. Jobs whose
-// predicted completion cannot advance the clock (remaining time below
-// one ulp of the current virtual time) are returned as stuck instead of
-// queued, so the caller can finish them and avoid a zero-dt livelock.
+// planCompletions re-plans every resident job's completion instant,
+// its due, from the current state, replacing all previous predictions.
+// Jobs whose predicted completion cannot advance the clock (remaining
+// time below one ulp of the current virtual time) are returned as stuck
+// instead, so the caller can finish them and avoid a zero-dt livelock.
 func (e *engine) planCompletions() (stuck []int) {
-	if len(e.residents) == 0 {
-		return nil
-	}
 	stuck = e.stuck[:0]
-	e.gen++
 	for _, id := range e.residents {
 		st := &e.jobs[id]
+		st.due = math.Inf(1)
 		if math.IsInf(st.exe, 1) {
 			continue // zero allocation: waits for a future repartition
 		}
@@ -621,7 +623,7 @@ func (e *engine) planCompletions() (stuck []int) {
 			stuck = append(stuck, id)
 			continue
 		}
-		e.pq.push(qEvent{time: t, kind: qCompletion, job: id, gen: e.gen})
+		st.due = t
 	}
 	// Hand the scratch back for the next re-plan; the returned slice
 	// stays valid because the caller consumes it before the next call.

@@ -51,92 +51,3 @@ type Event struct {
 	Resident int
 	Queued   int
 }
-
-// qEventKind separates the two event classes of the internal queue
-// (distinct from the log's EventKind: starts and repartitions are
-// derived, not scheduled).
-type qEventKind int8
-
-const (
-	qArrival qEventKind = iota
-	qCompletion
-)
-
-// qEvent is one entry of the pending-event heap. Completion events are
-// invalidated wholesale by bumping the engine's generation counter:
-// stale events (gen < current) are discarded on pop without influencing
-// the clock, so re-planning never perturbs the arithmetic of the
-// surviving timeline.
-type qEvent struct {
-	time float64
-	seq  int // push order; total tie-break keeps the heap deterministic
-	kind qEventKind
-	job  int
-	gen  uint64 // completion generation; unused for arrivals
-}
-
-// eventQueue is a min-heap of pending events ordered by (time, seq).
-// The heap is hand-rolled over the backing slice instead of using
-// container/heap: heap.Push boxes every qEvent into an interface,
-// which allocated once per scheduled event on the simulator's hot
-// path. Because (time, seq) is a total order, the pop sequence is
-// identical to the container/heap implementation it replaces.
-type eventQueue struct {
-	ev   []qEvent
-	seqs int
-}
-
-func (q *eventQueue) Len() int { return len(q.ev) }
-
-func (q *eventQueue) less(i, j int) bool {
-	if q.ev[i].time != q.ev[j].time {
-		return q.ev[i].time < q.ev[j].time
-	}
-	return q.ev[i].seq < q.ev[j].seq
-}
-
-// push enqueues an event, stamping its tie-break sequence number.
-func (q *eventQueue) push(e qEvent) {
-	e.seq = q.seqs
-	q.seqs++
-	q.ev = append(q.ev, e)
-	// Sift up.
-	i := len(q.ev) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.less(i, parent) {
-			break
-		}
-		q.ev[i], q.ev[parent] = q.ev[parent], q.ev[i]
-		i = parent
-	}
-}
-
-// pop removes and returns the earliest event.
-func (q *eventQueue) pop() qEvent {
-	top := q.ev[0]
-	n := len(q.ev) - 1
-	q.ev[0] = q.ev[n]
-	q.ev = q.ev[:n]
-	// Sift down.
-	i := 0
-	for {
-		left := 2*i + 1
-		if left >= n {
-			break
-		}
-		child := left
-		if right := left + 1; right < n && q.less(right, left) {
-			child = right
-		}
-		if !q.less(child, i) {
-			break
-		}
-		q.ev[i], q.ev[child] = q.ev[child], q.ev[i]
-		i = child
-	}
-	return top
-}
-
-// peekTime returns the earliest pending time; callers must check Len.
-func (q *eventQueue) peekTime() float64 { return q.ev[0].time }

@@ -63,22 +63,21 @@ func (n *Node) Inject(a Arrival) error {
 	if err := validateArrival(a); err != nil {
 		return err
 	}
-	if a.Time < n.e.lastArrival {
-		return fmt.Errorf("des: arrivals went backwards: t=%g after t=%g", a.Time, n.e.lastArrival)
+	if k := len(n.e.jobs); k > 0 && a.Time < n.e.jobs[k-1].arrival {
+		return fmt.Errorf("des: arrivals went backwards: t=%g after t=%g", a.Time, n.e.jobs[k-1].arrival)
 	}
 	if a.Time < n.e.now {
 		return fmt.Errorf("des: arrival at t=%g precedes the node clock t=%g", a.Time, n.e.now)
 	}
-	n.e.lastArrival = a.Time
 	n.e.addJob(a)
 	return nil
 }
 
 // AdvanceBefore processes every pending event strictly before t. The
-// strict bound is what gives simultaneous arrivals one event batch: an
-// arrival injected at exactly t after the call joins the batch at t
-// (completions included) and sees one policy invocation. A NaN t is
-// rejected: no event time compares below it, so it would otherwise
+// strict bound is what gives simultaneous arrivals one event step: an
+// arrival injected at exactly t after the call is processed in the step
+// at t (completions included) and sees one policy invocation. A NaN t
+// is rejected: no event time compares below it, so it would otherwise
 // drain the node.
 func (n *Node) AdvanceBefore(t float64) error {
 	if n.finished {
@@ -87,36 +86,21 @@ func (n *Node) AdvanceBefore(t float64) error {
 	if math.IsNaN(t) {
 		return fmt.Errorf("des: advance time %v is not a number", t)
 	}
-	for {
-		t0, ok := n.e.nextEventTime()
-		if !ok || t0 >= t {
-			return nil
-		}
-		if err := n.e.step(); err != nil {
-			return err
-		}
-	}
+	return n.e.runBefore(context.Background(), t)
 }
 
 // Finish drains every remaining event and returns the node's Result:
 // per-job metrics and their summaries, and the policy's replan
 // telemetry. It fails on a deadlock (a job that can never finish
 // because no pending event would grant it processors) and polls ctx
-// every ctxCheckEvery events. A node that never received a job returns
-// an empty result. The node cannot be used afterwards.
+// every ctxCheckEvery event steps. A node that never received a job
+// returns an empty result. The node cannot be used afterwards.
 func (n *Node) Finish(ctx context.Context) (*Result, error) {
 	if n.finished {
 		return nil, fmt.Errorf("des: node already finished")
 	}
-	for steps := 0; n.e.pq.Len() > 0; steps++ {
-		if steps%ctxCheckEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		if err := n.e.step(); err != nil {
-			return nil, err
-		}
+	if err := n.e.runBefore(ctx, math.Inf(1)); err != nil {
+		return nil, err
 	}
 	for id := range n.e.jobs {
 		if !n.e.jobs[id].done {
@@ -136,7 +120,8 @@ func (n *Node) Finish(ctx context.Context) (*Result, error) {
 	return n.e.res, nil
 }
 
-// Now returns the node's current virtual time.
+// Now returns the node's current virtual time: the instant of the last
+// event it processed, 0 before the first.
 func (n *Node) Now() float64 { return n.e.now }
 
 // JobsInSystem counts unfinished jobs on the node in O(1): running
@@ -192,18 +177,4 @@ func (n *Node) VisitUnfinished(f func(name string, remaining float64)) {
 		}
 		f(e.jobs[id].app.Name, 1-e.jobs[id].frac)
 	}
-}
-
-// nextEventTime peeks the earliest pending non-stale event, discarding
-// stale completion predictions along the way (a stale event's stamped
-// time can precede the re-planned one, so a raw peek would under-report
-// how far the node can safely advance).
-func (e *engine) nextEventTime() (float64, bool) {
-	for e.pq.Len() > 0 {
-		if ev := e.pq.ev[0]; !e.stale(ev) {
-			return ev.time, true
-		}
-		e.pq.pop()
-	}
-	return 0, false
 }

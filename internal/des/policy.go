@@ -41,10 +41,6 @@ type Policy interface {
 	Name() string
 }
 
-// policySeedStride separates the RNG substreams of successive policy
-// invocations, mirroring the portfolio engine's per-heuristic stride.
-const policySeedStride = 0x9E3779B97F4A7C15
-
 // ReplanStats is the delta-rescheduling telemetry of an online policy:
 // how often an Allocate call was served entirely by certified memoized
 // plans versus falling back to a full solve, plus the underlying plan
@@ -168,7 +164,7 @@ func (p *HeuristicPolicy) Allocate(pl model.Platform, residents []Resident) ([]s
 	// schedule is independent of the heuristic kind.
 	var rng *solve.RNG
 	if p.h.Randomized() {
-		rng = solve.NewRNG(p.seed ^ p.calls*policySeedStride)
+		rng = solve.NewRNG(solve.Substream(p.seed, p.calls))
 	}
 	p.apps = residualApps(p.apps, residents)
 	memo := p.memo
@@ -312,14 +308,14 @@ func (p *PortfolioPolicy) ReplanStats() ReplanStats {
 // Allocate implements Policy.
 func (p *PortfolioPolicy) Allocate(pl model.Platform, residents []Resident) ([]sched.Assignment, error) {
 	p.calls++
-	// The engine derives heuristic hi's stream as Seed ^ (hi+1)·stride
-	// with the same golden-ratio stride this package uses, so a plain
-	// seed ^ calls·stride here would cancel whenever calls == hi+1 and
-	// hand randomized heuristics systematically colliding streams.
+	// The engine derives heuristic hi's stream as substream hi+1 of
+	// Seed, with the same solve.Substream stride this package uses, so
+	// a plain substream calls here would cancel whenever calls == hi+1
+	// and hand randomized heuristics systematically colliding streams.
 	// Mixing the per-call seed through SplitMix64 (one RNG step)
 	// decorrelates the two layers.
 	p.apps = residualApps(p.apps, residents)
-	scSeed := solve.NewRNG(p.seed ^ p.calls*policySeedStride).Uint64()
+	scSeed := solve.NewRNG(solve.Substream(p.seed, p.calls)).Uint64()
 	if p.selMode {
 		if asg, ok, err := p.predictPath(pl, scSeed); ok {
 			p.predictions++
@@ -494,7 +490,7 @@ func (p *NoRepartition) Allocate(pl model.Platform, residents []Resident) ([]sch
 	}
 	// Node drained (or first wave): schedule everything resident.
 	p.calls++
-	rng := solve.NewRNG(p.seed ^ p.calls*policySeedStride)
+	rng := solve.NewRNG(solve.Substream(p.seed, p.calls))
 	p.apps = residualApps(p.apps, residents)
 	s, err := p.h.Schedule(pl, p.apps, rng)
 	if err != nil {

@@ -26,14 +26,15 @@
 // count. The nodes advance, score and drain one after another in a
 // plain loop: each step is microseconds of work, too little to pay for
 // a goroutine fork/join per node per arrival. Routing an arrival is
-// O(nodes + unfinished jobs): an idle node advances with one heap peek,
-// and des.Node's JobsInSystem is O(1) while its BacklogAt and
-// VisitUnfinished walk only unfinished jobs, so the per-arrival cost
-// does not grow with the length of the stream. A "portfolio" node
-// policy races its heuristics serially on the same goroutine too, so a
-// fleet run has no parallelism of its own: concurrent runs on one
-// engine share its semaphore instead. The conform fleet harness pins
-// digests at 1 and 8 workers against a committed golden corpus.
+// O(nodes + unfinished jobs): an idle node advances with one comparison
+// against its next event, and des.Node's JobsInSystem is O(1) while its
+// BacklogAt and VisitUnfinished walk only unfinished jobs, so the
+// per-arrival cost does not grow with the length of the stream. A
+// "portfolio" node policy races its heuristics serially on the same
+// goroutine too, so a fleet run has no parallelism of its own:
+// concurrent runs on one engine share its semaphore instead. The
+// conform fleet harness pins digests at 1 and 8 workers against a
+// committed golden corpus.
 package fleet
 
 import (

@@ -8,11 +8,6 @@ import (
 	"repro/internal/solve"
 )
 
-// seedStride separates derived RNG streams (per-node policy seeds, the
-// router's substream) — the golden-ratio constant used throughout the
-// repository.
-const seedStride = 0x9E3779B97F4A7C15
-
 // routerSalt decorrelates the router's RNG stream from the node policy
 // streams derived from the same fleet seed.
 const routerSalt = 0xC2B2AE3D27D4EB4F
@@ -22,7 +17,7 @@ const routerSalt = 0xC2B2AE3D27D4EB4F
 // standalone des run with the same policy seed (the conform harness's
 // single-node reduction check relies on this).
 func NodePolicySeed(seed uint64, i int) uint64 {
-	return solve.NewRNG(seed ^ (uint64(i)+1)*seedStride).Uint64()
+	return solve.NewRNG(solve.Substream(seed, uint64(i)+1)).Uint64()
 }
 
 // routerSeed derives the routing layer's RNG seed from the fleet seed,

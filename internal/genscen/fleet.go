@@ -103,7 +103,7 @@ type FleetInstance struct {
 // GenerateFleet produces the (family, seed) fleet instance — a pure
 // function of its arguments, like Generate.
 func GenerateFleet(f FleetFamily, seed uint64) (*FleetInstance, error) {
-	rng := solve.NewRNG(seed ^ (uint64(f)+1)*familyStride ^ fleetSalt)
+	rng := solve.NewRNG(solve.Substream(seed, uint64(f)+1) ^ fleetSalt)
 	in := &FleetInstance{Family: f, Seed: seed}
 	nNodes := 2 + rng.Intn(3) // 2–4 nodes
 	jobs := 3*nNodes + rng.Intn(2*nNodes+1)

@@ -25,10 +25,6 @@ import (
 	"repro/internal/solve"
 )
 
-// familyStride separates the RNG streams of different families at the
-// same seed (the golden-ratio constant used throughout the repository).
-const familyStride = 0x9E3779B97F4A7C15
-
 // Family names one scenario generator.
 type Family int
 
@@ -166,7 +162,7 @@ func Generate(f Family, seed uint64, cfg Config) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	rng := solve.NewRNG(seed ^ (uint64(f)+1)*familyStride)
+	rng := solve.NewRNG(solve.Substream(seed, uint64(f)+1))
 	n := lo
 	if hi > lo {
 		n = lo + rng.Intn(hi-lo+1)

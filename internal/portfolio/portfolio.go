@@ -40,11 +40,6 @@ import (
 	"repro/internal/solve"
 )
 
-// seedStride separates per-heuristic RNG substreams. It matches the
-// derivation the experiment sweeps have always used, so portfolio-run
-// figures are bit-identical to the historical serial loops.
-const seedStride = 0x9E3779B97F4A7C15
-
 // Config parameterizes an Engine.
 type Config struct {
 	// Workers bounds the heuristic evaluations in flight at once across
@@ -113,7 +108,7 @@ type Scenario struct {
 	// full extended set (the paper's ten plus SharedCache/LocalSearch).
 	Heuristics []sched.Heuristic
 	// Seed of the scenario's master random stream. Heuristic i draws
-	// from the substream Seed ^ (i+1)·seedStride, so results do not
+	// from substream i+1 of Seed (see HeuristicSeed), so results do not
 	// depend on which worker ran which heuristic when.
 	Seed uint64
 }
@@ -338,14 +333,16 @@ func isContextErr(err error) bool {
 }
 
 // HeuristicSeed derives the RNG seed for the heuristic at index hi of a
-// scenario seeded with scenarioSeed: the substream scenarioSeed ^
-// (hi+1)·seedStride. It is exported as the single source of truth for
-// that derivation — callers that re-solve individual heuristics outside
+// scenario seeded with scenarioSeed: its substream hi+1
+// (solve.Substream), the derivation the experiment sweeps have always
+// used, so portfolio-run figures are bit-identical to the historical
+// serial loops. It is exported as the single source of truth for that
+// derivation — callers that re-solve individual heuristics outside
 // the engine (the DES delta-rescheduling fast path) must reproduce the
 // exact streams Evaluate would have drawn, or their results drift from
 // the full race bit-for-bit determinism forbids.
 func HeuristicSeed(scenarioSeed uint64, hi int) uint64 {
-	return scenarioSeed ^ uint64(hi+1)*seedStride
+	return solve.Substream(scenarioSeed, uint64(hi+1))
 }
 
 // rngFor returns the heuristic's seeded stream, or nil for

@@ -191,7 +191,7 @@ func TestEvaluateMatchesDirectSchedule(t *testing.T) {
 		t.Fatal(err)
 	}
 	for hi, h := range sched.ExtendedHeuristics {
-		rng := solve.NewRNG(seed ^ uint64(hi+1)*seedStride)
+		rng := solve.NewRNG(solve.Substream(seed, uint64(hi+1)))
 		want, err := h.Schedule(pl, apps, rng)
 		if err != nil {
 			t.Fatal(err)

@@ -170,10 +170,11 @@ func (p *SelectorPolicy) Select(ctx context.Context, sc Scenario) (*Decision, er
 
 // evalPredicted races only the predicted winner, on the RNG substream
 // it would have drawn at its index inside the full race: the engine
-// seeds heuristic 0 of a scenario with Seed ^ seedStride, so shifting
-// the scenario seed by HeuristicSeed(sc.Seed, hi) ^ seedStride makes
-// the lone run reproduce HeuristicSeed(sc.Seed, hi) exactly — and
-// share memo cache entries with the full race.
+// seeds heuristic 0 of a scenario with HeuristicSeed(Seed, 0), an XOR
+// that is its own inverse, so a lone run seeded with
+// HeuristicSeed(HeuristicSeed(sc.Seed, hi), 0) reproduces
+// HeuristicSeed(sc.Seed, hi) exactly — and shares memo cache entries
+// with the full race.
 func (p *SelectorPolicy) evalPredicted(ctx context.Context, sc Scenario, candidates []sched.Heuristic, h sched.Heuristic) (*Report, error) {
 	hi := 0
 	for i, c := range candidates {
@@ -184,7 +185,7 @@ func (p *SelectorPolicy) evalPredicted(ctx context.Context, sc Scenario, candida
 	}
 	one := sc
 	one.Heuristics = []sched.Heuristic{h}
-	one.Seed = HeuristicSeed(sc.Seed, hi) ^ seedStride
+	one.Seed = HeuristicSeed(HeuristicSeed(sc.Seed, hi), 0)
 	return p.engine.EvaluateContext(ctx, one)
 }
 

@@ -8,7 +8,15 @@
 // is bit-reproducible across platforms.
 package solve
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
+
+// golden is the 64-bit golden-ratio constant, ⌊2^64/φ⌋: the
+// increment of the SplitMix64 stream and the stride Substream separates
+// derived seeds by.
+const golden = 0x9e3779b97f4a7c15
 
 // RNG is a deterministic pseudo-random number generator based on
 // SplitMix64 (Steele, Lea, Flood 2014). It is small, fast, splittable and
@@ -30,12 +38,21 @@ func NewRNG(seed uint64) *RNG {
 // experiment replicate its own stream without coupling replicate count to
 // stream contents.
 func (r *RNG) Split() *RNG {
-	return &RNG{state: r.Uint64() * 0x9e3779b97f4a7c15}
+	return &RNG{state: r.Uint64() * golden}
+}
+
+// Substream derives the seed of substream k of seed: seed ^ k·golden.
+// Every layer that splits one seed into many streams — the portfolio's
+// heuristics, an online policy's invocations, a fleet's nodes, the
+// scenario generator's families — derives them here, so all of them
+// share one stride.
+func Substream(seed, k uint64) uint64 {
+	return seed ^ k*golden
 }
 
 // Uint64 returns the next 64 uniformly distributed bits.
 func (r *RNG) Uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
+	r.state += golden
 	z := r.state
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
@@ -57,26 +74,11 @@ func (r *RNG) Intn(n int) int {
 	bound := uint64(n)
 	for {
 		v := r.Uint64()
-		hi, lo := mul64(v, bound)
+		hi, lo := bits.Mul64(v, bound)
 		if lo >= bound || lo >= (-bound)%bound {
 			return int(hi)
 		}
 	}
-}
-
-// mul64 computes the 128-bit product of a and b, returning the high and
-// low 64-bit halves.
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask = 1<<32 - 1
-	aLo, aHi := a&mask, a>>32
-	bLo, bHi := b&mask, b>>32
-	t := aHi*bLo + (aLo*bLo)>>32
-	w1 := t & mask
-	w2 := t >> 32
-	w1 += aLo * bHi
-	hi = aHi*bHi + w2 + (w1 >> 32)
-	lo = a * b
-	return hi, lo
 }
 
 // UniformRange returns a uniform float64 in [lo, hi).

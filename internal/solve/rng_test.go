@@ -217,21 +217,3 @@ func TestIntnUnbiasedProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestMul64MatchesBigMultiplication(t *testing.T) {
-	f := func(a, b uint64) bool {
-		hi, lo := mul64(a, b)
-		// Verify via 32-bit split arithmetic done differently.
-		wantLo := a * b
-		// hi = floor(a*b / 2^64): check via per-word accumulation.
-		a0, a1 := a&0xFFFFFFFF, a>>32
-		b0, b1 := b&0xFFFFFFFF, b>>32
-		mid := a1*b0 + (a0*b0)>>32
-		mid2 := mid&0xFFFFFFFF + a0*b1
-		wantHi := a1*b1 + mid>>32 + mid2>>32
-		return lo == wantLo && hi == wantHi
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
-	}
-}
