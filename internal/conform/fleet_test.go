@@ -53,6 +53,17 @@ var fleetStreamDigests = map[string]string{
 	"join-shortest-queue":  "cdb6606da2540ab03c4fbc07eeecd3173268f0333fa0eec716c335f1dfef101b",
 }
 
+// fleetStreamReplan pins each fleetStreamDigests run's replan
+// telemetry, summed over its nodes: the counters /v1/simulate-fleet
+// returns, which fleetDigest leaves out. Up to 1,296 FIFO evictions a
+// run make this the plan memo's longest eviction sequence under test.
+var fleetStreamReplan = map[string]des.ReplanStats{
+	"least-loaded":         {FastPath: 537, FullSolve: 475, MemoHits: 4296, MemoMisses: 475, MemoEvictions: 472},
+	"cache-affinity":       {FastPath: 473, FullSolve: 51, MemoHits: 3784, MemoMisses: 51, MemoEvictions: 0},
+	"power-of-two-choices": {FastPath: 203, FullSolve: 637, MemoHits: 1624, MemoMisses: 637, MemoEvictions: 1296},
+	"join-shortest-queue":  {FastPath: 731, FullSolve: 293, MemoHits: 5848, MemoMisses: 293, MemoEvictions: 88},
+}
+
 // fleetStreamSpec is the fleet-stream shape: 16 nodes cycling the
 // paper's TaihuLight node, a half-size node with a quarter of its
 // cache and a double-size node with half its cache, "portfolio"
@@ -83,8 +94,8 @@ func fleetStreamSpec(routing string, seed uint64) *fleet.Spec {
 }
 
 // TestFleetStreamDigests runs the fleet-stream shape under every
-// router, compares each run with its pinned digest and checks its
-// sample-path accounting.
+// router, compares each run with its pinned digest and replan
+// telemetry, and checks its sample-path accounting.
 func TestFleetStreamDigests(t *testing.T) {
 	for i, routing := range fleet.Routings {
 		sc, err := fleetStreamSpec(routing, 9001+uint64(i)).Build(1)
@@ -101,6 +112,13 @@ func TestFleetStreamDigests(t *testing.T) {
 		sum := sha256.Sum256([]byte(fleetDigest(r)))
 		if got := hex.EncodeToString(sum[:]); got != fleetStreamDigests[routing] {
 			t.Errorf("%s: digest %s, want %s", routing, got, fleetStreamDigests[routing])
+		}
+		var replan des.ReplanStats
+		for _, n := range r.Nodes {
+			replan.Add(n.Result.Replan)
+		}
+		if replan != fleetStreamReplan[routing] {
+			t.Errorf("%s: replan %+v, want %+v", routing, replan, fleetStreamReplan[routing])
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package des
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -209,15 +210,17 @@ func onlineHeuristics() []sched.Heuristic {
 //
 // Delta rescheduling: the policy keeps a sched.PlanMemo of the
 // deterministic heuristics' plans, keyed by the exact bit pattern of
-// (heuristic, platform, residual apps) — names excluded, so waves of
-// re-stamped template jobs ("cg#17") fingerprint identically. When
-// every deterministic heuristic hits the memo, the policy skips the
+// the resident set (platform, residual apps) with one slot per
+// heuristic — names excluded, so waves of re-stamped template jobs
+// ("cg#17") fingerprint identically. When every deterministic
+// heuristic hits the memo (one LookupAll probe), the policy skips the
 // engine race entirely: it replays the certified plans, re-solves only
 // the randomized heuristics (their per-call substreams never repeat, so
-// they are never memoizable) with exactly the seeds the engine would
-// have derived, and picks the winner with the engine's own selection
-// rule. Any miss falls back to the full race, whose deterministic
-// results then seed the memo. Event logs are bit-identical either way.
+// they are never memoizable) on one sched.Prepared input with exactly
+// the seeds the engine would have derived, and picks the winner with
+// the engine's own selection rule. Any miss falls back to the full
+// race, whose deterministic results then seed the memo in one StoreAll.
+// Event logs and replan counters are bit-identical either way.
 type PortfolioPolicy struct {
 	engine *portfolio.Engine
 	hs     []sched.Heuristic
@@ -228,6 +231,7 @@ type PortfolioPolicy struct {
 	stats  ReplanStats
 	apps   []model.Application // residual-work plan buffer, recycled
 	rs     []portfolio.Result  // fast-path result buffer, recycled
+	plans  []*sched.Schedule   // memo probe and store buffer, recycled
 
 	// Learned selection ("portfolio:selector"): when a ledger is set,
 	// Allocate first asks it for a confident predicted winner and, when
@@ -341,11 +345,12 @@ func (p *PortfolioPolicy) Allocate(pl model.Platform, residents []Resident) ([]s
 	}
 	// Seed the memo with this race's deterministic plans so the next
 	// recurrence of the same resident shape takes the fast path.
+	// A failed heuristic's Schedule is nil, which StoreAll skips.
+	plans := p.planBuf()
 	for i := range rep.Results {
-		if res := &rep.Results[i]; res.Err == nil {
-			p.memo.Put(p.hs[i], pl, p.apps, res.Schedule)
-		}
+		plans[i] = rep.Results[i].Schedule
 	}
+	p.memo.StoreAll(p.hs, pl, p.apps, plans)
 	best := rep.BestResult()
 	if best == nil {
 		return nil, fmt.Errorf("des: no heuristic produced a feasible repartition")
@@ -354,36 +359,38 @@ func (p *PortfolioPolicy) Allocate(pl model.Platform, residents []Resident) ([]s
 }
 
 // fastPath attempts the certified delta path: every deterministic
-// heuristic's plan must come from the memo (any miss returns ok=false
-// and defers to the full race), the randomized heuristics are re-solved
-// with exactly the per-heuristic seeds engine.Evaluate would derive
+// heuristic's plan must come from the memo (one LookupAll probe; any
+// miss returns ok=false and defers to the full race), the randomized
+// heuristics are re-solved on one prepared input with exactly the
+// per-heuristic seeds engine.Evaluate would derive
 // (portfolio.HeuristicSeed), and the winner is selected with the
 // engine's own rule (portfolio.BestIndex) so ties break identically.
 // Bit-equivalence with the full race follows: memoized plans are
 // certified by their exact input fingerprints, and every non-memoized
 // computation reproduces the engine's arithmetic verbatim.
 func (p *PortfolioPolicy) fastPath(pl model.Platform, scSeed uint64) ([]sched.Assignment, bool, error) {
+	plans := p.planBuf()
+	if !p.memo.LookupAll(p.hs, pl, p.apps, plans) {
+		return nil, false, nil
+	}
 	rs := p.rs
 	if cap(rs) < len(p.hs) {
 		rs = make([]portfolio.Result, len(p.hs))
 	}
 	rs = rs[:len(p.hs)]
 	p.rs = rs
-	for hi, h := range p.hs {
-		if h.Randomized() {
-			continue
-		}
-		s, ok := p.memo.Get(h, pl, p.apps)
-		if !ok {
-			return nil, false, nil
-		}
-		rs[hi] = portfolio.Result{Heuristic: h, Schedule: s}
-	}
+	in, perr := sched.Prepare(pl, p.apps)
+	defer in.Release()
 	for hi, h := range p.hs {
 		if !h.Randomized() {
+			rs[hi] = portfolio.Result{Heuristic: h, Schedule: plans[hi]}
 			continue
 		}
-		s, err := h.Schedule(pl, p.apps, solve.NewRNG(portfolio.HeuristicSeed(scSeed, hi)))
+		var s *sched.Schedule
+		err := perr
+		if err == nil {
+			s, err = h.SchedulePrepared(context.Background(), &in, solve.NewRNG(portfolio.HeuristicSeed(scSeed, hi)))
+		}
 		if err != nil {
 			err = &sched.HeuristicError{Heuristic: h, Err: err}
 		}
@@ -394,6 +401,15 @@ func (p *PortfolioPolicy) fastPath(pl model.Platform, scSeed uint64) ([]sched.As
 		return nil, true, fmt.Errorf("des: no heuristic produced a feasible repartition")
 	}
 	return rs[best].Schedule.Assignments, true, nil
+}
+
+// planBuf returns the recycled one-plan-per-heuristic buffer.
+func (p *PortfolioPolicy) planBuf() []*sched.Schedule {
+	if cap(p.plans) < len(p.hs) {
+		p.plans = make([]*sched.Schedule, len(p.hs))
+	}
+	p.plans = p.plans[:len(p.hs)]
+	return p.plans
 }
 
 // predictPath solves only the ledger's confidently predicted winner,

@@ -203,6 +203,9 @@ func SimulateContext(ctx context.Context, sc Scenario) (*Result, error) {
 
 	res := &Result{Routing: router.Name()}
 	states := make([]NodeState, len(nodes))
+	// Only cache-affinity reads Affinity, and each score walks the node's
+	// unfinished jobs, so the other routers skip it.
+	_, scoreAffinity := router.(cacheAffinity)
 	res.Truncated, err = des.EachArrival(ctx, sc.Arrivals, sc.Duration, func(a des.Arrival) error {
 		// Advance every node to the arrival instant, then score them.
 		for i, n := range nodes {
@@ -213,7 +216,9 @@ func SimulateContext(ctx context.Context, sc Scenario) (*Result, error) {
 				Index:    i,
 				Backlog:  n.BacklogAt(a.Time),
 				InSystem: n.JobsInSystem(),
-				Affinity: affinity(n, a.App.Name),
+			}
+			if scoreAffinity {
+				states[i].Affinity = affinity(n, a.App.Name)
 			}
 		}
 		pick := router.Pick(states, a)

@@ -44,7 +44,10 @@ type NodeState struct {
 	// the summed remaining fractions of the node's unfinished jobs
 	// stamped from the same template (base name before the "#<i>"
 	// suffix) — jobs from one template share a working set, so a high
-	// score means the job's footprint is already resident.
+	// score means the job's footprint is already resident. Scoring walks
+	// every unfinished job of every node, so the simulator computes it
+	// only for cache-affinity, the one router that reads it; it is zero
+	// under the others.
 	Affinity float64
 }
 

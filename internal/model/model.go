@@ -197,10 +197,17 @@ func (a Application) Exe(pl Platform, p, x float64) float64 {
 
 // ExeD is Exe given d = a.D(pl).
 func (a Application) ExeD(pl Platform, d, p, x float64) float64 {
+	return a.ExeCost(p, a.CostPerOpD(pl, d, x))
+}
+
+// ExeCost is Exe given cost = a.CostPerOpD(pl, d, x): Flops(p)·cost,
+// +Inf for p <= 0. Callers that already hold the cost of one operation
+// at a cache fraction pay no second power law for the completion time.
+func (a Application) ExeCost(p, cost float64) float64 {
 	if p <= 0 {
 		return math.Inf(1)
 	}
-	return a.Flops(p) * a.CostPerOpD(pl, d, x)
+	return a.Flops(p) * cost
 }
 
 // ExeSeq returns Exe_i(1, x), the sequential execution time with cache
@@ -266,6 +273,14 @@ type Constants struct {
 // backing arrays when they are large enough.
 func (c *Constants) Fill(pl Platform, apps []Application) {
 	c.FillD(pl, apps)
+	c.Complete(pl, apps)
+}
+
+// Complete computes the threshold and weight columns from the d_i
+// column FillD left for the same (pl, apps): Fill is FillD then
+// Complete, so a caller that learns only later that it needs the whole
+// table pays no second d_i column.
+func (c *Constants) Complete(pl Platform, apps []Application) {
 	c.Threshold = grow(c.Threshold, len(apps))
 	c.Weight = grow(c.Weight, len(apps))
 	for i, a := range apps {

@@ -249,12 +249,19 @@ func (e *Engine) raceHelped(ctx context.Context, scenarios []Scenario, reports [
 // winner. An evaluation cancellation skipped carries ctx.Err(), so "not
 // computed" differs from "computed infeasible". si numbers the scenario
 // in a validation error.
+//
+// The scenario is validated once, by sched.Prepare, and every computed
+// evaluation runs on that one prepared input: the first takes its
+// pooled scratch and constants table, the rest reuse them, and a race
+// the cache answers entirely never takes a scratch.
 func (e *Engine) race(ctx context.Context, sc *Scenario, si int) *Report {
 	rep := &Report{Best: -1}
-	if err := model.ValidateAll(sc.Platform, sc.Apps); err != nil {
+	in, err := sched.Prepare(sc.Platform, sc.Apps)
+	if err != nil {
 		rep.Err = fmt.Errorf("portfolio: scenario %d: %w", si, err)
 		return rep
 	}
+	defer in.Release()
 	hs := sc.heuristics()
 	rep.Results = make([]Result, len(hs))
 	m := e.metrics
@@ -277,7 +284,7 @@ func (e *Engine) race(ctx context.Context, sc *Scenario, si int) *Report {
 				if m != nil {
 					start = time.Now()
 				}
-				*res = e.solveOne(ctx, sc, h, hi)
+				*res = e.solveOne(ctx, sc, &in, h, hi)
 				if m != nil {
 					m.evalSeconds.Observe(time.Since(start).Seconds())
 				}
@@ -297,22 +304,23 @@ func (e *Engine) race(ctx context.Context, sc *Scenario, si int) *Report {
 	return rep
 }
 
-// solveOne schedules one heuristic, through the cache when present.
+// solveOne schedules one heuristic on the race's prepared input,
+// through the cache when present.
 // Only randomized heuristics get an RNG: the deterministic ones never
 // read it, and skipping the construction keeps the hot path lean
 // without changing any schedule. Failures are wrapped in
 // *sched.HeuristicError naming the policy; context errors pass through
 // bare so errors.Is(err, context.Canceled) holds on every layer.
-func (e *Engine) solveOne(ctx context.Context, sc *Scenario, h sched.Heuristic, hi int) Result {
+func (e *Engine) solveOne(ctx context.Context, sc *Scenario, in *sched.Prepared, h sched.Heuristic, hi int) Result {
 	seed := HeuristicSeed(sc.Seed, hi)
 	if e.cache == nil {
-		s, err := h.ScheduleContext(ctx, sc.Platform, sc.Apps, rngFor(h, seed))
+		s, err := h.SchedulePrepared(ctx, in, rngFor(h, seed))
 		return Result{Heuristic: h, Schedule: s, Err: heuristicErr(h, err)}
 	}
 	s, err, fromCache := e.cache.getOrCompute(ctx, sc.Platform, sc.Apps, h, seed, func() (*sched.Schedule, error) {
 		// The RNG is built inside the computation so memoized hits do
 		// not pay for a stream they never draw from.
-		return h.ScheduleContext(ctx, sc.Platform, sc.Apps, rngFor(h, seed))
+		return h.SchedulePrepared(ctx, in, rngFor(h, seed))
 	})
 	return Result{Heuristic: h, Schedule: s, Err: heuristicErr(h, err), FromCache: fromCache}
 }

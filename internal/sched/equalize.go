@@ -12,15 +12,21 @@ import (
 const equalizeTol = 1e-12
 
 // equalizer is the reusable state of the completion-time equalizer: the
-// per-application sequential-time coefficients, the output processor
-// vector, and — crucially — the bisection objective as a persistent
-// closure. The closure reads the equalizer's fields instead of
-// capturing per-call locals, so it is allocated once per pooled scratch
-// and every subsequent equalization is allocation-free.
+// per-application cost per operation and sequential-time coefficients,
+// the output processor vector, and — crucially — the bisection
+// objective as a persistent closure. The closure reads the equalizer's
+// fields instead of capturing per-call locals, so it is allocated once
+// per pooled scratch and every subsequent equalization is
+// allocation-free.
+//
+// The cost column is the only place an equalization evaluates Eq. 2's
+// power law: Lemma 2's sequential times are the c_i themselves, and
+// makespan reads each completion time from it, so a share vector costs
+// one math.Pow per application.
 type equalizer struct {
 	apps   []model.Application
+	cost   []float64 // CostPerOp(x_i) at the last equalized share vector
 	c      []float64 // c_i = w_i · CostPerOp(x_i)
-	seq    []float64 // Lemma 2 sequential times
 	procs  []float64 // output processor vector (scratch-owned)
 	demand func(float64) float64
 }
@@ -50,17 +56,15 @@ func (eq *equalizer) demandFn() func(float64) float64 {
 }
 
 // lemma2 assigns processors per Lemma 2 for perfectly parallel
-// applications into the equalizer's scratch vectors. d holds each
-// application's d_i.
-func (eq *equalizer) lemma2(pl model.Platform, apps []model.Application, d, shares []float64) ([]float64, float64) {
-	eq.seq = growF64(eq.seq, len(apps))
+// applications from their sequential times seq into the equalizer's
+// processor vector.
+func (eq *equalizer) lemma2(pl model.Platform, seq []float64) ([]float64, float64) {
 	var total solve.Kahan
-	for i, a := range apps {
-		eq.seq[i] = a.ExeD(pl, d[i], 1, shares[i])
-		total.Add(eq.seq[i])
+	for _, t := range seq {
+		total.Add(t)
 	}
 	sum := total.Sum()
-	procs := growF64(eq.procs, len(apps))
+	procs := growF64(eq.procs, len(seq))
 	eq.procs = procs
 	if sum == 0 {
 		for i := range procs {
@@ -69,7 +73,7 @@ func (eq *equalizer) lemma2(pl model.Platform, apps []model.Application, d, shar
 		return procs, 0
 	}
 	for i := range procs {
-		procs[i] = pl.Processors * eq.seq[i] / sum
+		procs[i] = pl.Processors * seq[i] / sum
 	}
 	return procs, sum / pl.Processors
 }
@@ -84,16 +88,20 @@ func (eq *equalizer) equalize(pl model.Platform, apps []model.Application, d, sh
 	if n == 0 {
 		return nil, 0, ErrInfeasible
 	}
+	eq.cost = growF64(eq.cost, n)
 	eq.c = growF64(eq.c, n)
 	allSeqZero := true
 	for i, a := range apps {
-		eq.c[i] = a.Work * a.CostPerOpD(pl, d[i], shares[i])
+		eq.cost[i] = a.CostPerOpD(pl, d[i], shares[i])
+		eq.c[i] = a.Work * eq.cost[i]
 		if a.SeqFraction != 0 {
 			allSeqZero = false
 		}
 	}
 	if allSeqZero {
-		procs, K := eq.lemma2(pl, apps, d, shares)
+		// Exe_i(1, x_i) = Flops(1)·cost_i, and Flops(1) is exactly w_i
+		// when s_i = 0, so Lemma 2's sequential times are the c_i.
+		procs, K := eq.lemma2(pl, eq.c)
 		return procs, K, nil
 	}
 
@@ -144,15 +152,29 @@ func (eq *equalizer) equalize(pl model.Platform, apps []model.Application, d, sh
 	return procs, K, nil
 }
 
+// makespan returns max_i Exe_i(p_i, x_i) at the share vector of the
+// last equalize call, each completion time ExeD's own product
+// Flops(p_i)·cost_i (+Inf at p_i <= 0), so it is bit-identical to
+// maxFinish over the same processors and shares.
+func (eq *equalizer) makespan(apps []model.Application, procs []float64) float64 {
+	var m float64
+	for i, a := range apps {
+		m = math.Max(m, a.ExeCost(procs[i], eq.cost[i]))
+	}
+	return m
+}
+
 // ProcessorsLemma2 assigns processors per Lemma 2 for perfectly parallel
 // applications: p_i = p · Exe^seq_i(x_i) / Σ_j Exe^seq_j(x_j), which makes
 // all applications finish simultaneously at (Σ_j Exe^seq_j(x_j))/p.
 func ProcessorsLemma2(pl model.Platform, apps []model.Application, shares []float64) ([]float64, float64) {
+	d := dOf(pl, apps)
+	seq := make([]float64, len(apps))
+	for i, a := range apps {
+		seq[i] = a.ExeD(pl, d[i], 1, shares[i])
+	}
 	var eq equalizer
-	procs, K := eq.lemma2(pl, apps, dOf(pl, apps), shares)
-	out := make([]float64, len(procs))
-	copy(out, procs)
-	return out, K
+	return eq.lemma2(pl, seq)
 }
 
 // EqualizeAmdahl finds the common completion time K and processor counts

@@ -156,22 +156,34 @@ func (h Heuristic) Schedule(pl model.Platform, apps []model.Application, rng *so
 // cancelled. The closed-form heuristics complete in microseconds and
 // only check ctx on entry. Cancellation never corrupts pooled scratch —
 // buffers return to the pool in a reusable state, and a subsequent call
-// on a live context produces bit-identical schedules.
+// on a live context produces bit-identical schedules. It is Prepare
+// followed by one SchedulePrepared.
 func (h Heuristic) ScheduleContext(ctx context.Context, pl model.Platform, apps []model.Application, rng *solve.RNG) (*Schedule, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if err := model.ValidateAll(pl, apps); err != nil {
+	in, err := Prepare(pl, apps)
+	if err != nil {
 		return nil, err
 	}
-	sc := getScratch(h, pl, apps)
-	defer putScratch(sc)
-	return h.scheduleWith(ctx, sc, pl, apps, rng)
+	defer in.Release()
+	return h.SchedulePrepared(ctx, &in, rng)
+}
+
+// SchedulePrepared is ScheduleContext on a prepared input: it skips the
+// validation Prepare did, and every evaluation on in shares one scratch
+// and one constants table. The schedule is bit-identical to
+// ScheduleContext's on the same (platform, applications) pair.
+func (h Heuristic) SchedulePrepared(ctx context.Context, in *Prepared, rng *solve.RNG) (*Schedule, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return h.scheduleWith(ctx, in.scratchFor(h), in.pl, in.apps, rng)
 }
 
 // scheduleWith dispatches to the heuristic implementations on an
 // already-validated input with a caller-held scratch whose constants
-// table getScratch filled for (h, pl, apps).
+// table holds what h reads for (pl, apps) (see Prepared.scratchFor).
 func (h Heuristic) scheduleWith(ctx context.Context, sc *scratch, pl model.Platform, apps []model.Application, rng *solve.RNG) (*Schedule, error) {
 	switch h {
 	case DominantRandom, DominantMinRatio, DominantMaxRatio,
@@ -254,7 +266,9 @@ func sharesScheduleWith(sc *scratch, pl model.Platform, apps []model.Application
 // sharesScheduleEq completes a schedule from fixed cache shares by
 // equalizing completion times with eq, given each application's d_i,
 // and materializes the resulting Schedule — the only allocation of the
-// hot path.
+// hot path. The makespan reads each application's cost per operation
+// from the equalization (eq.makespan), so the shares' power law is
+// evaluated once per application.
 func sharesScheduleEq(eq *equalizer, pl model.Platform, apps []model.Application, d, shares []float64) (*Schedule, error) {
 	procs, _, err := eq.equalize(pl, apps, d, shares)
 	if err != nil {
@@ -264,7 +278,7 @@ func sharesScheduleEq(eq *equalizer, pl model.Platform, apps []model.Application
 	for i := range apps {
 		asg[i] = Assignment{Processors: procs[i], CacheShare: shares[i]}
 	}
-	return &Schedule{Assignments: asg, Makespan: maxFinish(pl, apps, d, asg)}, nil
+	return &Schedule{Assignments: asg, Makespan: eq.makespan(apps, procs)}, nil
 }
 
 // fairSchedule: p_i = p/n and x_i = f_i / Σf_j (Section 6.3).

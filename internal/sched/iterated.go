@@ -187,18 +187,19 @@ func LocalSearchSchedule(pl model.Platform, apps []model.Application, opts Local
 // ctx.Err() promptly once cancelled, leaving the pooled scratch in a
 // reusable state.
 func LocalSearchScheduleContext(ctx context.Context, pl model.Platform, apps []model.Application, opts LocalSearchOptions, rng *solve.RNG) (*Schedule, error) {
-	if err := model.ValidateAll(pl, apps); err != nil {
+	in, err := Prepare(pl, apps)
+	if err != nil {
 		return nil, err
 	}
-	sc := getScratch(LocalSearch, pl, apps)
-	defer putScratch(sc)
-	return localSearchSchedule(ctx, sc, pl, apps, opts, rng)
+	defer in.Release()
+	return localSearchSchedule(ctx, in.scratchFor(LocalSearch), pl, apps, opts, rng)
 }
 
 // localSearchMakespan evaluates one candidate membership: Lemma 4 shares
-// on the membership, Amdahl equalization, max finish time. It performs
-// the exact arithmetic of building the candidate Schedule without
-// materializing it, so the hill climb allocates nothing per toggle.
+// on the membership, Amdahl equalization, max finish time (read from the
+// equalization's costs per operation). It performs the exact arithmetic
+// of building the candidate Schedule without materializing it, so the
+// hill climb allocates nothing per toggle.
 // sc.part must already be reset over (pl, apps) with the solve's
 // constants table; only its membership changes.
 func localSearchMakespan(sc *scratch, pl model.Platform, apps []model.Application, m []bool) (float64, error) {
@@ -210,11 +211,7 @@ func localSearchMakespan(sc *scratch, pl model.Platform, apps []model.Applicatio
 	if err != nil {
 		return 0, err
 	}
-	var span float64
-	for i, a := range apps {
-		span = math.Max(span, a.ExeD(pl, sc.k.D[i], procs[i], sc.shares[i]))
-	}
-	return span, nil
+	return sc.eq.makespan(apps, procs), nil
 }
 
 // localSearchSchedule is the scratch-backed hill climb. Candidate

@@ -455,3 +455,31 @@ func TestSortedByRatio(t *testing.T) {
 		}
 	}
 }
+
+// TestEqualizerMakespanZeroLane: makespan takes each completion time as
+// ExeD's own product from the equalization's costs per operation, so it
+// equals maxFinish bit for bit, and a lane left without processors
+// makes it +Inf, as ExeD does.
+func TestEqualizerMakespanZeroLane(t *testing.T) {
+	pl := refPlatform()
+	apps := npbApps(0.05)
+	shares := []float64{0.3, 0.2, 0.1, 0.2, 0.1, 0.1}
+	d := dOf(pl, apps)
+	var eq equalizer
+	procs, _, err := eq.equalize(pl, apps, d, shares)
+	if err != nil {
+		t.Fatal(err)
+	}
+	asg := make([]Assignment, len(apps))
+	for i := range asg {
+		asg[i] = Assignment{Processors: procs[i], CacheShare: shares[i]}
+	}
+	if got, want := eq.makespan(apps, procs), maxFinish(pl, apps, d, asg); math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("makespan %v, maxFinish %v", got, want)
+	}
+	lanes := append([]float64(nil), procs...)
+	lanes[2] = 0
+	if m := eq.makespan(apps, lanes); !math.IsInf(m, 1) {
+		t.Errorf("makespan with a zero-processor lane = %v, want +Inf", m)
+	}
+}

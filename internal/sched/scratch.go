@@ -7,8 +7,8 @@ import (
 	"repro/internal/model"
 )
 
-// scratch is the per-evaluation workspace of one Heuristic.Schedule
-// call. Every buffer the heuristics previously allocated per call —
+// scratch is the workspace of the evaluations on one Prepared input.
+// Every buffer the heuristics previously allocated per call —
 // the model constants table, partition state, cache-share vectors,
 // equalizer coefficients — lives here and is recycled through a
 // sync.Pool, so the steady-state hot path only allocates the Schedule
@@ -28,23 +28,64 @@ type scratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-// getScratch takes a scratch from the pool and fills its constants
-// table for heuristic h on (pl, apps): the one place a solve computes
-// d_i and the quantities derived from it. Only heuristics that build a
-// core.Partition read the thresholds and weights, so the others get
-// the d_i column alone.
-func getScratch(h Heuristic, pl model.Platform, apps []model.Application) *scratch {
-	sc := scratchPool.Get().(*scratch)
-	switch h {
-	case Fair, ZeroCache, AllProcCache, SharedCache:
-		sc.k.FillD(pl, apps)
-	default:
-		sc.k.Fill(pl, apps)
-	}
-	return sc
+// Prepared is one (platform, applications) pair made ready for any
+// number of heuristic evaluations: validated once by Prepare, and
+// holding one pooled scratch whose constants table is computed once,
+// on the first evaluation, for every heuristic that follows. A race
+// over the portfolio therefore validates its input once and computes
+// each d_i once instead of once per heuristic, and a race whose
+// evaluations never run takes no scratch at all.
+//
+// A Prepared is used by one goroutine at a time, reads the caller's
+// applications slice until Release, and must be released when the
+// caller is done with it. Its zero value is not prepared.
+type Prepared struct {
+	pl   model.Platform
+	apps []model.Application
+	sc   *scratch // nil until the first evaluation
+	full bool     // sc.k holds the threshold and weight columns too
 }
 
-func putScratch(s *scratch) { scratchPool.Put(s) }
+// Prepare validates (pl, apps) for scheduling; a validation failure is
+// the error every heuristic would return on this input.
+func Prepare(pl model.Platform, apps []model.Application) (Prepared, error) {
+	if err := model.ValidateAll(pl, apps); err != nil {
+		return Prepared{}, err
+	}
+	return Prepared{pl: pl, apps: apps}, nil
+}
+
+// Release returns the input's scratch to the pool.
+func (p *Prepared) Release() {
+	if p.sc != nil {
+		scratchPool.Put(p.sc)
+		p.sc = nil
+	}
+}
+
+// scratchFor returns the input's scratch with the constants table
+// heuristic h reads: the d_i column on first use, and the threshold and
+// weight columns too, once, for the heuristics that build a
+// core.Partition. The others read d_i alone, so a lone Fair, ZeroCache,
+// AllProcCache or SharedCache evaluation never pays for the two power
+// laws per application the other columns cost. Every column holds the
+// bits a fresh table would, so the order heuristics run in cannot
+// change a schedule.
+func (p *Prepared) scratchFor(h Heuristic) *scratch {
+	if p.sc == nil {
+		p.sc = scratchPool.Get().(*scratch)
+		p.sc.k.FillD(p.pl, p.apps)
+	}
+	switch h {
+	case Fair, ZeroCache, AllProcCache, SharedCache:
+	default:
+		if !p.full {
+			p.sc.k.Complete(p.pl, p.apps)
+			p.full = true
+		}
+	}
+	return p.sc
+}
 
 // growF64 returns a slice of length n, reusing s's backing array when
 // large enough.

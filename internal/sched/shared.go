@@ -38,12 +38,12 @@ const sharedCacheIterations = 200
 // two are iterated to a fixed point. The returned schedule stores the
 // equilibrium occupancies in the CacheShare fields (they sum to 1).
 func SharedCacheSchedule(pl model.Platform, apps []model.Application) (*Schedule, error) {
-	if err := model.ValidateAll(pl, apps); err != nil {
+	in, err := Prepare(pl, apps)
+	if err != nil {
 		return nil, err
 	}
-	sc := getScratch(SharedCache, pl, apps)
-	defer putScratch(sc)
-	return sharedCacheSchedule(sc, pl, apps)
+	defer in.Release()
+	return sharedCacheSchedule(in.scratchFor(SharedCache), pl, apps)
 }
 
 // sharedCacheSchedule is the scratch-backed fixed-point iteration; every
@@ -77,7 +77,8 @@ func sharedCacheSchedule(sc *scratch, pl model.Platform, apps []model.Applicatio
 	}
 	occupancies(apps, procs, occ)
 	// Final consistent pass: equalize once more at the settled
-	// occupancies so finish times are exactly equal.
+	// occupancies so finish times are exactly equal. The makespan reads
+	// the pass's costs per operation at those occupancies.
 	final, _, err := sc.eq.equalize(pl, apps, sc.k.D, occ)
 	if err != nil {
 		return nil, err
@@ -86,7 +87,7 @@ func sharedCacheSchedule(sc *scratch, pl model.Platform, apps []model.Applicatio
 	for i := range asg {
 		asg[i] = Assignment{Processors: final[i], CacheShare: occ[i]}
 	}
-	return &Schedule{Assignments: asg, Makespan: maxFinish(pl, apps, sc.k.D, asg)}, nil
+	return &Schedule{Assignments: asg, Makespan: sc.eq.makespan(apps, final)}, nil
 }
 
 // occupancies fills occ with the access-pressure-proportional cache

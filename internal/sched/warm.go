@@ -32,29 +32,51 @@ import (
 // read — application names are excluded on purpose, because no
 // heuristic's arithmetic reads them (they only appear in errors and
 // reports) and online callers re-stamp names per job ("cg#17"), which
-// would otherwise defeat the memo on recurring workload shapes.
+// would otherwise defeat the memo on recurring workload shapes. It
+// covers the resident set alone: the heuristic picks one of the set's
+// plans, so the plans a portfolio race stores for one resident set
+// share one key, encoded, hashed and allocated once per race.
 
 // PlanMemo memoizes deterministic heuristic plans keyed by the exact
-// bit pattern of (heuristic, platform, applications). It is the plan
-// cache behind ScheduleWarm and the DES delta-rescheduling policies:
-// online resident sets recur (a drained wave re-admits a fresh batch of
-// template jobs), and a recurring set costs one map probe instead of a
-// full solve.
+// bit pattern of (platform, applications) — the resident set — with one
+// slot per heuristic. It is the plan cache behind ScheduleWarm and the
+// DES delta-rescheduling policies: online resident sets recur (a
+// drained wave re-admits a fresh batch of template jobs), and a
+// recurring set costs one map probe instead of a full solve. A
+// portfolio race stores its deterministic plans with StoreAll and a
+// replan probes them with LookupAll, each with one fingerprint, one map
+// probe and at most one key allocation for the whole set.
 //
-// Entries are evicted FIFO once capacity is reached, so the memo's
-// content — and therefore the hit/miss sequence — is a deterministic
-// function of the insertion sequence. A PlanMemo is not safe for
-// concurrent use; each online policy owns one (the DES event loop is
-// single-threaded).
+// Capacity counts plans, not resident sets, and eviction is FIFO per
+// (heuristic, resident set) entry: the memo drops its oldest plan, and
+// a resident set's key with its last plan. Its content — and therefore
+// the hit/miss sequence — is a deterministic function of the insertion
+// sequence, the same as that of a memo keyed by (heuristic, resident
+// set) pairs. A PlanMemo is not safe for concurrent use; each online
+// policy owns one (the DES event loop is single-threaded).
 type PlanMemo struct {
-	capacity  int
-	plans     map[string]*Schedule
-	order     []string // insertion order, oldest first
-	head      int      // index of the oldest live key in order
+	capacity int
+	// index maps a resident set's fingerprint to its oldest plan in
+	// ring; the set's plans are linked oldest first through next.
+	index map[string]int32
+	// ring holds every retained plan in insertion order from head on,
+	// wrapping around once it reaches capacity: from then on each new
+	// plan takes the slot of the oldest, which it evicts.
+	ring      []memoPlan
+	head      int
 	hits      uint64
 	misses    uint64
 	evictions uint64
 	key       []byte // recycled fingerprint buffer
+}
+
+// memoPlan is one retained plan: heuristic h's schedule for the
+// resident set keyed by key.
+type memoPlan struct {
+	s    *Schedule
+	key  string // the set's index key, shared by all its plans
+	h    Heuristic
+	next int32 // the set's next newer plan in ring, or -1
 }
 
 // DefaultPlanMemoCapacity bounds a policy-owned memo: comfortably more
@@ -70,7 +92,7 @@ func NewPlanMemo(capacity int) *PlanMemo {
 	if capacity < 1 {
 		capacity = DefaultPlanMemoCapacity
 	}
-	return &PlanMemo{capacity: capacity, plans: make(map[string]*Schedule)}
+	return &PlanMemo{capacity: capacity, index: make(map[string]int32)}
 }
 
 // MemoStats are a PlanMemo's monotonic counters.
@@ -83,19 +105,17 @@ type MemoStats struct {
 
 // Stats snapshots the counters.
 func (m *PlanMemo) Stats() MemoStats {
-	return MemoStats{Hits: m.hits, Misses: m.misses, Evictions: m.evictions, Entries: len(m.plans)}
+	return MemoStats{Hits: m.hits, Misses: m.misses, Evictions: m.evictions, Entries: len(m.ring)}
 }
 
-// fingerprint appends the canonical byte encoding of (h, pl, apps) to
-// m's recycled buffer and returns it. Every numeric field the
-// heuristics read contributes its exact bit pattern; names are excluded
-// (see the package comment above). Distinct inputs cannot collide, and
-// a fingerprint match certifies that a stored plan is bit-identical to
+// fingerprint appends the canonical byte encoding of (pl, apps) to m's
+// recycled buffer and returns it. Every numeric field the heuristics
+// read contributes its exact bit pattern; names are excluded (see the
+// package comment above). Distinct inputs cannot collide, and a
+// fingerprint match certifies that a stored plan is bit-identical to
 // what a cold solve would produce.
-func (m *PlanMemo) fingerprint(h Heuristic, pl model.Platform, apps []model.Application) []byte {
-	b := m.key[:0]
-	b = binary.LittleEndian.AppendUint64(b, uint64(h))
-	b = appendBits(b, pl.Processors, pl.CacheSize, pl.LatencyS, pl.LatencyL, pl.Alpha)
+func (m *PlanMemo) fingerprint(pl model.Platform, apps []model.Application) []byte {
+	b := appendBits(m.key[:0], pl.Processors, pl.CacheSize, pl.LatencyS, pl.LatencyL, pl.Alpha)
 	b = binary.LittleEndian.AppendUint64(b, uint64(len(apps)))
 	for _, a := range apps {
 		b = appendBits(b, a.Work, a.SeqFraction, a.AccessFreq, a.Footprint, a.RefMissRate, a.RefCacheSize)
@@ -111,21 +131,58 @@ func appendBits(b []byte, vs ...float64) []byte {
 	return b
 }
 
+// first returns the oldest plan of the resident set key fingerprints,
+// or -1. The probe does not allocate (the map lookup elides the string
+// conversion).
+func (m *PlanMemo) first(key []byte) int32 {
+	if i, ok := m.index[string(key)]; ok {
+		return i
+	}
+	return -1
+}
+
+// find returns heuristic h's plan in the resident set whose oldest plan
+// is first (-1: none), counting the lookup as a hit or a miss.
+func (m *PlanMemo) find(first int32, h Heuristic) (*Schedule, bool) {
+	for i := first; i >= 0; i = m.ring[i].next {
+		if m.ring[i].h == h {
+			m.hits++
+			return m.ring[i].s, true
+		}
+	}
+	m.misses++
+	return nil, false
+}
+
 // Get returns the memoized plan for a deterministic heuristic on these
-// exact inputs, or (nil, false). The hit path performs no allocation
-// (the map probe elides the string conversion). Returned schedules are
-// shared: callers must treat them as immutable.
+// exact inputs, or (nil, false). The hit path performs no allocation.
+// Returned schedules are shared: callers must treat them as immutable.
 func (m *PlanMemo) Get(h Heuristic, pl model.Platform, apps []model.Application) (*Schedule, bool) {
 	if h.Randomized() {
 		return nil, false
 	}
-	s, ok := m.plans[string(m.fingerprint(h, pl, apps))]
-	if ok {
-		m.hits++
-	} else {
-		m.misses++
+	return m.find(m.first(m.fingerprint(pl, apps)), h)
+}
+
+// LookupAll is Get for every deterministic heuristic of hs, in order,
+// on one input, with one fingerprint and one map probe: it sets
+// plans[i] for each deterministic hs[i] and reports whether all of
+// them hit. It stops at the first miss, leaving the counters exactly as
+// consecutive Get calls up to that miss would; randomized lanes of
+// plans are left untouched. plans must be at least as long as hs.
+func (m *PlanMemo) LookupAll(hs []Heuristic, pl model.Platform, apps []model.Application, plans []*Schedule) bool {
+	first := m.first(m.fingerprint(pl, apps))
+	for i, h := range hs {
+		if h.Randomized() {
+			continue
+		}
+		s, ok := m.find(first, h)
+		if !ok {
+			return false
+		}
+		plans[i] = s
 	}
-	return s, ok
+	return true
 }
 
 // Put stores a solved plan for a deterministic heuristic. Randomized
@@ -137,24 +194,79 @@ func (m *PlanMemo) Put(h Heuristic, pl model.Platform, apps []model.Application,
 	if h.Randomized() || s == nil {
 		return
 	}
-	key := string(m.fingerprint(h, pl, apps))
-	if _, ok := m.plans[key]; ok {
-		return
-	}
-	if len(m.plans) >= m.capacity {
-		delete(m.plans, m.order[m.head])
-		m.order[m.head] = ""
-		m.head++
-		m.evictions++
-		// Compact the ring once the dead prefix dominates, keeping
-		// amortized insertion O(1) without unbounded slice growth.
-		if m.head > len(m.order)/2 {
-			m.order = append(m.order[:0], m.order[m.head:]...)
-			m.head = 0
+	key := m.fingerprint(pl, apps)
+	m.put(key, m.first(key), h, s)
+}
+
+// StoreAll is Put for every hs[i] with plans[i], in index order, on one
+// input: one fingerprint, one map probe and at most one key allocation
+// for the whole set. The memo ends exactly as consecutive Put calls
+// would leave it, evictions included. plans must be at least as long
+// as hs.
+func (m *PlanMemo) StoreAll(hs []Heuristic, pl model.Platform, apps []model.Application, plans []*Schedule) {
+	key := m.fingerprint(pl, apps)
+	first := m.first(key)
+	for i, h := range hs {
+		if !h.Randomized() && plans[i] != nil {
+			first = m.put(key, first, h, plans[i])
 		}
 	}
-	m.plans[key] = s
-	m.order = append(m.order, key)
+}
+
+// put stores s as heuristic h's plan of the resident set key
+// fingerprints, whose oldest plan is first (-1 when it has none),
+// unless the set already holds one, and returns the set's oldest plan
+// afterwards. A full memo first evicts its oldest plan, which may be
+// the set's oldest, or even its only one: the plan then starts the set
+// anew, as a Put after the set's eviction would, under the same key
+// string.
+func (m *PlanMemo) put(key []byte, first int32, h Heuristic, s *Schedule) int32 {
+	last := int32(-1)
+	for i := first; i >= 0; i = m.ring[i].next {
+		if m.ring[i].h == h {
+			return first
+		}
+		last = i
+	}
+	slot := int32(len(m.ring))
+	var k string
+	if len(m.ring) >= m.capacity {
+		slot = int32(m.head)
+		if old := m.evict(); first == slot {
+			if first = old.next; first < 0 {
+				last, k = -1, old.key
+			}
+		}
+	} else {
+		m.ring = append(m.ring, memoPlan{})
+	}
+	if first < 0 {
+		if k == "" {
+			k = string(key)
+		}
+		m.index[k] = slot
+		first = slot
+	} else {
+		k = m.ring[first].key
+		m.ring[last].next = slot
+	}
+	m.ring[slot] = memoPlan{s: s, key: k, h: h, next: -1}
+	return first
+}
+
+// evict drops the oldest plan, the head of the ring, and returns it:
+// its resident set's oldest plan becomes the next one, and a set left
+// with no plan leaves the index. The caller refills the slot.
+func (m *PlanMemo) evict() memoPlan {
+	old := m.ring[m.head]
+	if old.next >= 0 {
+		m.index[old.key] = old.next
+	} else {
+		delete(m.index, old.key)
+	}
+	m.head = (m.head + 1) % len(m.ring)
+	m.evictions++
+	return old
 }
 
 // ScheduleWarm is Schedule through a plan memo — the warm-start entry

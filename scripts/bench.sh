@@ -13,7 +13,8 @@
 # Environment:
 #   BENCH_TIME        -benchtime (default 30x; the microsecond BenchmarkHeuristic
 #                     arms always run 10000x, see run_bench)
-#   BENCH_COUNT       -count: repeated runs feeding the median/MAD aggregation (default 10)
+#   BENCH_COUNT       rounds: each runs every package's benchmarks once (-count 1), and
+#                     the rounds feed the median/MAD aggregation (default 10)
 #   BENCH_LABEL       trajectory label (default: the short git SHA, "+dirty" when
 #                     the tree has uncommitted changes)
 #   BENCH_TRAJECTORY  append-only NDJSON trajectory (default benchmarks/trajectory.ndjson)
@@ -35,23 +36,37 @@ fi
 BENCH_TRAJECTORY=${BENCH_TRAJECTORY:-$BENCH_DIR/trajectory.ndjson}
 BENCHGATE_FLAGS=${BENCHGATE_FLAGS:-}
 
+# bench_pkg PKG PATTERN BENCHTIME runs one package's compiled test
+# binary once (-count 1) from the package directory, as go test would.
+bench_pkg() {
+  (cd "internal/$1" && "$BIN_DIR/$1.test" -test.run '^$' -test.bench "$2" -test.benchmem \
+    -test.benchtime "$3" -test.count 1)
+}
+
 run_bench() {
   mkdir -p "$BENCH_DIR"
+  BIN_DIR=$(mktemp -d)
+  trap 'rm -rf "$BIN_DIR"' EXIT
+  for pkg in portfolio des serve fleet sched; do
+    go test -c -o "$BIN_DIR/$pkg.test" "./internal/$pkg"
+  done
+  # Each round runs every package once, so the two arms of a ratio row
+  # (BenchmarkDESPortfolioHighRate/delta and /full, the two
+  # BenchmarkSelectorSweep modes) are measured seconds apart in the same
+  # host phase, BENCH_COUNT times over, instead of each arm's
+  # BENCH_COUNT repetitions running back to back minutes apart.
   {
-    go test -run '^$' -bench 'BenchmarkPortfolio|BenchmarkSelector' -benchmem -benchtime "$BENCH_TIME" \
-      -count "$BENCH_COUNT" ./internal/portfolio
-    go test -run '^$' -bench 'BenchmarkDES' -benchmem -benchtime "$BENCH_TIME" \
-      -count "$BENCH_COUNT" ./internal/des
-    go test -run '^$' -bench 'BenchmarkServe' -benchmem -benchtime "$BENCH_TIME" \
-      -count "$BENCH_COUNT" ./internal/serve
-    go test -run '^$' -bench 'BenchmarkFleet' -benchmem -benchtime "$BENCH_TIME" \
-      -count "$BENCH_COUNT" ./internal/fleet
-    # A BenchmarkHeuristic op takes microseconds: over 30 iterations one
-    # pooled-buffer refill moves B/op by about 54 bytes, so whether a run
-    # caught a refill decided the B/op gate. At 10000 iterations a refill
-    # no longer shows and every run reads the same B/op.
-    go test -run '^$' -bench 'BenchmarkHeuristic' -benchmem -benchtime 10000x \
-      -count "$BENCH_COUNT" ./internal/sched
+    for ((round = 0; round < BENCH_COUNT; round++)); do
+      bench_pkg portfolio 'BenchmarkPortfolio|BenchmarkSelector' "$BENCH_TIME"
+      bench_pkg des 'BenchmarkDES' "$BENCH_TIME"
+      bench_pkg serve 'BenchmarkServe' "$BENCH_TIME"
+      bench_pkg fleet 'BenchmarkFleet' "$BENCH_TIME"
+      # A BenchmarkHeuristic op takes microseconds: over 30 iterations one
+      # pooled-buffer refill moves B/op by about 54 bytes, so whether a run
+      # caught a refill decided the B/op gate. At 10000 iterations a refill
+      # no longer shows and every run reads the same B/op.
+      bench_pkg sched 'BenchmarkHeuristic' 10000x
+    done
   } | tee "$LATEST"
 }
 
