@@ -20,9 +20,9 @@ import (
 // between refinement steps.
 //
 // Construct one Client per logical workload source and reuse it: the
-// memoization cache only pays off across calls, and all calls share one
-// bounded worker pool. The zero-configuration NewClient() is right for
-// most uses; see the With* options for tuning.
+// memoization cache only pays off across calls, and all its portfolio
+// races share one bounded worker pool. The zero-configuration
+// NewClient() is right for most uses; see the With* options for tuning.
 type Client struct {
 	engine     *portfolio.Engine
 	heuristics []Heuristic
@@ -48,9 +48,10 @@ type clientConfig struct {
 type ClientOption func(*clientConfig)
 
 // WithWorkers bounds the client's worker pool: at most n heuristic
-// evaluations run at once across all concurrent calls on the client.
-// Values < 1 (and the default) mean GOMAXPROCS. Results are bit-for-bit
-// identical at any worker count.
+// evaluations of its portfolio races run at once across all concurrent
+// calls on the client (online simulations race on their calling
+// goroutine, outside the pool). Values < 1 (and the default) mean
+// GOMAXPROCS. Results are bit-for-bit identical at any worker count.
 func WithWorkers(n int) ClientOption {
 	return func(c *clientConfig) { c.workers = n }
 }
@@ -142,8 +143,8 @@ func (c *Client) Workers() int { return c.engine.Workers() }
 
 // Engine exposes the client's underlying portfolio engine, for sharing
 // it with lower-level consumers: the experiment sweeps
-// (experiments.Config.Engine) use its worker pool and cache, the online
-// portfolio policy (des.NewPortfolioPolicy) its worker pool only.
+// (experiments.Config.Engine) use its worker pool and cache. Online
+// policies never use it: they race on the simulating goroutine.
 func (c *Client) Engine() *PortfolioEngine { return c.engine }
 
 // Schedule computes a complete co-schedule for the workload with one
@@ -302,13 +303,13 @@ func (c *Client) EvaluateBatch(ctx context.Context, scenarios iter.Seq[Portfolio
 // SimulateOnline runs an online co-scheduling scenario to completion on
 // the discrete-event simulator: jobs arrive over virtual time and the
 // scenario's policy repartitions the node at every arrival and
-// completion. Deterministic per seed and bit-identical across runs and
-// policy worker counts. The event loop polls ctx every few events and
-// abandons a cancelled run with ctx.Err(); to share the client's worker
-// pool with a portfolio repartition policy, pass Engine() to
-// des.NewPortfolioPolicy. The policy then races on the client's pool
-// but never touches its memoization cache: online residual workloads do
-// not recur by name, and the policy memoizes recurring shapes itself.
+// completion. Deterministic per seed and bit-identical across runs.
+// The event loop polls ctx every few events and abandons a cancelled
+// run with ctx.Err(). A portfolio repartition policy races on the
+// calling goroutine and takes nothing from the client's engine, neither
+// its worker slots nor its memoization cache: online residual
+// workloads do not recur by name, and the policy memoizes recurring
+// shapes itself.
 func (c *Client) SimulateOnline(ctx context.Context, sc OnlineScenario) (*OnlineResult, error) {
 	if sc.Metrics == nil {
 		sc.Metrics = c.desMetrics
@@ -321,17 +322,12 @@ func (c *Client) SimulateOnline(ctx context.Context, sc OnlineScenario) (*Online
 // policy, each node runs the single-node online simulator with its own
 // platform and repartitioning policy, and the aggregate (routing log,
 // per-node event logs, fleet-wide wait/response/stretch summaries) is
-// returned. A scenario without its own Engine shares the client's
-// worker pool for "portfolio" node policies — the pool only, never the
-// client's memoization cache (see des.NewPortfolioPolicy) — and one
-// without Metrics inherits the client's instrumentation. Nodes advance
-// serially; concurrent calls share the pool safely. Deterministic per
-// seed and bit-identical at any worker count; cancellation aborts
-// within a few arrivals with ctx.Err().
+// returned. A scenario without Metrics inherits the client's
+// instrumentation. Nodes advance serially, and "portfolio" node
+// policies race on the calling goroutine as in SimulateOnline, so
+// concurrent calls share nothing but the metrics. Deterministic per
+// seed; cancellation aborts within a few arrivals with ctx.Err().
 func (c *Client) SimulateFleet(ctx context.Context, sc FleetScenario) (*FleetResult, error) {
-	if sc.Engine == nil {
-		sc.Engine = c.engine
-	}
 	if sc.Metrics == nil {
 		sc.Metrics = c.desMetrics
 	}

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/des"
 	"repro/internal/selector"
 )
 
@@ -398,10 +397,13 @@ func TestBestCancellationPreCancelled(t *testing.T) {
 	}
 }
 
-// TestClientEngineSharing wires the client's engine into an online
-// portfolio policy, the documented path for sharing one worker pool.
+// TestClientEngineSharing: an online portfolio policy shares nothing
+// with the client's engine. Simulated through the client, it races on
+// the simulating goroutine, so the engine counts no race and no
+// evaluation, while the client's des metrics still see every replan.
 func TestClientEngineSharing(t *testing.T) {
-	c := NewClient(WithWorkers(2))
+	reg := NewMetricsRegistry()
+	c := NewClient(WithWorkers(2), WithMetrics(reg))
 	factory, err := CycleJobs(testApps(7))
 	if err != nil {
 		t.Fatal(err)
@@ -413,7 +415,7 @@ func TestClientEngineSharing(t *testing.T) {
 	sc := OnlineScenario{
 		Platform: TaihuLight(),
 		Arrivals: arr,
-		Policy:   des.NewPortfolioPolicy(c.Engine(), 0, 3),
+		Policy:   PortfolioRepartition(0, 3),
 	}
 	res, err := c.SimulateOnline(context.Background(), sc)
 	if err != nil {
@@ -422,14 +424,26 @@ func TestClientEngineSharing(t *testing.T) {
 	if res.Makespan <= 0 {
 		t.Fatalf("empty result: %+v", res)
 	}
+	for _, s := range reg.Snapshot() {
+		switch s.Name {
+		case "portfolio_batches_total", "portfolio_evals_total":
+			if s.Value != 0 {
+				t.Errorf("%s = %v after an online run, want 0", s.Name, s.Value)
+			}
+		case "des_allocate_seconds":
+			if s.Value == 0 {
+				t.Error("the client's des metrics saw no replan")
+			}
+		}
+	}
 }
 
 // TestSimulateFleetConcurrent runs several fleets at once on one
 // cache-on client, as a server's concurrent connections do. Every run
-// races its portfolio node policies on the client's shared worker
-// pool; each result must match its serial run on the routing log and
-// every node's event log, and the online races must leave the client's
-// memoization cache untouched.
+// races its portfolio node policies on its own goroutine; each result
+// must match its serial run on the routing log and every node's event
+// log, and the online races must leave the client's memoization cache
+// untouched.
 func TestSimulateFleetConcurrent(t *testing.T) {
 	ctx := context.Background()
 	c := NewClient(WithWorkers(2))

@@ -17,8 +17,8 @@
 //
 // With -fleet the harness instead sweeps the multi-node fleet families
 // (internal/fleet behind internal/genscen's fleet generators), checking
-// routing determinism across worker counts, the single-node reduction
-// to internal/des and the fleet-vs-best-solo stretch invariant, against
+// routing determinism from run to run, the single-node reduction to
+// internal/des and the fleet-vs-best-solo stretch invariant, against
 // its own golden corpus:
 //
 //	conform -fleet -seeds 4

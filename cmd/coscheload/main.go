@@ -267,7 +267,7 @@ func arrivalTimes(spec string, rate float64, n int, seed uint64) ([]float64, str
 	if err != nil {
 		return nil, "", err
 	}
-	sc, err := (&des.Spec{Arrivals: as, Seed: seed}).Build(1)
+	sc, err := (&des.Spec{Arrivals: as, Seed: seed}).Build()
 	if err != nil {
 		return nil, "", err
 	}

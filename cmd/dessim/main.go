@@ -193,10 +193,9 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) (err error) 
 		fmt.Fprintf(errOut, "dessim: debug listener on http://%s\n", ds.Addr())
 	}
 
-	// One v2 client per invocation: its engine backs every portfolio
-	// policy via BuildWith. A run races serially, so it holds one of the
-	// engine's slots at a time. No cache — online resident sets never
-	// repeat.
+	// One v2 client per invocation, whose registry the run reports on.
+	// Policies race on this goroutine and never use the client's
+	// engine, so it gets no cache.
 	client := repro.NewClient(repro.WithCache(false), repro.WithMetrics(reg))
 	// Registration is idempotent, so this handle shares its series with
 	// the client's; holding our own lets us attach the tracer.
@@ -210,7 +209,7 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) (err error) 
 	var emit func(*json.Encoder) (des.ReplanStats, error)
 	var spans []sim.Span
 	if *fleetRun {
-		sc, err := fsp.BuildWith(client.Engine(), client.Workers())
+		sc, err := fsp.Build(0)
 		if err != nil {
 			return err
 		}
@@ -223,7 +222,7 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) (err error) 
 			// as in single-node mode.
 			selecting := false
 			for _, n := range sc.Nodes {
-				pol, err := des.ParsePolicyShared(client.Engine(), n.Policy, 0, 0)
+				pol, err := des.ParsePolicy(n.Policy, 0)
 				selecting = selecting || err == nil && des.ConfigureSelector(pol, sc.Ledger, selector.Thresholds{})
 			}
 			if !selecting {
@@ -237,7 +236,7 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) (err error) 
 		}
 		emit = func(enc *json.Encoder) (des.ReplanStats, error) { return emitFleet(enc, sc, res, *events) }
 	} else {
-		sc, err := sp.BuildWith(client.Engine(), client.Workers())
+		sc, err := sp.Build()
 		if err != nil {
 			return err
 		}
@@ -246,7 +245,7 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) (err error) 
 			// spec or -policy already chose one explicitly.
 			if sp.Policy == "" || sp.Policy == "portfolio" {
 				sp.Policy = "portfolio:selector"
-				if sc, err = sp.BuildWith(client.Engine(), client.Workers()); err != nil {
+				if sc, err = sp.Build(); err != nil {
 					return err
 				}
 			}

@@ -323,10 +323,11 @@ func HeuristicRepartition(h Heuristic, seed uint64) (OnlinePolicy, error) {
 
 // PortfolioRepartition returns the online policy that races the whole
 // concurrent-heuristic portfolio over the residual workload at every
-// decision point and applies the winner. workers bounds the pool
-// (< 1 = GOMAXPROCS).
+// decision point and applies the winner. The race runs on the
+// simulating goroutine, so workers is ignored; it stays for callers of
+// the v2 API.
 func PortfolioRepartition(workers int, seed uint64) OnlinePolicy {
-	return des.NewPortfolioPolicy(nil, workers, seed)
+	return des.NewPortfolioPolicy(seed)
 }
 
 // NoRepartitionPolicy returns the wave-scheduling baseline: allocate

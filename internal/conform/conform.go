@@ -28,8 +28,8 @@
 //   - des-static: the online simulator with every job at t = 0 and a
 //     frozen wave policy reproduces internal/sim bit-for-bit;
 //   - des-online: the online simulator under the portfolio policy with
-//     staggered arrivals is bit-identical across policy worker counts,
-//     and its accounting holds on the sample path (see checkSamplePath).
+//     staggered arrivals is bit-identical from run to run, and its
+//     accounting holds on the sample path (see checkSamplePath).
 //
 // Every scenario also contributes to a per-family digest — a canonical
 // hash of all schedules produced — which is compared against a
@@ -80,8 +80,8 @@ type Options struct {
 	BaseSeed uint64
 	// Families to generate; nil means all.
 	Families []genscen.Family
-	// Workers is the parallel arm of the determinism checks (portfolio
-	// engine pool and online policy pool). Zero defaults to 8.
+	// Workers is the parallel arm of the portfolio determinism checks
+	// (the engine's pool). Zero defaults to 8.
 	Workers int
 	// Grid is the oracle's share-discretization step count (default 6).
 	Grid int
@@ -593,16 +593,14 @@ func checkDESStatic(in *genscen.Instance, opt Options, flag func(string, string,
 }
 
 // checkDESOnline: staggered arrivals under the portfolio policy must
-// yield bit-identical runs — full event logs included — at one policy
-// worker and at many (both race serially; the check guards against
-// fan-out added later). With Workers == 1 only the single run executes
-// (it still proves the scenario simulates). The returned string
-// is the 1-worker run's canonical digest, folded into the scenario
-// digest so online-simulator drift fails the golden gate too; the
-// second return is that run's delta-rescheduling telemetry.
+// yield bit-identical runs — full event logs included — when one build
+// simulates the same spec twice. The returned string is the first
+// run's canonical digest, folded into the scenario digest so
+// online-simulator drift fails the golden gate too; the second return
+// is that run's delta-rescheduling telemetry.
 //
 // Every arrival of that run gets processors at once, so its queue
-// integral and waits are all zero. A second run of the same spec with
+// integral and waits are all zero. One more run of the same spec with
 // at most onlineCap residents queues jobs, and its sample path is
 // checked too; it stays out of the digest.
 func checkDESOnline(in *genscen.Instance, opt Options, span float64, flag func(string, string, ...any)) (string, des.ReplanStats, error) {
@@ -610,36 +608,33 @@ func checkDESOnline(in *genscen.Instance, opt Options, span float64, flag func(s
 	if err != nil {
 		return "", des.ReplanStats{}, err
 	}
-	run := func(sp *des.Spec, workers int) (*des.Result, error) {
-		sc, err := sp.Build(workers)
+	run := func(sp *des.Spec) (*des.Result, error) {
+		sc, err := sp.Build()
 		if err != nil {
 			return nil, err
 		}
 		sc.Metrics = des.NewMetrics(opt.Metrics)
 		return des.Simulate(sc)
 	}
-	r1, err := run(sp, 1)
+	r1, err := run(sp)
 	if err != nil {
-		return "", des.ReplanStats{}, fmt.Errorf("des-online workers=1: %w", err)
+		return "", des.ReplanStats{}, fmt.Errorf("des-online: %w", err)
 	}
 	checkSamplePath(r1, in.Platform, "", flag)
 	capped := *sp
 	capped.MaxResident = onlineCap
-	rc, err := run(&capped, 1)
+	rc, err := run(&capped)
 	if err != nil {
 		return "", des.ReplanStats{}, fmt.Errorf("des-online cap %d: %w", onlineCap, err)
 	}
 	checkSamplePath(rc, in.Platform, fmt.Sprintf("cap %d: ", onlineCap), flag)
 	d1 := onlineDigest(r1)
-	if opt.Workers <= 1 {
-		return d1, r1.Replan, nil
-	}
-	rp, err := run(sp, opt.Workers)
+	r2, err := run(sp)
 	if err != nil {
-		return "", des.ReplanStats{}, fmt.Errorf("des-online workers=%d: %w", opt.Workers, err)
+		return "", des.ReplanStats{}, fmt.Errorf("des-online second run: %w", err)
 	}
-	if dp := onlineDigest(rp); d1 != dp {
-		flag("des-online", "online run differs between 1 and %d policy workers", opt.Workers)
+	if d2 := onlineDigest(r2); d1 != d2 {
+		flag("des-online", "online run differs between two runs of one spec")
 	}
 	return d1, r1.Replan, nil
 }

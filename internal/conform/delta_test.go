@@ -49,7 +49,7 @@ func TestDeltaReplanEquivalence(t *testing.T) {
 							t.Fatalf("%s: spec: %v", name, err)
 						}
 						sp.MaxResident = maxResident
-						sc, err := sp.Build(1)
+						sc, err := sp.Build()
 						if err != nil {
 							t.Fatalf("%s: build: %v", name, err)
 						}

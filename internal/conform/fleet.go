@@ -25,8 +25,8 @@ type FleetOptions struct {
 	BaseSeed uint64
 	// Families to generate; nil means every fleet family.
 	Families []genscen.FleetFamily
-	// Workers is the parallel arm of the routing-determinism check.
-	// Zero defaults to 8.
+	// Workers is reported with the results and otherwise unused: fleet
+	// runs race on the simulating goroutine. Zero defaults to 8.
 	Workers int
 	// Metrics optionally instruments every simulation; digests are
 	// identical with and without it.
@@ -127,9 +127,8 @@ func RunFleet(opt FleetOptions) (*FleetReport, error) {
 // family, seed) scenario it checks
 //
 //   - routing-determinism: every routing policy's full fleet result —
-//     routing log and all node event logs — is bit-identical at one
-//     worker and at Workers (both race serially; the check guards
-//     against fan-out added later);
+//     routing log and all node event logs — is bit-identical when one
+//     build simulates the same spec twice;
 //   - single-node reduction: a one-node fleet is bit-identical to a
 //     standalone internal/des run of that node with the derived policy
 //     seed (fleet adds routing, never arithmetic);
@@ -203,8 +202,8 @@ func runFleetScenario(ctx context.Context, in *genscen.FleetInstance, opt FleetO
 	if err != nil {
 		return "", "", nil, err
 	}
-	runFleet := func(sp *fleet.Spec, workers int) (*fleet.Result, error) {
-		sc, err := sp.Build(workers)
+	runFleet := func(sp *fleet.Spec) (*fleet.Result, error) {
+		sc, err := sp.Build(0)
 		if err != nil {
 			return nil, err
 		}
@@ -212,7 +211,7 @@ func runFleetScenario(ctx context.Context, in *genscen.FleetInstance, opt FleetO
 		return fleet.SimulateContext(ctx, sc)
 	}
 
-	// Routing determinism across worker counts, one digest per policy.
+	// Routing determinism across two runs, one digest per policy.
 	var parts []string
 	best, bestStretch := "", 0.0
 	for _, routing := range fleet.Routings {
@@ -220,20 +219,18 @@ func runFleetScenario(ctx context.Context, in *genscen.FleetInstance, opt FleetO
 		if err != nil {
 			return "", "", nil, err
 		}
-		r1, err := runFleet(sp, 1)
+		r1, err := runFleet(sp)
 		if err != nil {
-			return "", "", nil, fmt.Errorf("%s workers=1: %w", routing, err)
+			return "", "", nil, fmt.Errorf("%s: %w", routing, err)
 		}
 		checkFleetSamplePath(r1, in.Nodes, routing+": ", flag)
 		d1 := fleetDigest(r1)
-		if opt.Workers > 1 {
-			rp, err := runFleet(sp, opt.Workers)
-			if err != nil {
-				return "", "", nil, fmt.Errorf("%s workers=%d: %w", routing, opt.Workers, err)
-			}
-			if dp := fleetDigest(rp); d1 != dp {
-				flag("fleet-determinism", "%s: fleet run differs between 1 and %d workers", routing, opt.Workers)
-			}
+		r2, err := runFleet(sp)
+		if err != nil {
+			return "", "", nil, fmt.Errorf("%s second run: %w", routing, err)
+		}
+		if d2 := fleetDigest(r2); d1 != d2 {
+			flag("fleet-determinism", "%s: fleet run differs between two runs of one spec", routing)
 		}
 		parts = append(parts, routing+"\n"+d1)
 		if best == "" || r1.Stretch.Mean < bestStretch {
@@ -254,7 +251,7 @@ func runFleetScenario(ctx context.Context, in *genscen.FleetInstance, opt FleetO
 	if err != nil {
 		return "", "", nil, err
 	}
-	rf, err := runFleet(sp0, 1)
+	rf, err := runFleet(sp0)
 	if err != nil {
 		return "", "", nil, fmt.Errorf("single-node fleet: %w", err)
 	}
@@ -268,7 +265,7 @@ func runFleetScenario(ctx context.Context, in *genscen.FleetInstance, opt FleetO
 		dsp.Policy = "DominantMinRatio"
 	}
 	dsp.MaxResident = in.Nodes[0].MaxResident
-	dsc, err := dsp.Build(1)
+	dsc, err := dsp.Build()
 	if err != nil {
 		return "", "", nil, err
 	}
@@ -289,7 +286,7 @@ func runFleetScenario(ctx context.Context, in *genscen.FleetInstance, opt FleetO
 		if err != nil {
 			return "", "", nil, err
 		}
-		ri, err := runFleet(spi, 1)
+		ri, err := runFleet(spi)
 		if err != nil {
 			return "", "", nil, fmt.Errorf("solo node %d: %w", i, err)
 		}

@@ -10,7 +10,7 @@ import (
 
 // TestFleetRoutingDeterminism is the acceptance run of the fleet
 // harness: 100 seeds per fleet family, every cross-check enforced —
-// routing determinism across worker counts, the single-node reduction
+// routing determinism from run to run, the single-node reduction
 // to internal/des, and the fleet-vs-best-solo stretch invariant. It is
 // build-tagged so ordinary `go test ./...` stays fast; CI and
 // developers run it with:

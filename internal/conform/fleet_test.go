@@ -13,8 +13,8 @@ import (
 
 // TestFleetGoldenDigests is the fleet regression gate: re-running the
 // committed corpus's scenarios must reproduce its digests bit-for-bit
-// AND pass every fleet cross-check (routing determinism across worker
-// counts, the single-node reduction to internal/des, the
+// AND pass every fleet cross-check (routing determinism from run to
+// run, the single-node reduction to internal/des, the
 // fleet-vs-best-solo stretch invariant).
 //
 // To re-baseline after an intentional change:

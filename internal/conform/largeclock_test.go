@@ -115,7 +115,7 @@ func TestLargeClockDigests(t *testing.T) {
 				for _, offset := range largeClockOffsets {
 					key := fmt.Sprintf("%s/%s/cap%d/offset=%g", policy, st.spec.Process, maxRes, offset)
 					sp := &des.Spec{Arrivals: st.spec, Policy: policy, MaxResident: maxRes, Seed: 7}
-					sc, err := sp.Build(1)
+					sc, err := sp.Build()
 					if err != nil {
 						t.Fatalf("%s: %v", key, err)
 					}

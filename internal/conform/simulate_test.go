@@ -187,7 +187,7 @@ func TestSimulateDigests(t *testing.T) {
 				for _, duration := range []float64{0, st.cutoff} {
 					key := fmt.Sprintf("%s/%s/cap%d/duration=%g", policy, st.spec.Process, maxRes, duration)
 					sp := &des.Spec{Arrivals: st.spec, Policy: policy, Duration: duration, MaxResident: maxRes, Seed: 7}
-					sc, err := sp.Build(1)
+					sc, err := sp.Build()
 					if err != nil {
 						t.Fatalf("%s: %v", key, err)
 					}

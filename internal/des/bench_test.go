@@ -21,7 +21,7 @@ func BenchmarkDESPoisson(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sc, err := sp.Build(1)
+		sc, err := sp.Build()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -36,11 +36,10 @@ func BenchmarkDESPoisson(b *testing.B) {
 }
 
 // BenchmarkDESPortfolio measures the same stream repartitioned by the
-// portfolio engine — the upper bound of per-event decision cost (every
+// portfolio policy — the upper bound of per-event decision cost (every
 // concurrent heuristic raced at every arrival/completion). The race
-// runs serially on the simulating goroutine at any engine size, so the
-// allocs/op that benchgate gates strictly never follow goroutine
-// scheduling; Build(1) keeps the private engine small.
+// runs serially on the simulating goroutine, so the allocs/op that
+// benchgate gates strictly never follow goroutine scheduling.
 func BenchmarkDESPortfolio(b *testing.B) {
 	sp := Spec{
 		Arrivals:    ArrivalSpec{Process: "poisson", Rate: 4e-9, N: 32},
@@ -51,7 +50,7 @@ func BenchmarkDESPortfolio(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sc, err := sp.Build(1)
+		sc, err := sp.Build()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -65,7 +64,7 @@ func BenchmarkDESPortfolio(b *testing.B) {
 // BenchmarkDESPortfolio: the same stream with a live registry counting
 // every event, gauge update and allocation timing. Comparing the pair
 // pins the metrics-on overhead of the event loop's hot path; like its
-// twin it races on one worker so allocs/op are deterministic.
+// twin it races serially, so allocs/op are deterministic.
 func BenchmarkDESPortfolioMetrics(b *testing.B) {
 	sp := Spec{
 		Arrivals:    ArrivalSpec{Process: "poisson", Rate: 4e-9, N: 32},
@@ -77,7 +76,7 @@ func BenchmarkDESPortfolioMetrics(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sc, err := sp.Build(1)
+		sc, err := sp.Build()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -96,9 +95,9 @@ func BenchmarkDESPortfolioMetrics(b *testing.B) {
 // profiles (nonzero sequential fraction), so every cold solve runs the
 // bisection equalizer rather than the perfectly-parallel Lemma-2
 // shortcut — the representative cost replanning avoids. Both policy
-// variants run the engine race serially, as every online race does, so
-// the delta/full ratio measures replanning work, not pool parallelism,
-// and is comparable across CPU counts.
+// variants race serially, as every online race does, so the delta/full
+// ratio measures replanning work, not parallelism, and is comparable
+// across CPU counts.
 func runHighRate(b *testing.B, policy string, n int) {
 	b.Helper()
 	sp := Spec{
@@ -120,7 +119,7 @@ func runHighRate(b *testing.B, policy string, n int) {
 		// identical across the delta/full pair and not what the ratio
 		// gate measures — keep it off the clock.
 		b.StopTimer()
-		sc, err := sp.Build(1)
+		sc, err := sp.Build()
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -103,10 +103,13 @@ func TestSimulateContextPreCancelled(t *testing.T) {
 // single-processor platform can grant whole processors is fine for the
 // rational heuristics, so use an invalid heuristic id instead).
 func TestPolicyHeuristicErrorTyped(t *testing.T) {
-	p := &HeuristicPolicy{h: sched.Heuristic(88), seed: 1}
+	p, err := NewHeuristicPolicy(sched.Heuristic(88), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	apps := workload.NPB()
 	residents := []Resident{{Job: 0, App: apps[0], Remaining: 1}}
-	_, err := p.Allocate(model.TaihuLight(), residents)
+	_, err = p.Allocate(model.TaihuLight(), residents)
 	var herr *sched.HeuristicError
 	if !errors.As(err, &herr) {
 		t.Fatalf("policy error %T (%v), want *sched.HeuristicError", err, err)

@@ -7,9 +7,9 @@
 // Poisson via Lewis–Shedler thinning, Gamma bursts, fixed batches,
 // trace replay), an event loop advances the clock, and on every arrival
 // and completion an online Policy re-invokes the paper's heuristics (or
-// the portfolio engine) over the currently resident jobs, repartitioning
-// processors and cache with each job's *remaining* work charged under
-// the new shares.
+// races the whole portfolio of them) over the currently resident jobs,
+// repartitioning processors and cache with each job's *remaining* work
+// charged under the new shares.
 //
 // Within a constant allocation an Amdahl application's progress is
 // linear in time, so the engine is exact rather than time-stepped: a
@@ -18,10 +18,10 @@
 // them, and every prediction is re-planned whenever the allocation
 // changes. Arrivals reach a node in time order, so the loop needs no
 // event queue. The whole simulation is a pure function of the
-// scenario — single-threaded event loop, all randomness drawn from
-// seeded solve.RNG streams, and policy parallelism (the portfolio
-// engine) already bit-deterministic — so a fixed seed yields an
-// identical event log across runs and worker counts.
+// scenario — single-threaded event loop, policies (the portfolio race
+// included) running on it, and all randomness drawn from seeded
+// solve.RNG streams — so a fixed seed yields an identical event log
+// across runs.
 //
 // The engine is a Node, fed one arrival at a time. Every online run
 // drives Nodes through one arrival intake, EachArrival, which pulls the

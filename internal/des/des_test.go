@@ -84,16 +84,15 @@ func TestMatchesStaticSim(t *testing.T) {
 }
 
 // TestDeterminism: a fixed seed must yield an identical result —
-// including the full event log — across repeated runs and across
-// portfolio worker counts.
+// including the full event log — across repeated runs.
 func TestDeterminism(t *testing.T) {
-	build := func(workers int) *Result {
+	build := func() *Result {
 		sp := Spec{
 			Arrivals: ArrivalSpec{Process: "poisson", Rate: 1e-9, N: 24},
 			Policy:   "portfolio",
 			Seed:     99,
 		}
-		sc, err := sp.Build(workers)
+		sc, err := sp.Build()
 		if err != nil {
 			t.Fatalf("build: %v", err)
 		}
@@ -103,11 +102,10 @@ func TestDeterminism(t *testing.T) {
 		}
 		return res
 	}
-	base := build(1)
-	for _, workers := range []int{1, 4} {
-		got := build(workers)
-		if !reflect.DeepEqual(got, base) {
-			t.Fatalf("workers=%d: result differs from serial run", workers)
+	base := build()
+	for run := 1; run <= 2; run++ {
+		if got := build(); !reflect.DeepEqual(got, base) {
+			t.Fatalf("run %d: result differs from the first run", run)
 		}
 	}
 }
@@ -192,7 +190,7 @@ func TestEventLogShape(t *testing.T) {
 		MaxResident: 4,
 		Seed:        5,
 	}
-	sc, err := sp.Build(1)
+	sc, err := sp.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +253,7 @@ func TestDurationCutoff(t *testing.T) {
 		Policy:   "DominantMinRatio",
 		Duration: 2.5e9,
 	}
-	sc, err := sp.Build(1)
+	sc, err := sp.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +274,7 @@ func TestMetricsConsistency(t *testing.T) {
 		Policy:   "DominantRevMaxRatio",
 		Seed:     3,
 	}
-	sc, err := sp.Build(1)
+	sc, err := sp.Build()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,7 +49,7 @@ func FuzzSpecJSON(f *testing.F) {
 		if err != nil {
 			return // rejected input: nothing more to check
 		}
-		sc, err := sp.Build(1)
+		sc, err := sp.Build()
 		if err != nil {
 			// Build may still reject (e.g. a policy string naming the
 			// sequential AllProcCache), but never with a panic.

@@ -9,7 +9,6 @@ import (
 	"strings"
 
 	"repro/internal/model"
-	"repro/internal/portfolio"
 	"repro/internal/solve"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -271,17 +270,8 @@ func (as *ArrivalSpec) Validate() error {
 
 // Build turns the validated spec into a runnable Scenario: constructs
 // the platform, the arrival stream (see ArrivalSpec.Stream) and the
-// policy (portfolio pool bounded by workers).
-func (sp *Spec) Build(workers int) (Scenario, error) {
-	return sp.BuildWith(nil, workers)
-}
-
-// BuildWith is Build with a caller-supplied portfolio engine backing a
-// "portfolio" policy, so the CLI (or a v2 client) can share one worker
-// pool with the simulation instead of building a private engine. A nil
-// engine falls back to a private one bounded by workers; the engine is
-// unused for non-portfolio policies.
-func (sp *Spec) BuildWith(engine *portfolio.Engine, workers int) (Scenario, error) {
+// policy.
+func (sp *Spec) Build() (Scenario, error) {
 	if err := sp.Validate(); err != nil {
 		return Scenario{}, err
 	}
@@ -293,7 +283,7 @@ func (sp *Spec) BuildWith(engine *portfolio.Engine, workers int) (Scenario, erro
 	if spec == "" {
 		spec = "DominantMinRatio"
 	}
-	pol, err := parsePolicyWith(engine, spec, workers, sp.Seed)
+	pol, err := ParsePolicy(spec, sp.Seed)
 	if err != nil {
 		return Scenario{}, err
 	}

@@ -54,7 +54,7 @@ func TestMetricsDoNotPerturbEventLog(t *testing.T) {
 
 func mustBuild(t *testing.T, sp Spec) Scenario {
 	t.Helper()
-	sc, err := sp.Build(1)
+	sc, err := sp.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,21 +135,21 @@ func TestMetricsCountsMatchResult(t *testing.T) {
 // asserts: the replanning policies implement it, the wave policy does
 // not, and a run with a non-implementing policy leaves Replan zero.
 func TestReplanReporterImplementations(t *testing.T) {
-	hp, err := ParsePolicy("DominantMinRatio", 1, 1)
+	hp, err := ParsePolicy("DominantMinRatio", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := hp.(ReplanReporter); !ok {
 		t.Error("HeuristicPolicy does not implement ReplanReporter")
 	}
-	pp, err := ParsePolicy("portfolio", 1, 1)
+	pp, err := ParsePolicy("portfolio", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := pp.(ReplanReporter); !ok {
 		t.Error("PortfolioPolicy does not implement ReplanReporter")
 	}
-	nr, err := ParsePolicy("norepartition:DominantMinRatio", 1, 1)
+	nr, err := ParsePolicy("norepartition:DominantMinRatio", 1)
 	if err != nil {
 		t.Fatal(err)
 	}

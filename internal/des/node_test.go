@@ -14,7 +14,7 @@ import (
 func TestNodeAccessors(t *testing.T) {
 	pl := model.TaihuLight()
 	apps := testApps(t, 2)
-	pol, err := ParsePolicy("DominantMinRatio", 1, 1)
+	pol, err := ParsePolicy("DominantMinRatio", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestNodeAccessors(t *testing.T) {
 // TestNodeValidation covers construction and injection error paths.
 func TestNodeValidation(t *testing.T) {
 	pl := model.TaihuLight()
-	pol, err := ParsePolicy("DominantMinRatio", 1, 1)
+	pol, err := ParsePolicy("DominantMinRatio", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestNodeValidation(t *testing.T) {
 // TestNodeEmpty: a node that never received a job drains to an empty
 // result.
 func TestNodeEmpty(t *testing.T) {
-	pol, err := ParsePolicy("DominantMinRatio", 1, 1)
+	pol, err := ParsePolicy("DominantMinRatio", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestNodeWalksMatchJobTable(t *testing.T) {
 	for _, spec := range []string{"portfolio", "DominantMinRatio", "norepartition"} {
 		for _, maxRes := range []int{0, 1, 2, 4} {
 			for seed := uint64(1); seed <= 20; seed++ {
-				pol, err := ParsePolicy(spec, 1, seed)
+				pol, err := ParsePolicy(spec, seed)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"repro/internal/model"
@@ -168,19 +169,25 @@ func (p *HeuristicPolicy) Allocate(pl model.Platform, residents []Resident) ([]s
 		rng = solve.NewRNG(solve.Substream(p.seed, p.calls))
 	}
 	p.apps = residualApps(p.apps, residents)
-	memo := p.memo
-	if p.full {
-		memo = nil
-	}
-	s, fromMemo, err := p.h.ScheduleWarm(pl, p.apps, rng, memo)
-	if err != nil {
-		return nil, &sched.HeuristicError{Heuristic: p.h, Err: err}
-	}
-	if fromMemo {
+	// The memo is a one-lane race: a deterministic plan is probed and
+	// stored alone, and a randomized one (whose stream the fingerprint
+	// does not capture) or a full replan never touches it.
+	memoized := !p.full && !p.h.Randomized()
+	lane, plan := []sched.Heuristic{p.h}, []*sched.Schedule{nil}
+	if memoized && p.memo.LookupAll(lane, pl, p.apps, plan) {
 		p.stats.FastPath++
 	} else {
+		s, err := p.h.Schedule(pl, p.apps, rng)
+		if err != nil {
+			return nil, &sched.HeuristicError{Heuristic: p.h, Err: err}
+		}
+		plan[0] = s
+		if memoized {
+			p.memo.StoreAll(lane, pl, p.apps, plan)
+		}
 		p.stats.FullSolve++
 	}
+	s := plan[0]
 	if s.Sequential {
 		return nil, fmt.Errorf("des: heuristic %v produced a sequential schedule", p.h)
 	}
@@ -203,35 +210,35 @@ func onlineHeuristics() []sched.Heuristic {
 }
 
 // PortfolioPolicy races the whole heuristic portfolio over the residual
-// workload at every decision point and applies the winner — the
-// portfolio engine turned into an online repartitioner. The race runs
-// serially on the simulating goroutine; results are bit-deterministic
-// at any pool size, so the simulation is too.
+// workload at every decision point and applies the winner. A race is
+// one loop on the simulating goroutine: the residual set is validated
+// once (sched.Prepare), heuristic hi runs on that input with the
+// stream portfolio.HeuristicSeed derives for lane hi, and the winner
+// is portfolio.BestIndex of the lanes — so every replan is
+// bit-identical to a portfolio.Engine race of the same scenario,
+// without taking the engine's slots or counting in its metrics.
 //
 // Delta rescheduling: the policy keeps a sched.PlanMemo of the
 // deterministic heuristics' plans, keyed by the exact bit pattern of
 // the resident set (platform, residual apps) with one slot per
 // heuristic — names excluded, so waves of re-stamped template jobs
 // ("cg#17") fingerprint identically. When every deterministic
-// heuristic hits the memo (one LookupAll probe), the policy skips the
-// engine race entirely: it replays the certified plans, re-solves only
-// the randomized heuristics (their per-call substreams never repeat, so
-// they are never memoizable) on one sched.Prepared input with exactly
-// the seeds the engine would have derived, and picks the winner with
-// the engine's own selection rule. Any miss falls back to the full
-// race, whose deterministic results then seed the memo in one StoreAll.
-// Event logs and replan counters are bit-identical either way.
+// heuristic hits the memo (one LookupAll probe), the race replays the
+// certified plans and solves only the randomized heuristics (their
+// per-call substreams never repeat, so they are never memoizable).
+// Any miss solves every lane, and the deterministic plans then seed
+// the memo in one StoreAll. Event logs and replan counters are
+// bit-identical either way.
 type PortfolioPolicy struct {
-	engine *portfolio.Engine
-	hs     []sched.Heuristic
-	seed   uint64
-	calls  uint64
-	full   bool
-	memo   *sched.PlanMemo
-	stats  ReplanStats
-	apps   []model.Application // residual-work plan buffer, recycled
-	rs     []portfolio.Result  // fast-path result buffer, recycled
-	plans  []*sched.Schedule   // memo probe and store buffer, recycled
+	hs    []sched.Heuristic
+	seed  uint64
+	calls uint64
+	full  bool
+	memo  *sched.PlanMemo
+	stats ReplanStats
+	apps  []model.Application // residual-work plan buffer, recycled
+	rs    []portfolio.Result  // one result per lane, recycled
+	plans []*sched.Schedule   // memo probe and store buffer, recycled
 
 	// Learned selection ("portfolio:selector"): when a ledger is set,
 	// Allocate first asks it for a confident predicted winner and, when
@@ -246,23 +253,19 @@ type PortfolioPolicy struct {
 	fallbacks   uint64
 }
 
-// NewPortfolioPolicy returns a portfolio-driven policy. A nil engine
-// gets a private one with the given worker bound (< 1 = GOMAXPROCS).
-// A non-nil engine is shared for its worker pool and metrics only: the
-// policy races on engine.Uncached(), so it never reads or fills the
-// engine's memoization cache. That cache keys on job names, which the
-// online job stream re-stamps per arrival, so it would only accumulate
-// dead entries — recurring resident *shapes* are instead served by the
-// policy's own name-insensitive plan memo.
-func NewPortfolioPolicy(engine *portfolio.Engine, workers int, seed uint64) *PortfolioPolicy {
-	if engine == nil {
-		engine = portfolio.New(portfolio.Config{Workers: workers})
+// NewPortfolioPolicy returns a portfolio-driven policy. It races on
+// its caller's goroutine and memoizes recurring resident shapes in its
+// own name-insensitive plan memo; it shares nothing with any engine.
+func NewPortfolioPolicy(seed uint64) *PortfolioPolicy {
+	hs := onlineHeuristics()
+	return &PortfolioPolicy{
+		hs: hs, seed: seed, memo: sched.NewPlanMemo(0),
+		rs: make([]portfolio.Result, len(hs)), plans: make([]*sched.Schedule, len(hs)),
 	}
-	return &PortfolioPolicy{engine: engine.Uncached(), hs: onlineHeuristics(), seed: seed, memo: sched.NewPlanMemo(0)}
 }
 
 // SetFullReplan disables (true) or re-enables (false) the delta
-// fast path, forcing every Allocate call through the full engine race.
+// fast path, forcing every Allocate call to solve every lane.
 // The conform equivalence sweep runs both modes and compares event logs
 // bit-for-bit; the ":full" policy-spec suffix exposes it on the wire.
 func (p *PortfolioPolicy) SetFullReplan(full bool) { p.full = full }
@@ -312,137 +315,86 @@ func (p *PortfolioPolicy) ReplanStats() ReplanStats {
 // Allocate implements Policy.
 func (p *PortfolioPolicy) Allocate(pl model.Platform, residents []Resident) ([]sched.Assignment, error) {
 	p.calls++
-	// The engine derives heuristic hi's stream as substream hi+1 of
-	// Seed, with the same solve.Substream stride this package uses, so
-	// a plain substream calls here would cancel whenever calls == hi+1
-	// and hand randomized heuristics systematically colliding streams.
-	// Mixing the per-call seed through SplitMix64 (one RNG step)
-	// decorrelates the two layers.
+	// Lane hi draws from substream hi+1 of the race seed
+	// (portfolio.HeuristicSeed), with the same solve.Substream stride
+	// this package uses, so a plain substream calls here would cancel
+	// whenever calls == hi+1 and hand randomized heuristics
+	// systematically colliding streams. Mixing the per-call seed
+	// through SplitMix64 (one RNG step) decorrelates the two layers.
 	p.apps = residualApps(p.apps, residents)
 	scSeed := solve.NewRNG(solve.Substream(p.seed, p.calls)).Uint64()
-	if p.selMode {
-		if asg, ok, err := p.predictPath(pl, scSeed); ok {
-			p.predictions++
-			return asg, err
-		}
-		p.fallbacks++
-	}
-	if !p.full {
-		if asg, ok, err := p.fastPath(pl, scSeed); ok {
-			p.stats.FastPath++
-			return asg, err
-		}
-	}
-	p.stats.FullSolve++
-	rep, err := p.engine.Evaluate(portfolio.Scenario{
-		Platform:   pl,
-		Apps:       p.apps,
-		Heuristics: p.hs,
-		Seed:       scSeed,
-	})
+	in, err := sched.Prepare(pl, p.apps)
 	if err != nil {
 		return nil, err
 	}
-	// Seed the memo with this race's deterministic plans so the next
-	// recurrence of the same resident shape takes the fast path.
-	// A failed heuristic's Schedule is nil, which StoreAll skips.
-	plans := p.planBuf()
-	for i := range rep.Results {
-		plans[i] = rep.Results[i].Schedule
-	}
-	p.memo.StoreAll(p.hs, pl, p.apps, plans)
-	best := rep.BestResult()
-	if best == nil {
-		return nil, fmt.Errorf("des: no heuristic produced a feasible repartition")
-	}
-	return best.Schedule.Assignments, nil
-}
-
-// fastPath attempts the certified delta path: every deterministic
-// heuristic's plan must come from the memo (one LookupAll probe; any
-// miss returns ok=false and defers to the full race), the randomized
-// heuristics are re-solved on one prepared input with exactly the
-// per-heuristic seeds engine.Evaluate would derive
-// (portfolio.HeuristicSeed), and the winner is selected with the
-// engine's own rule (portfolio.BestIndex) so ties break identically.
-// Bit-equivalence with the full race follows: memoized plans are
-// certified by their exact input fingerprints, and every non-memoized
-// computation reproduces the engine's arithmetic verbatim.
-func (p *PortfolioPolicy) fastPath(pl model.Platform, scSeed uint64) ([]sched.Assignment, bool, error) {
-	plans := p.planBuf()
-	if !p.memo.LookupAll(p.hs, pl, p.apps, plans) {
-		return nil, false, nil
-	}
-	rs := p.rs
-	if cap(rs) < len(p.hs) {
-		rs = make([]portfolio.Result, len(p.hs))
-	}
-	rs = rs[:len(p.hs)]
-	p.rs = rs
-	in, perr := sched.Prepare(pl, p.apps)
 	defer in.Release()
+	if p.selMode {
+		if asg, ok := p.predict(&in, pl, scSeed); ok {
+			p.predictions++
+			return asg, nil
+		}
+		p.fallbacks++
+	}
+	hit := !p.full && p.memo.LookupAll(p.hs, pl, p.apps, p.plans)
 	for hi, h := range p.hs {
-		if !h.Randomized() {
-			rs[hi] = portfolio.Result{Heuristic: h, Schedule: plans[hi]}
+		if hit && !h.Randomized() {
+			p.rs[hi] = portfolio.Result{Heuristic: h, Schedule: p.plans[hi]}
 			continue
 		}
-		var s *sched.Schedule
-		err := perr
-		if err == nil {
-			s, err = h.SchedulePrepared(context.Background(), &in, solve.NewRNG(portfolio.HeuristicSeed(scSeed, hi)))
-		}
+		s, err := h.SchedulePrepared(context.TODO(), &in, laneRNG(h, scSeed, hi))
 		if err != nil {
 			err = &sched.HeuristicError{Heuristic: h, Err: err}
 		}
-		rs[hi] = portfolio.Result{Heuristic: h, Schedule: s, Err: err}
+		p.rs[hi] = portfolio.Result{Heuristic: h, Schedule: s, Err: err}
+		p.plans[hi] = s
 	}
-	best := portfolio.BestIndex(rs)
+	if hit {
+		p.stats.FastPath++
+	} else {
+		// Seed the memo with this race's deterministic plans so the
+		// next recurrence of the same resident shape takes the fast
+		// path. A failed heuristic's Schedule is nil, which StoreAll
+		// skips.
+		p.stats.FullSolve++
+		p.memo.StoreAll(p.hs, pl, p.apps, p.plans)
+	}
+	best := portfolio.BestIndex(p.rs)
 	if best < 0 {
-		return nil, true, fmt.Errorf("des: no heuristic produced a feasible repartition")
+		return nil, fmt.Errorf("des: no heuristic produced a feasible repartition")
 	}
-	return rs[best].Schedule.Assignments, true, nil
+	return p.rs[best].Schedule.Assignments, nil
 }
 
-// planBuf returns the recycled one-plan-per-heuristic buffer.
-func (p *PortfolioPolicy) planBuf() []*sched.Schedule {
-	if cap(p.plans) < len(p.hs) {
-		p.plans = make([]*sched.Schedule, len(p.hs))
+// laneRNG returns the stream of lane hi of a race seeded with scSeed,
+// or nil for a deterministic heuristic, which never reads it.
+func laneRNG(h sched.Heuristic, scSeed uint64, hi int) *solve.RNG {
+	if !h.Randomized() {
+		return nil
 	}
-	p.plans = p.plans[:len(p.hs)]
-	return p.plans
+	return solve.NewRNG(portfolio.HeuristicSeed(scSeed, hi))
 }
 
-// predictPath solves only the ledger's confidently predicted winner,
-// drawing the exact RNG substream the full race would have handed it
-// at its index (portfolio.HeuristicSeed), so the resulting plan is
-// bit-identical to that heuristic's lane of the race. ok is false —
-// deferring to the race — when the ledger has no confident call or the
-// predicted heuristic fails on this residual workload.
-func (p *PortfolioPolicy) predictPath(pl model.Platform, scSeed uint64) ([]sched.Assignment, bool, error) {
+// predict solves only the ledger's confidently predicted winner, on
+// the race's prepared input and with the stream the race would hand it
+// at its index, so the resulting plan is bit-identical to that
+// heuristic's lane of the race. ok is false — deferring to the race —
+// when the ledger has no confident call or the predicted heuristic
+// fails on this residual workload.
+func (p *PortfolioPolicy) predict(in *sched.Prepared, pl model.Platform, scSeed uint64) ([]sched.Assignment, bool) {
 	if p.ledger == nil {
-		return nil, false, nil
+		return nil, false
 	}
 	bucket := selector.Extract(pl, p.apps).Bucket()
 	pred, ok := p.ledger.Predict(bucket, p.hs)
 	if !ok || !pred.Confident(p.th) {
-		return nil, false, nil
+		return nil, false
 	}
-	hi := 0
-	for i, h := range p.hs {
-		if h == pred.Heuristic {
-			hi = i
-			break
-		}
-	}
-	var rng *solve.RNG
-	if pred.Heuristic.Randomized() {
-		rng = solve.NewRNG(portfolio.HeuristicSeed(scSeed, hi))
-	}
-	s, err := pred.Heuristic.Schedule(pl, p.apps, rng)
+	hi := slices.Index(p.hs, pred.Heuristic)
+	s, err := pred.Heuristic.SchedulePrepared(context.TODO(), in, laneRNG(pred.Heuristic, scSeed, hi))
 	if err != nil || s.Sequential {
-		return nil, false, nil
+		return nil, false
 	}
-	return s.Assignments, true, nil
+	return s.Assignments, true
 }
 
 // Name implements Policy.
@@ -536,28 +488,10 @@ func (p *NoRepartition) Name() string { return "norepartition:" + p.h.String() }
 // delta-rescheduling fast path by default; appending ":full" (e.g.
 // "portfolio:full") forces full replanning at every event, which is
 // bit-equivalent and only useful for benchmarking and equivalence
-// testing. workers bounds the portfolio policy's pool (< 1 =
-// GOMAXPROCS); seed drives every randomized decision.
-func ParsePolicy(spec string, workers int, seed uint64) (Policy, error) {
-	return parsePolicyWith(nil, spec, workers, seed)
-}
-
-// ParsePolicyShared is ParsePolicy with a caller-supplied portfolio
-// engine backing a "portfolio" policy, so many policies (one per fleet
-// node) can share a single worker pool instead of each building a
-// private one. The policy shares the engine's pool and metrics but not
-// its memoization cache (see NewPortfolioPolicy). A nil engine falls
-// back to ParsePolicy's behavior; the engine is unused for
-// non-portfolio policies.
-func ParsePolicyShared(engine *portfolio.Engine, spec string, workers int, seed uint64) (Policy, error) {
-	return parsePolicyWith(engine, spec, workers, seed)
-}
-
-// parsePolicyWith is ParsePolicy with an optional shared engine for
-// the portfolio policy (nil = private engine bounded by workers).
-func parsePolicyWith(engine *portfolio.Engine, spec string, workers int, seed uint64) (Policy, error) {
+// testing. seed drives every randomized decision.
+func ParsePolicy(spec string, seed uint64) (Policy, error) {
 	if base, found := strings.CutSuffix(spec, ":full"); found {
-		pol, err := parsePolicyWith(engine, base, workers, seed)
+		pol, err := ParsePolicy(base, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -570,9 +504,9 @@ func parsePolicyWith(engine *portfolio.Engine, spec string, workers int, seed ui
 	}
 	switch {
 	case spec == "portfolio":
-		return NewPortfolioPolicy(engine, workers, seed), nil
+		return NewPortfolioPolicy(seed), nil
 	case spec == "portfolio:selector":
-		p := NewPortfolioPolicy(engine, workers, seed)
+		p := NewPortfolioPolicy(seed)
 		p.SetLedger(nil, selector.Thresholds{})
 		return p, nil
 	case spec == "norepartition":
@@ -590,4 +524,10 @@ func parsePolicyWith(engine *portfolio.Engine, spec string, workers int, seed ui
 		}
 		return NewHeuristicPolicy(h, seed)
 	}
+}
+
+// ParsePolicyShared is ParsePolicy; engine and workers are ignored,
+// since no policy holds a portfolio engine.
+func ParsePolicyShared(engine *portfolio.Engine, spec string, workers int, seed uint64) (Policy, error) {
+	return ParsePolicy(spec, seed)
 }

@@ -24,7 +24,7 @@ func allocPolicies(t *testing.T) map[string]Policy {
 	}
 	return map[string]Policy{
 		"heuristic":     hp,
-		"portfolio":     NewPortfolioPolicy(nil, 1, 1),
+		"portfolio":     NewPortfolioPolicy(1),
 		"norepartition": nr,
 	}
 }
@@ -196,7 +196,7 @@ func waveScenario(t *testing.T, spec string, seed uint64) Scenario {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pol, err := ParsePolicy(spec, 1, seed)
+	pol, err := ParsePolicy(spec, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,11 +261,11 @@ func TestHeuristicPolicyFastPathAllocs(t *testing.T) {
 // TestPortfolioPolicyFastPathAllocs bounds the delta path of the
 // portfolio policy: only the randomized heuristics re-solve (their
 // substreams never repeat), so the per-call allocation budget is a
-// handful of RNGs and schedules instead of a full engine race.
+// handful of RNGs and schedules instead of a full race.
 func TestPortfolioPolicyFastPathAllocs(t *testing.T) {
 	pl := model.TaihuLight()
 	apps := testApps(t, 4)
-	pol := NewPortfolioPolicy(nil, 1, 1)
+	pol := NewPortfolioPolicy(1)
 	residents := make([]Resident, len(apps))
 	for i, a := range apps {
 		residents[i] = Resident{Job: i, App: a, Remaining: 1}

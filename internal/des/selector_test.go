@@ -35,7 +35,7 @@ func TestSelectorPolicyEmptyLedgerMatchesPortfolio(t *testing.T) {
 // A confident prediction must be served by exactly the predicted
 // heuristic, on the substream it would have drawn inside the race.
 func TestSelectorPolicyPredictsWinner(t *testing.T) {
-	pol, err := ParsePolicy("portfolio:selector", 1, 7)
+	pol, err := ParsePolicy("portfolio:selector", 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestSelectorPolicyName(t *testing.T) {
 
 func mustParse(t *testing.T, spec string) Policy {
 	t.Helper()
-	pol, err := ParsePolicy(spec, 1, 7)
+	pol, err := ParsePolicy(spec, 7)
 	if err != nil {
 		t.Fatal(err)
 	}

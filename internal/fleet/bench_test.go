@@ -48,12 +48,11 @@ func BenchmarkFleetRoute(b *testing.B) {
 }
 
 // BenchmarkFleetDES measures the full fleet pipeline with
-// portfolio-repartitioning nodes sharing one worker pool — the
-// production shape, and the upper bound of per-event decision cost
-// across the fleet — at three fleet sizes, so the per-arrival cost of
-// advancing and scoring every node shows as the nodes arm grows. Node
-// races run serially on the simulating goroutine, so allocs/op are
-// deterministic.
+// portfolio-repartitioning nodes — the production shape, and the upper
+// bound of per-event decision cost across the fleet — at three fleet
+// sizes, so the per-arrival cost of advancing and scoring every node
+// shows as the nodes arm grows. Node races run serially on the
+// simulating goroutine, so allocs/op are deterministic.
 func BenchmarkFleetDES(b *testing.B) {
 	for _, n := range []int{4, 16, 64} {
 		b.Run(fmt.Sprintf("nodes=%d", n), func(b *testing.B) {

@@ -31,10 +31,10 @@
 // BacklogAt and VisitUnfinished walk only unfinished jobs, so the
 // per-arrival cost does not grow with the length of the stream. A
 // "portfolio" node policy races its heuristics serially on the same
-// goroutine too, so a fleet run has no parallelism of its own:
-// concurrent runs on one engine share its semaphore instead. The
-// conform fleet harness pins digests at 1 and 8 workers against a
-// committed golden corpus.
+// goroutine too, so a fleet run has no parallelism of its own and
+// holds no engine: concurrent runs share nothing. The conform fleet
+// harness checks that two runs of one scenario agree bit for bit and
+// pins their digests against a committed golden corpus.
 package fleet
 
 import (
@@ -43,7 +43,6 @@ import (
 
 	"repro/internal/des"
 	"repro/internal/model"
-	"repro/internal/portfolio"
 	"repro/internal/selector"
 	"repro/internal/stats"
 )
@@ -81,12 +80,6 @@ type Scenario struct {
 	// Seed drives every random draw: node policy substreams and the
 	// router's stream are both derived from it.
 	Seed uint64
-	// Engine optionally supplies the portfolio engine backing
-	// "portfolio" node policies (nil = a private one). The policies
-	// share its semaphore and metrics but not its memoization cache:
-	// see des.NewPortfolioPolicy. Each race runs serially on the
-	// simulating goroutine, so a run holds at most one of its slots.
-	Engine *portfolio.Engine
 	// Metrics instruments every node of the run (counters are atomic,
 	// so one registry serves the whole fleet). Nil disables
 	// observation; results are bit-identical either way.
@@ -168,10 +161,6 @@ func SimulateContext(ctx context.Context, sc Scenario) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	engine := sc.Engine
-	if engine == nil {
-		engine = portfolio.New(portfolio.Config{})
-	}
 	nodes := make([]*des.Node, len(sc.Nodes))
 	names := make([]string, len(sc.Nodes))
 	for i, nc := range sc.Nodes {
@@ -179,11 +168,7 @@ func SimulateContext(ctx context.Context, sc Scenario) (*Result, error) {
 		if names[i] == "" {
 			names[i] = fmt.Sprintf("node%d", i)
 		}
-		spec := nc.Policy
-		if spec == "" {
-			spec = "DominantMinRatio"
-		}
-		pol, err := des.ParsePolicyShared(engine, spec, 0, NodePolicySeed(sc.Seed, i))
+		pol, err := nodePolicy(nc.Policy, NodePolicySeed(sc.Seed, i))
 		if err != nil {
 			return nil, fmt.Errorf("fleet: node %s: %w", names[i], err)
 		}
@@ -247,6 +232,15 @@ func SimulateContext(ctx context.Context, sc Scenario) (*Result, error) {
 	}
 	aggregate(res)
 	return res, nil
+}
+
+// nodePolicy parses a node's policy specification; empty means
+// DominantMinRatio.
+func nodePolicy(spec string, seed uint64) (des.Policy, error) {
+	if spec == "" {
+		spec = "DominantMinRatio"
+	}
+	return des.ParsePolicy(spec, seed)
 }
 
 // affinity scores a node's footprint overlap with an arriving job: the

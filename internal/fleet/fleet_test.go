@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/des"
 	"repro/internal/model"
-	"repro/internal/portfolio"
 	"repro/internal/solve"
 	"repro/internal/workload"
 )
@@ -51,7 +50,7 @@ func TestSingleNodeReducesToDES(t *testing.T) {
 	pl := model.TaihuLight()
 	const seed = 7
 	for _, routing := range Routings {
-		pol, err := des.ParsePolicy("DominantMinRatio", 1, NodePolicySeed(seed, 0))
+		pol, err := des.ParsePolicy("DominantMinRatio", NodePolicySeed(seed, 0))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +65,6 @@ func TestSingleNodeReducesToDES(t *testing.T) {
 			Routing:  routing,
 			Arrivals: testProc(t, 24, 3),
 			Seed:     seed,
-			Engine:   portfolio.New(portfolio.Config{Workers: 1}),
 		})
 		if err != nil {
 			t.Fatalf("%s: fleet: %v", routing, err)
@@ -89,12 +87,11 @@ func TestSingleNodeReducesToDES(t *testing.T) {
 }
 
 // TestWorkerDeterminism: the whole fleet result — routing log and every
-// node's event log — is bit-identical on engines of 1 and 8 workers,
-// for every routing policy and a portfolio node policy. Races run
-// serially either way; the check catches any fan-out added later.
+// node's event log — is bit-identical from run to run, for every
+// routing policy and a portfolio node policy.
 func TestWorkerDeterminism(t *testing.T) {
 	for _, routing := range Routings {
-		run := func(workers int) *Result {
+		run := func() *Result {
 			nodes := testNodes(3)
 			for i := range nodes {
 				nodes[i].Policy = "portfolio"
@@ -104,15 +101,14 @@ func TestWorkerDeterminism(t *testing.T) {
 				Routing:  routing,
 				Arrivals: testProc(t, 30, 9),
 				Seed:     13,
-				Engine:   portfolio.New(portfolio.Config{Workers: workers}),
 			})
 			if err != nil {
-				t.Fatalf("%s workers=%d: %v", routing, workers, err)
+				t.Fatalf("%s: %v", routing, err)
 			}
 			return res
 		}
-		if r1, r8 := run(1), run(8); !reflect.DeepEqual(r1, r8) {
-			t.Errorf("%s: fleet result differs between 1 and 8 workers", routing)
+		if r1, r2 := run(), run(); !reflect.DeepEqual(r1, r2) {
+			t.Errorf("%s: fleet result differs between two runs", routing)
 		}
 	}
 }
@@ -168,7 +164,6 @@ func TestCacheAffinityRouting(t *testing.T) {
 		Routing:  "cache-affinity",
 		Arrivals: proc,
 		Seed:     1,
-		Engine:   portfolio.New(portfolio.Config{Workers: 1}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -234,6 +229,15 @@ func TestValidation(t *testing.T) {
 	if err := spec.Validate(); err == nil {
 		t.Error("spec with NaN duration accepted")
 	}
+	spec.Duration = 0
+	// A node policy is parsed up front, so a bad one fails validation
+	// instead of the run.
+	for _, policy := range []string{"bogus", "AllProcCache"} {
+		spec.Nodes = []NodeSpec{{}, {Policy: policy}}
+		if err := spec.Validate(); err == nil || !strings.Contains(err.Error(), "node 1") {
+			t.Errorf("spec with node policy %q: got %v, want a node 1 error", policy, err)
+		}
+	}
 }
 
 // TestDecodeSpecRoundTrip: the wire format decodes, builds and runs;
@@ -290,7 +294,6 @@ func TestDurationCutoff(t *testing.T) {
 	}
 	res, err := Simulate(Scenario{
 		Nodes: testNodes(2), Arrivals: proc, Duration: 2, Seed: 1,
-		Engine: portfolio.New(portfolio.Config{Workers: 1}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -307,7 +310,6 @@ func TestCancellation(t *testing.T) {
 	cancel()
 	_, err := SimulateContext(ctx, Scenario{
 		Nodes: testNodes(2), Arrivals: testProc(t, 16, 2), Seed: 1,
-		Engine: portfolio.New(portfolio.Config{Workers: 2}),
 	})
 	if err != context.Canceled {
 		t.Errorf("cancelled run returned %v, want context.Canceled", err)
@@ -345,37 +347,9 @@ func TestMisbehavingProcessErrors(t *testing.T) {
 	} {
 		_, err := Simulate(Scenario{
 			Nodes: testNodes(2), Arrivals: &brokenProcess{arrivals: arr}, Seed: 1,
-			Engine: portfolio.New(portfolio.Config{Workers: 1}),
 		})
 		if err == nil {
 			t.Errorf("%s: misbehaving process accepted", name)
 		}
-	}
-}
-
-// raceEnabled is set by race_test.go under the race detector.
-var raceEnabled bool
-
-// TestSerialNodesAllocs: nodes advance, score and drain serially on an
-// engine of any size, so a 64-node fleet allocates the same at 8
-// workers as at 1. A goroutine per node per arrival would multiply the
-// count.
-func TestSerialNodesAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts vary under the race detector")
-	}
-	allocs := func(workers int) float64 {
-		return testing.AllocsPerRun(3, func() {
-			if _, err := Simulate(Scenario{
-				Nodes: testNodes(64), Arrivals: testProc(t, 128, 5), Seed: 3,
-				Engine: portfolio.New(portfolio.Config{Workers: workers}),
-			}); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	serial, pooled := allocs(1), allocs(8)
-	if math.Abs(pooled-serial) > 0.02*serial {
-		t.Errorf("64-node fleet allocates %.0f at 8 workers vs %.0f at 1 (want within 2%%)", pooled, serial)
 	}
 }

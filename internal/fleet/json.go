@@ -64,8 +64,8 @@ func DecodeSpec(r io.Reader) (*Spec, error) {
 }
 
 // Validate checks the spec for structural problems: an empty fleet, an
-// invalid node platform, an unknown routing policy, a malformed
-// arrival spec.
+// invalid node platform or policy, an unknown routing policy, a
+// malformed arrival spec.
 func (sp *Spec) Validate() error {
 	if len(sp.Nodes) == 0 {
 		return fmt.Errorf("fleet: scenario needs at least one node")
@@ -82,6 +82,9 @@ func (sp *Spec) Validate() error {
 		if n.MaxResident < 0 {
 			return fmt.Errorf("fleet: node %d: maxResident must be >= 0, got %d", i, n.MaxResident)
 		}
+		if _, err := nodePolicy(n.Policy, 0); err != nil {
+			return fmt.Errorf("fleet: node %d: %w", i, err)
+		}
 	}
 	if _, err := ParseRouter(sp.Routing, 0); err != nil {
 		return err
@@ -97,22 +100,11 @@ func (sp *Spec) Validate() error {
 	return sp.Arrivals.Validate()
 }
 
-// Build turns the validated spec into a runnable Scenario. See
-// BuildWith.
+// Build turns the validated spec into a runnable Scenario. workers is
+// ignored: node policies race on the simulating goroutine.
 func (sp *Spec) Build(workers int) (Scenario, error) {
-	return sp.BuildWith(nil, workers)
-}
-
-// BuildWith is Build with a caller-supplied portfolio engine backing
-// "portfolio" node policies, so a server can share one semaphore
-// across requests. A nil engine gives the run a private engine of
-// workers slots.
-func (sp *Spec) BuildWith(engine *portfolio.Engine, workers int) (Scenario, error) {
 	if err := sp.Validate(); err != nil {
 		return Scenario{}, err
-	}
-	if engine == nil {
-		engine = portfolio.New(portfolio.Config{Workers: workers})
 	}
 	nodes := make([]Node, len(sp.Nodes))
 	for i, n := range sp.Nodes {
@@ -132,6 +124,11 @@ func (sp *Spec) BuildWith(engine *portfolio.Engine, workers int) (Scenario, erro
 		Arrivals: proc,
 		Duration: sp.Duration,
 		Seed:     sp.Seed,
-		Engine:   engine,
 	}, nil
+}
+
+// BuildWith is Build; engine and workers are ignored, since no node
+// policy holds a portfolio engine.
+func (sp *Spec) BuildWith(engine *portfolio.Engine, workers int) (Scenario, error) {
+	return sp.Build(workers)
 }

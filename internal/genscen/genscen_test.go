@@ -146,7 +146,7 @@ func TestOnlineSpecBuildsAndRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, err := sp.Build(1)
+	sc, err := sp.Build()
 	if err != nil {
 		t.Fatal(err)
 	}

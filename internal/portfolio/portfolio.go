@@ -23,6 +23,11 @@
 //     is bounded: each shard keeps a fixed number of completed entries
 //     and evicts with CLOCK (second chance), never an entry still in
 //     flight.
+//
+// The online DES portfolio policy races the same lanes outside any
+// engine, with the seeds of HeuristicSeed and the winner of BestIndex,
+// so its replans take no slot, no cache entry and no metric of an
+// engine: the engine's bound and metrics cover request races only.
 package portfolio
 
 import (
@@ -85,18 +90,6 @@ func (e *Engine) CacheStats() CacheStats {
 		return CacheStats{}
 	}
 	return e.cache.Stats()
-}
-
-// Uncached returns a view of e that shares its worker semaphore and
-// metrics but memoizes nothing, or e itself when it has no cache.
-// Callers whose scenarios never recur (the online DES policies) race on
-// it so their dead entries do not evict those of repeating traffic from
-// a shared cache.
-func (e *Engine) Uncached() *Engine {
-	if e.cache == nil {
-		return e
-	}
-	return &Engine{sem: e.sem, metrics: e.metrics}
 }
 
 // Scenario is one scheduling problem: a platform, a workload, the set
@@ -345,10 +338,10 @@ func isContextErr(err error) bool {
 // (solve.Substream), the derivation the experiment sweeps have always
 // used, so portfolio-run figures are bit-identical to the historical
 // serial loops. It is exported as the single source of truth for that
-// derivation — callers that re-solve individual heuristics outside
-// the engine (the DES delta-rescheduling fast path) must reproduce the
-// exact streams Evaluate would have drawn, or their results drift from
-// the full race bit-for-bit determinism forbids.
+// derivation — callers that race heuristics outside the engine (the
+// DES portfolio policy) must reproduce the exact streams Evaluate would
+// have drawn, or their results drift from the full race bit-for-bit
+// determinism forbids.
 func HeuristicSeed(scenarioSeed uint64, hi int) uint64 {
 	return solve.Substream(scenarioSeed, uint64(hi+1))
 }
@@ -367,8 +360,8 @@ func rngFor(h sched.Heuristic, seed uint64) *solve.RNG {
 // breaking ties toward the earlier index, or -1 if none is feasible.
 // Results with a NaN makespan are treated as infeasible so they can
 // never shadow a finite schedule. Exported so callers that assemble
-// result slices outside Evaluate (the DES delta-rescheduling fast path)
-// share the engine's exact selection semantics, ties included.
+// result slices outside Evaluate (the DES portfolio policy) share the
+// engine's exact selection semantics, ties included.
 func BestIndex(results []Result) int {
 	best := -1
 	for i := range results {

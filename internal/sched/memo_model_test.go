@@ -12,8 +12,8 @@ import (
 // refMemo is the reference model of PlanMemo: a plan memo keyed by the
 // string fingerprint of (heuristic, platform, applications), one map
 // entry per plan, evicting FIFO. Every PlanMemo operation must return
-// what refMemo returns and leave the same counters; the race-wide
-// LookupAll and StoreAll are consecutive Get and Put calls here.
+// what refMemo returns and leave the same counters; LookupAll and
+// StoreAll are consecutive Get and Put calls here.
 type refMemo struct {
 	capacity                int
 	plans                   map[string]*Schedule
@@ -102,9 +102,10 @@ func (m *PlanMemo) holds(h Heuristic, pl model.Platform, apps []model.Applicatio
 }
 
 // TestPlanMemoMatchesReference drives PlanMemo and refMemo side by side
-// through random interleavings of Get, Put, LookupAll and StoreAll over
-// four resident sets and every extended heuristic, at capacities small
-// enough that evictions empty a resident set in the middle of a
+// through random interleavings of one-lane and race-wide LookupAll and
+// StoreAll calls — refMemo's own Get and Put answer the one-lane ones —
+// over four resident sets and every extended heuristic, at capacities
+// small enough that evictions empty a resident set in the middle of a
 // StoreAll. After every operation the returned plans and all four
 // counters must agree, and every few operations the whole content.
 func TestPlanMemoMatchesReference(t *testing.T) {
@@ -142,19 +143,21 @@ func TestPlanMemoMatchesReference(t *testing.T) {
 				var desc string
 				switch rng.Intn(4) {
 				case 0:
-					desc = fmt.Sprintf("Get(%v, set %d)", h, k)
-					s, ok := memo.Get(h, pl, apps)
+					desc = fmt.Sprintf("lookup(%v, set %d)", h, k)
+					s, ok := lookup(memo, h, pl, apps)
 					rs, rok := ref.Get(h, pl, apps)
-					if s != rs || ok != rok {
+					// A randomized lane is skipped, which a one-lane call
+					// reports as a vacuous hit.
+					if s != rs || ok != (rok || h.Randomized()) {
 						t.Fatalf("cap %d seed %d op %d %s = (%p, %v), reference (%p, %v)", capacity, seed, op, desc, s, ok, rs, rok)
 					}
 				case 1:
-					desc = fmt.Sprintf("Put(%v, set %d)", h, k)
+					desc = fmt.Sprintf("store(%v, set %d)", h, k)
 					s := plan[k][h]
 					if rng.Intn(10) == 0 {
 						s = nil
 					}
-					memo.Put(h, pl, apps, s)
+					store(memo, h, pl, apps, s)
 					ref.Put(h, pl, apps, s)
 				case 2:
 					desc = fmt.Sprintf("LookupAll(%v, set %d)", hs, k)

@@ -5,14 +5,13 @@ import (
 	"math"
 
 	"repro/internal/model"
-	"repro/internal/solve"
 )
 
 // This file is the warm-start layer of the incremental-replanning work:
 // instead of re-solving every resident set from a cold start, online
-// callers keep a PlanMemo and go through ScheduleWarm, which serves a
-// previously computed plan whenever it can *certify* bit-equivalence
-// with a cold solve, and falls back to the full solve otherwise.
+// callers keep a PlanMemo, which serves a previously computed plan
+// whenever it can *certify* bit-equivalence with a cold solve; on a
+// miss they solve in full and store the plan.
 //
 // Why the certificate is an exact input fingerprint and not a numeric
 // warm start: the obvious accelerations — seeding the equalizer's
@@ -39,13 +38,14 @@ import (
 
 // PlanMemo memoizes deterministic heuristic plans keyed by the exact
 // bit pattern of (platform, applications) — the resident set — with one
-// slot per heuristic. It is the plan cache behind ScheduleWarm and the
-// DES delta-rescheduling policies: online resident sets recur (a
-// drained wave re-admits a fresh batch of template jobs), and a
-// recurring set costs one map probe instead of a full solve. A
-// portfolio race stores its deterministic plans with StoreAll and a
-// replan probes them with LookupAll, each with one fingerprint, one map
-// probe and at most one key allocation for the whole set.
+// slot per heuristic. It is the plan cache behind the DES
+// delta-rescheduling policies: online resident sets recur (a drained
+// wave re-admits a fresh batch of template jobs), and a recurring set
+// costs one map probe instead of a full solve. A race stores its
+// deterministic plans with StoreAll and a replan probes them with
+// LookupAll, each with one fingerprint, one map probe and at most one
+// key allocation for the whole set; a single-heuristic policy makes
+// the same calls with one lane.
 //
 // Capacity counts plans, not resident sets, and eviction is FIFO per
 // (heuristic, resident set) entry: the memo drops its oldest plan, and
@@ -154,22 +154,16 @@ func (m *PlanMemo) find(first int32, h Heuristic) (*Schedule, bool) {
 	return nil, false
 }
 
-// Get returns the memoized plan for a deterministic heuristic on these
-// exact inputs, or (nil, false). The hit path performs no allocation.
+// LookupAll probes the memoized plan of every deterministic heuristic
+// of hs, in order, on one input, with one fingerprint and one map
+// probe: it sets plans[i] for each deterministic hs[i] and reports
+// whether all of them hit, counting each probe as a hit or a miss. It
+// stops at the first miss. Randomized lanes are skipped — their plans
+// depend on the RNG stream, which the fingerprint deliberately does
+// not capture — and left untouched, so a call whose lanes are all
+// randomized reports true. The hit path performs no allocation.
 // Returned schedules are shared: callers must treat them as immutable.
-func (m *PlanMemo) Get(h Heuristic, pl model.Platform, apps []model.Application) (*Schedule, bool) {
-	if h.Randomized() {
-		return nil, false
-	}
-	return m.find(m.first(m.fingerprint(pl, apps)), h)
-}
-
-// LookupAll is Get for every deterministic heuristic of hs, in order,
-// on one input, with one fingerprint and one map probe: it sets
-// plans[i] for each deterministic hs[i] and reports whether all of
-// them hit. It stops at the first miss, leaving the counters exactly as
-// consecutive Get calls up to that miss would; randomized lanes of
-// plans are left untouched. plans must be at least as long as hs.
+// plans must be at least as long as hs.
 func (m *PlanMemo) LookupAll(hs []Heuristic, pl model.Platform, apps []model.Application, plans []*Schedule) bool {
 	first := m.first(m.fingerprint(pl, apps))
 	for i, h := range hs {
@@ -185,24 +179,13 @@ func (m *PlanMemo) LookupAll(hs []Heuristic, pl model.Platform, apps []model.App
 	return true
 }
 
-// Put stores a solved plan for a deterministic heuristic. Randomized
-// heuristics are rejected (their plans depend on the RNG stream, which
-// the fingerprint deliberately does not capture), as are nil schedules.
-// The caller must only store plans actually produced by h on exactly
-// (pl, apps); Put trusts that contract.
-func (m *PlanMemo) Put(h Heuristic, pl model.Platform, apps []model.Application, s *Schedule) {
-	if h.Randomized() || s == nil {
-		return
-	}
-	key := m.fingerprint(pl, apps)
-	m.put(key, m.first(key), h, s)
-}
-
-// StoreAll is Put for every hs[i] with plans[i], in index order, on one
-// input: one fingerprint, one map probe and at most one key allocation
-// for the whole set. The memo ends exactly as consecutive Put calls
-// would leave it, evictions included. plans must be at least as long
-// as hs.
+// StoreAll stores plans[i] as the plan of each deterministic hs[i], in
+// index order, on one input: one fingerprint, one map probe and at most
+// one key allocation for the whole set. Randomized lanes and nil plans
+// are skipped, and so is a heuristic whose plan the set already holds.
+// The caller must only store plans actually produced by hs[i] on
+// exactly (pl, apps); StoreAll trusts that contract. plans must be at
+// least as long as hs.
 func (m *PlanMemo) StoreAll(hs []Heuristic, pl model.Platform, apps []model.Application, plans []*Schedule) {
 	key := m.fingerprint(pl, apps)
 	first := m.first(key)
@@ -218,8 +201,8 @@ func (m *PlanMemo) StoreAll(hs []Heuristic, pl model.Platform, apps []model.Appl
 // unless the set already holds one, and returns the set's oldest plan
 // afterwards. A full memo first evicts its oldest plan, which may be
 // the set's oldest, or even its only one: the plan then starts the set
-// anew, as a Put after the set's eviction would, under the same key
-// string.
+// anew, as a later StoreAll of the evicted set would, under the same
+// key string.
 func (m *PlanMemo) put(key []byte, first int32, h Heuristic, s *Schedule) int32 {
 	last := int32(-1)
 	for i := first; i >= 0; i = m.ring[i].next {
@@ -267,31 +250,4 @@ func (m *PlanMemo) evict() memoPlan {
 	m.head = (m.head + 1) % len(m.ring)
 	m.evictions++
 	return old
-}
-
-// ScheduleWarm is Schedule through a plan memo — the warm-start entry
-// point of the DES delta-rescheduling policies. For a deterministic
-// heuristic whose exact inputs were solved before, it returns the
-// memoized schedule (fromMemo = true) without re-running the solver;
-// the fingerprint match certifies bit-equivalence with a cold solve.
-// Everything else — randomized heuristics, first-seen inputs, a nil
-// memo — falls back to a full Schedule call, and successful
-// deterministic solves are stored for the next recurrence.
-//
-// Returned schedules may be memo-shared between calls: treat them as
-// immutable.
-func (h Heuristic) ScheduleWarm(pl model.Platform, apps []model.Application, rng *solve.RNG, memo *PlanMemo) (*Schedule, bool, error) {
-	if memo != nil {
-		if s, ok := memo.Get(h, pl, apps); ok {
-			return s, true, nil
-		}
-	}
-	s, err := h.Schedule(pl, apps, rng)
-	if err != nil {
-		return nil, false, err
-	}
-	if memo != nil {
-		memo.Put(h, pl, apps, s)
-	}
-	return s, false, nil
 }

@@ -315,7 +315,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	if sp.Seed == 0 {
 		sp.Seed = TenantSeed(s.baseSeed, r.Header.Get(TenantHeader))
 	}
-	sc, err := sp.BuildWith(s.client.Engine(), s.client.Workers())
+	sc, err := sp.Build()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -336,9 +336,9 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSimulateFleet mirrors handleSimulate for multi-node fleet
-// scenarios: decode the fleet spec, default the seed from the tenant,
-// share the client's worker pool with every "portfolio" node policy,
-// and return the fleet-wide summary.
+// scenarios: decode the fleet spec (node policies included, so a bad
+// one is a 400), default the seed from the tenant, and return the
+// fleet-wide summary.
 func (s *Server) handleSimulateFleet(w http.ResponseWriter, r *http.Request) {
 	sp, err := fleet.DecodeSpec(r.Body)
 	if err != nil {
@@ -348,7 +348,7 @@ func (s *Server) handleSimulateFleet(w http.ResponseWriter, r *http.Request) {
 	if sp.Seed == 0 {
 		sp.Seed = TenantSeed(s.baseSeed, r.Header.Get(TenantHeader))
 	}
-	sc, err := sp.BuildWith(s.client.Engine(), s.client.Workers())
+	sc, err := sp.Build(0)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return

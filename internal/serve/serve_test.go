@@ -166,10 +166,10 @@ func TestSimulateFleetEndpoint(t *testing.T) {
 }
 
 // TestOnlineSimulationsSkipMemo: simulate and simulate-fleet requests
-// race their portfolio policies on the client's worker pool but not on
-// its memo, so a cache-on server keeps portfolio_cache_entries at 0
-// through them, while /v1/schedule still fills the memo and hits it on
-// a repeat request.
+// race their portfolio policies on the request's goroutine, outside
+// the client's engine, so a cache-on server keeps its engine counters
+// and portfolio_cache_entries at 0 through them, while /v1/schedule
+// still fills the memo and hits it on a repeat request.
 func TestOnlineSimulationsSkipMemo(t *testing.T) {
 	reg := obs.NewRegistry()
 	client := repro.NewClient(repro.WithWorkers(2), repro.WithMetrics(reg))
@@ -184,11 +184,13 @@ func TestOnlineSimulationsSkipMemo(t *testing.T) {
 			t.Fatalf("%s: status %d: %s", c.path, resp.StatusCode, body)
 		}
 	}
-	if n := metricValue(t, ts.URL, "portfolio_batches_total"); n == 0 {
+	if n := metricValue(t, ts.URL, "des_replan_fullsolve_total"); n == 0 {
 		t.Fatal("the simulations raced no portfolio")
 	}
-	if n := metricValue(t, ts.URL, "portfolio_cache_entries"); n != 0 {
-		t.Errorf("online simulations left %v memo entries, want 0", n)
+	for _, name := range []string{"portfolio_batches_total", "portfolio_evals_total", "portfolio_cache_entries"} {
+		if n := metricValue(t, ts.URL, name); n != 0 {
+			t.Errorf("online simulations left %s at %v, want 0", name, n)
+		}
 	}
 
 	if resp, body := post(t, ts.URL+"/v1/schedule", "", twoApps); resp.StatusCode != http.StatusOK {
@@ -246,6 +248,8 @@ func TestBadRequests(t *testing.T) {
 		{"/v1/simulate", `{"arrivals": {"process": "warp"}}`, http.StatusBadRequest},
 		{"/v1/simulate-fleet", `{"routing": "warp"}`, http.StatusBadRequest},
 		{"/v1/simulate-fleet", `{"nodes": [], "bogus": 1}`, http.StatusBadRequest},
+		{"/v1/simulate-fleet", `{"nodes": [{"policy": "bogus"}], "arrivals": {"process": "poisson", "rate": 2e-9, "n": 4}}`, http.StatusBadRequest},
+		{"/v1/simulate-fleet", `{"nodes": [{"policy": "AllProcCache"}], "arrivals": {"process": "poisson", "rate": 2e-9, "n": 4}}`, http.StatusBadRequest},
 	}
 	// A single-document endpoint takes its body whole: a second document
 	// or trailing garbage is rejected, a trailing newline is not.
