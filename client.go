@@ -50,8 +50,10 @@ type ClientOption func(*clientConfig)
 // WithWorkers bounds the client's worker pool: at most n heuristic
 // evaluations of its portfolio races run at once across all concurrent
 // calls on the client (online simulations race on their calling
-// goroutine, outside the pool). Values < 1 (and the default) mean
-// GOMAXPROCS. Results are bit-for-bit identical at any worker count.
+// goroutine, outside the pool), and one EvaluateBatch call races at
+// most n scenarios at once, on n claimer goroutines (with n = 1 the
+// caller races them). Values < 1 (and the default) mean GOMAXPROCS.
+// Results are bit-for-bit identical at any worker count.
 func WithWorkers(n int) ClientOption {
 	return func(c *clientConfig) { c.workers = n }
 }
@@ -237,67 +239,30 @@ type BatchResult struct {
 }
 
 // EvaluateBatch evaluates a stream of scenarios and emits one
-// BatchResult per scenario, in input order, as each completes. The
-// whole pipeline — pulling scenarios from the iterator, evaluating
-// them on the worker pool, emitting reports — runs in bounded memory:
-// at most 2×Workers scenarios are decoded-but-unemitted at any moment,
-// so NDJSON-scale batches stream instead of buffering.
+// BatchResult per scenario, in input order, as each completes, through
+// the engine's batch dispatcher (PortfolioEngine.EvaluateStream): at
+// most Workers scenarios race at once, and at most 2×Workers are
+// decoded-but-unemitted, so NDJSON-scale batches stream in bounded
+// memory. Scenarios naming no heuristics inherit the client's set.
 //
-// Scenarios naming no heuristics inherit the client's set. A non-nil
-// error from emit stops the batch and is returned; cancelling ctx stops
-// it with ctx.Err() within one in-flight evaluation per scenario.
-// Either way the iterator stops being pulled, in-flight evaluations are
-// drained (no goroutines leak), and already-emitted results remain valid.
-// Scenario-level validation failures land in the emitted report's Err
-// field and do not stop the stream.
+// A non-nil error from emit stops the batch and is returned; cancelling
+// ctx stops the pulling and returns ctx.Err() after emitting what was
+// pulled. Either way the iterator has returned, no goroutine leaks and
+// emitted results stay valid. A scenario's validation failure lands in
+// its report's Err, naming its Index, and does not stop the stream.
 func (c *Client) EvaluateBatch(ctx context.Context, scenarios iter.Seq[PortfolioScenario], emit func(BatchResult) error) error {
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	// window bounds both the scenarios in flight (each races serially,
-	// so at most Workers of them evaluate at once) and the completed
-	// reports waiting for their turn in the ordered output.
-	window := 2 * c.engine.Workers()
-	pending := make(chan chan *PortfolioReport, window)
-	go func() {
-		defer close(pending)
+	return c.engine.EvaluateStream(ctx, func(yield func(PortfolioScenario) bool) {
 		for sc := range scenarios {
 			if len(sc.Heuristics) == 0 {
 				sc.Heuristics = c.heuristics
 			}
-			done := make(chan *PortfolioReport, 1)
-			select {
-			case pending <- done: // blocks while the window is full
-			case <-cctx.Done():
+			if !yield(sc) {
 				return
 			}
-			go func(sc PortfolioScenario) {
-				// The report channel is buffered: the evaluation can
-				// always hand off its result and exit, even when the
-				// consumer has already abandoned the batch.
-				rep, _ := c.engine.EvaluateContext(cctx, sc)
-				done <- rep
-			}(sc)
 		}
-	}()
-
-	var emitErr error
-	idx := 0
-	for done := range pending {
-		rep := <-done
-		if emitErr != nil || cctx.Err() != nil {
-			continue // draining after a failure or cancellation
-		}
-		if err := emit(BatchResult{Index: idx, Report: rep}); err != nil {
-			emitErr = err
-			cancel() // stop the producer; the loop keeps draining
-		}
-		idx++
-	}
-	if emitErr != nil {
-		return emitErr
-	}
-	return ctx.Err()
+	}, func(i int, rep *PortfolioReport) error {
+		return emit(BatchResult{Index: i, Report: rep})
+	})
 }
 
 // SimulateOnline runs an online co-scheduling scenario to completion on

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -319,6 +320,106 @@ func TestEvaluateBatchEmitError(t *testing.T) {
 		t.Fatalf("emit called %d times after failing, want 1", calls)
 	}
 	waitGoroutines(t, before)
+}
+
+// TestEvaluateBatchErrorNamesScenario: a scenario that fails validation
+// is emitted with its position in the stream, and its error names that
+// same position.
+func TestEvaluateBatchErrorNamesScenario(t *testing.T) {
+	c := NewClient(WithWorkers(2))
+	scenarios := func(yield func(PortfolioScenario) bool) {
+		for i := range 4 {
+			apps := testApps(i)
+			if i == 2 {
+				apps[0].Work = -1
+			}
+			if !yield(PortfolioScenario{Platform: TaihuLight(), Apps: apps, Seed: uint64(i)}) {
+				return
+			}
+		}
+	}
+	var failed []string
+	err := c.EvaluateBatch(context.Background(), scenarios, func(br BatchResult) error {
+		if br.Report.Err != nil {
+			failed = append(failed, fmt.Sprintf("%d %v", br.Index, br.Report.Err))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{`2 portfolio: scenario 2: app 0: invalid application "CG".work: needs finite positive work, got -1`}
+	if !reflect.DeepEqual(failed, want) {
+		t.Errorf("failed scenarios %q, want %q", failed, want)
+	}
+}
+
+// TestEvaluateBatchGoroutineBound: a batch over an unbounded stream runs
+// on at most Workers claimers plus the goroutine that pulls the stream,
+// and leaves none behind.
+func TestEvaluateBatchGoroutineBound(t *testing.T) {
+	const workers = 4
+	c := NewClient(WithWorkers(workers), WithCache(false))
+	scenarios := func(yield func(PortfolioScenario) bool) {
+		for i := 0; ; i++ {
+			if !yield(PortfolioScenario{Platform: TaihuLight(), Apps: testApps(i), Seed: uint64(i)}) {
+				return
+			}
+		}
+	}
+	stop := errors.New("enough")
+	before := runtime.NumGoroutine()
+	peak, emitted := 0, 0
+	err := c.EvaluateBatch(context.Background(), scenarios, func(BatchResult) error {
+		peak = max(peak, runtime.NumGoroutine()-before)
+		if emitted++; emitted == 64 {
+			return stop
+		}
+		return nil
+	})
+	if !errors.Is(err, stop) {
+		t.Fatalf("batch returned %v, want %v", err, stop)
+	}
+	if peak > workers+1 {
+		t.Errorf("a %d-worker batch ran %d goroutines besides its caller, want at most %d", workers, peak, workers+1)
+	}
+	waitGoroutines(t, before)
+}
+
+// TestEvaluateBatchMetrics: a batch counts as one call, with one race
+// latency observation, and each of its scenarios once, whether it comes
+// through the client's stream or the engine's slice.
+func TestEvaluateBatchMetrics(t *testing.T) {
+	const n = 5
+	batch := make([]PortfolioScenario, n)
+	for i := range batch {
+		batch[i] = PortfolioScenario{Platform: TaihuLight(), Apps: testApps(i), Seed: uint64(i)}
+	}
+	for _, workers := range []int{1, 3} {
+		for _, via := range []string{"stream", "slice"} {
+			reg := NewMetricsRegistry()
+			c := NewClient(WithWorkers(workers), WithMetrics(reg))
+			var err error
+			if via == "stream" {
+				err = c.EvaluateBatch(context.Background(), slices.Values(batch), func(BatchResult) error { return nil })
+			} else {
+				_, err = c.Engine().EvaluateBatchContext(context.Background(), batch)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := map[string]float64{}
+			for _, s := range reg.Snapshot() {
+				got[s.Name] = s.Value
+			}
+			want := map[string]float64{"portfolio_batches_total": 1, "portfolio_race_seconds": 1, "portfolio_scenarios_total": n}
+			for name, v := range want {
+				if got[name] != v {
+					t.Errorf("%d workers, %s: %s = %v, want %v", workers, via, name, got[name], v)
+				}
+			}
+		}
+	}
 }
 
 // TestSimulateOnlineCancellation cancels the DES event loop

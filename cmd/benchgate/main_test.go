@@ -290,7 +290,7 @@ func TestUpdateRefusesFailingRatio(t *testing.T) {
 }
 
 // TestCommittedBaselineGates pins the committed baseline's gates: its
-// three ratio rows, and load-test budgets that fail a 999 ms p50.
+// four ratio rows, and load-test budgets that fail a 999 ms p50.
 func TestCommittedBaselineGates(t *testing.T) {
 	const path = "../../benchmarks/baseline.json"
 	b, err := benchgate.LoadBaseline(path)
@@ -301,7 +301,7 @@ func TestCommittedBaselineGates(t *testing.T) {
 	for _, r := range b.Ratios {
 		got[r.Name] = [2]float64{r.Min, float64(r.MinCPUs)}
 	}
-	if want := map[string][2]float64{"portfolio-parallel": {2, 4}, "delta-replan": {5, 0}, "selector": {3, 0}}; !reflect.DeepEqual(got, want) {
+	if want := map[string][2]float64{"portfolio-parallel": {2, 4}, "portfolio-parallel-2": {1.2, 2}, "delta-replan": {5, 0}, "selector": {3, 0}}; !reflect.DeepEqual(got, want) {
 		t.Errorf("ratio rows %v, want %v", got, want)
 	}
 	load := "BenchmarkServeLoad/schedule/p50 1 999e6 ns/op\nBenchmarkServeLoad/schedule/p99 1 1e6 ns/op\nBenchmarkServeLoad/schedule/sustained 1 1e6 ns/op\n"

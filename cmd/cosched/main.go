@@ -43,6 +43,7 @@ import (
 	"os"
 	"os/signal"
 	"sort"
+	"sync"
 	"text/tabwriter"
 
 	repro "repro"
@@ -377,13 +378,14 @@ func writeRanking(out io.Writer, rep *repro.PortfolioReport) error {
 }
 
 // runBatch serves every scenario of the batch input through the v2
-// client's streaming batch evaluator: one NDJSON report line per
-// scenario, in input order, as each completes. Decoding, evaluation and
-// output form a bounded pipeline (Client.EvaluateBatch caps the
-// decoded-but-unreported window at 2×workers), so arbitrarily long
-// scenario streams run in bounded memory instead of buffering the whole
-// input array and the whole output array. The input may be a JSON array
-// of scenarios or an NDJSON stream of scenario objects.
+// client's batch dispatcher: one NDJSON report line per scenario, in
+// input order, as each completes. Decoding, evaluation and output form
+// a bounded pipeline (Client.EvaluateBatch races at most -workers
+// scenarios at once and caps the decoded-but-unreported window at
+// 2×workers), so arbitrarily long scenario streams run in bounded
+// memory instead of buffering the whole input array and the whole
+// output array. The input may be a JSON array of scenarios or an NDJSON
+// stream of scenario objects.
 //
 // A malformed scenario or unknown heuristic name aborts the batch at
 // the point it is decoded; reports already streamed stay valid.
@@ -405,21 +407,29 @@ func runBatch(ctx context.Context, client *repro.Client, path string, defaultPl 
 	// EvaluateBatch returns (which happens-after the iterator finished).
 	// Each scenario's feature bucket is computed at decode time and kept
 	// (a short string, not the scenario), so telemetry can label reports
-	// by index without holding the batch in memory.
+	// by index without holding the batch in memory. The iterator runs on
+	// another goroutine than emit, so the buckets are shared under mu.
 	var decodeErr error
+	var mu sync.Mutex
 	var buckets []string
 	scenarios := func(yield func(repro.PortfolioScenario) bool) {
 		decodeErr = serve.DecodeScenarios(r, path, serve.Defaults{Platform: defaultPl, Seed: defaultSeed}, func(sc repro.PortfolioScenario) bool {
 			if tw != nil {
-				buckets = append(buckets, selector.Extract(sc.Platform, sc.Apps).Bucket())
+				bucket := selector.Extract(sc.Platform, sc.Apps).Bucket()
+				mu.Lock()
+				buckets = append(buckets, bucket)
+				mu.Unlock()
 			}
 			return yield(sc)
 		})
 	}
 	enc := json.NewEncoder(out)
 	if err := client.EvaluateBatch(ctx, scenarios, func(br repro.BatchResult) error {
-		if tw != nil && br.Index < len(buckets) {
-			if err := tw.record(buckets[br.Index], br.Report); err != nil {
+		if tw != nil {
+			mu.Lock()
+			bucket := buckets[br.Index]
+			mu.Unlock()
+			if err := tw.record(bucket, br.Report); err != nil {
 				return err
 			}
 		}

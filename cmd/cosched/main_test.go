@@ -12,6 +12,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro"
+	"repro/internal/selector"
 	"repro/internal/serve"
 )
 
@@ -266,6 +268,63 @@ func TestRunBatchNDJSONInput(t *testing.T) {
 	}
 	if reports[0].Best != "DominantMinRatio" || reports[1].Best != "Fair" {
 		t.Fatalf("reports out of order: %q then %q", reports[0].Best, reports[1].Best)
+	}
+}
+
+// TestRunBatchTelemetry: with telemetry on, every report of a batch
+// raced on several workers labels its race records with its own
+// scenario's feature bucket, in input order.
+func TestRunBatchTelemetry(t *testing.T) {
+	const n = 96
+	shapes := []string{
+		`{"platform": {"processors": 128, "cacheSize": 16e9, "ls": 0.17, "ll": 1, "alpha": 0.5},
+			"apps": [{"name": "a", "work": %g, "seq": 0.05, "freq": 0.5, "missRate": 1e-3, "refCache": 4e7},
+			{"name": "b", "work": 2e10, "seq": 0.02, "freq": 0.7, "missRate": 5e-3, "refCache": 4e7}],
+			"heuristics": ["DominantMinRatio", "Fair"]}`,
+		`{"platform": {"processors": 128, "cacheSize": 16e9, "ls": 0.17, "ll": 1, "alpha": 0.5},
+			"apps": [{"name": "a", "work": %g, "seq": 0.3, "freq": 0.1, "missRate": 1e-4, "refCache": 4e7},
+			{"name": "b", "work": 9e10, "seq": 0.01, "freq": 0.9, "missRate": 5e-2, "refCache": 4e7},
+			{"name": "c", "work": 3e10, "seq": 0.1, "freq": 0.3, "missRate": 1e-3, "refCache": 4e7}],
+			"heuristics": ["DominantMinRatio", "Fair"]}`,
+	}
+	var in strings.Builder
+	for i := range n {
+		fmt.Fprintf(&in, shapes[i%2]+"\n", 1e10*(1+float64(i)/n))
+	}
+	var want []string
+	if err := serve.DecodeScenarios(strings.NewReader(in.String()), "input", serve.Defaults{}, func(sc repro.PortfolioScenario) bool {
+		want = append(want, selector.Extract(sc.Platform, sc.Apps).Bucket())
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if want[0] == want[1] {
+		t.Fatalf("both shapes fall in bucket %q; the test could not tell reports apart", want[0])
+	}
+	telemetry := filepath.Join(t.TempDir(), "telemetry.ndjson")
+	var out bytes.Buffer
+	if err := run(context.Background(), []string{"-batch", writeTemp(t, in.String()), "-workers", "2", "-telemetry", telemetry}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if reports := decodeReports(t, out.String()); len(reports) != n {
+		t.Fatalf("%d reports for %d scenarios", len(reports), n)
+	}
+	raw, err := os.ReadFile(telemetry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	if len(lines) != 2*n {
+		t.Fatalf("%d telemetry lines for %d two-heuristic races", len(lines), n)
+	}
+	for i, line := range lines {
+		var rr selector.RaceRecord
+		if err := json.Unmarshal([]byte(line), &rr); err != nil {
+			t.Fatalf("telemetry line %d: %v", i, err)
+		}
+		if heuristic := []string{"DominantMinRatio", "Fair"}[i%2]; rr.Bucket != want[i/2] || rr.Heuristic != heuristic {
+			t.Fatalf("telemetry line %d is %s, want bucket %q and heuristic %s", i, line, want[i/2], heuristic)
+		}
 	}
 }
 

@@ -50,7 +50,7 @@
 // "portfolio:selector" nodes and fails when there are none.
 //
 // Observability: -json appends one "kind": "metrics" NDJSON line with
-// the full metrics snapshot; -metrics FILE writes the Prometheus text
+// the simulator's metrics snapshot; -metrics FILE writes the Prometheus text
 // exposition; -trace FILE writes the simulator's span/event log as
 // NDJSON; -debug-addr HOST:PORT serves /metrics, /debug/pprof/* and
 // /debug/vars while the run is in flight; -cpuprofile/-memprofile
@@ -68,7 +68,6 @@ import (
 	"os"
 	"os/signal"
 
-	repro "repro"
 	"repro/internal/des"
 	"repro/internal/fleet"
 	"repro/internal/obs"
@@ -193,12 +192,9 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) (err error) 
 		fmt.Fprintf(errOut, "dessim: debug listener on http://%s\n", ds.Addr())
 	}
 
-	// One v2 client per invocation, whose registry the run reports on.
-	// Policies race on this goroutine and never use the client's
-	// engine, so it gets no cache.
-	client := repro.NewClient(repro.WithCache(false), repro.WithMetrics(reg))
-	// Registration is idempotent, so this handle shares its series with
-	// the client's; holding our own lets us attach the tracer.
+	// The run reports on its own des metrics: policies race on this
+	// goroutine, outside any portfolio engine, so no other layer can
+	// record anything.
 	m := des.NewMetrics(reg)
 	if m != nil && *tracePath != "" {
 		m.Tracer = obs.NewTracer(0)
@@ -230,7 +226,7 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) (err error) 
 			}
 		}
 		sc.Metrics = m
-		res, err := client.SimulateFleet(ctx, sc)
+		res, err := fleet.SimulateContext(ctx, sc)
 		if err != nil {
 			return err
 		}
@@ -258,7 +254,7 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) (err error) 
 			}
 		}
 		sc.Metrics = m
-		res, err := client.SimulateOnline(ctx, sc)
+		res, err := des.SimulateContext(ctx, sc)
 		if err != nil {
 			return err
 		}
@@ -321,7 +317,7 @@ func emitNode(enc *json.Encoder, sc des.Scenario, res *des.Result, events bool) 
 // emitFleet writes a fleet run: one "route" line per routing decision
 // (unless events is off), one "node" line per node and the trailing
 // "fleet-summary" line.
-func emitFleet(enc *json.Encoder, sc repro.FleetScenario, res *repro.FleetResult, events bool) (des.ReplanStats, error) {
+func emitFleet(enc *json.Encoder, sc fleet.Scenario, res *fleet.Result, events bool) (des.ReplanStats, error) {
 	if events {
 		for _, rt := range res.Routes {
 			if err := enc.Encode(routeJSON{

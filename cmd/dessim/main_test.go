@@ -168,6 +168,19 @@ func TestObservabilityOutputs(t *testing.T) {
 	if !strings.Contains(string(prom), "des_events_total") {
 		t.Error("-metrics exposition missing des_events_total")
 	}
+	// Policies race outside any portfolio engine and selector, so none
+	// of their series (portfolio_batches_total, selector_regret, ...),
+	// which no run could move, is exported.
+	for _, family := range []string{"portfolio_", "selector_"} {
+		for _, s := range samples {
+			if name := s.(map[string]any)["name"].(string); strings.HasPrefix(name, family) {
+				t.Errorf("-json metrics line carries %s", name)
+			}
+		}
+		if strings.Contains(string(prom), family) {
+			t.Errorf("-metrics exposition carries %s* series", family)
+		}
+	}
 
 	trace, err := os.ReadFile(tracePath)
 	if err != nil {

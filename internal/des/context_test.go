@@ -118,3 +118,21 @@ func TestPolicyHeuristicErrorTyped(t *testing.T) {
 		t.Fatalf("recorded heuristic %v", herr.Heuristic)
 	}
 }
+
+// TestValidatePolicyMatchesParse: ValidatePolicy accepts exactly the
+// specifications ParsePolicy builds, and rejects the others with
+// ParsePolicy's error.
+func TestValidatePolicyMatchesParse(t *testing.T) {
+	for _, spec := range []string{
+		"portfolio", "portfolio:full", "portfolio:selector", "portfolio:selector:full",
+		"Fair", "RandomPart:full", "norepartition", "norepartition:Fair",
+		"", "bogus", "AllProcCache", "AllProcCache:full", "norepartition:AllProcCache",
+		"norepartition:full", "norepartition:Fair:full", "norepartition:bogus", "portfolio:bogus",
+	} {
+		_, parseErr := ParsePolicy(spec, 1)
+		err := ValidatePolicy(spec)
+		if (err == nil) != (parseErr == nil) || err != nil && err.Error() != parseErr.Error() {
+			t.Errorf("ValidatePolicy(%q) = %v, ParsePolicy error %v", spec, err, parseErr)
+		}
+	}
+}

@@ -136,8 +136,8 @@ type HeuristicPolicy struct {
 // rejected. The seed drives the randomized heuristics; each invocation
 // uses its own substream so replanning decisions stay independent.
 func NewHeuristicPolicy(h sched.Heuristic, seed uint64) (*HeuristicPolicy, error) {
-	if h == sched.AllProcCache {
-		return nil, fmt.Errorf("des: %v is sequential and cannot drive online repartitioning", h)
+	if err := sequential(h, "repartitioning"); err != nil {
+		return nil, err
 	}
 	return &HeuristicPolicy{h: h, seed: seed, memo: sched.NewPlanMemo(0)}, nil
 }
@@ -421,8 +421,8 @@ type NoRepartition struct {
 
 // NewNoRepartition returns the wave-scheduling policy around h.
 func NewNoRepartition(h sched.Heuristic, seed uint64) (*NoRepartition, error) {
-	if h == sched.AllProcCache {
-		return nil, fmt.Errorf("des: %v is sequential and cannot drive online scheduling", h)
+	if err := sequential(h, "scheduling"); err != nil {
+		return nil, err
 	}
 	return &NoRepartition{h: h, seed: seed}, nil
 }
@@ -490,40 +490,77 @@ func (p *NoRepartition) Name() string { return "norepartition:" + p.h.String() }
 // bit-equivalent and only useful for benchmarking and equivalence
 // testing. seed drives every randomized decision.
 func ParsePolicy(spec string, seed uint64) (Policy, error) {
-	if base, found := strings.CutSuffix(spec, ":full"); found {
-		pol, err := ParsePolicy(base, seed)
-		if err != nil {
-			return nil, err
-		}
-		fr, ok := pol.(interface{ SetFullReplan(bool) })
-		if !ok {
-			return nil, fmt.Errorf("des: policy %q has no delta-rescheduling fast path to disable", base)
-		}
-		fr.SetFullReplan(true)
-		return pol, nil
-	}
+	p, err := parsePolicy(spec)
 	switch {
-	case spec == "portfolio":
-		return NewPortfolioPolicy(seed), nil
-	case spec == "portfolio:selector":
-		p := NewPortfolioPolicy(seed)
-		p.SetLedger(nil, selector.Thresholds{})
-		return p, nil
-	case spec == "norepartition":
-		return NewNoRepartition(sched.DominantMinRatio, seed)
-	case strings.HasPrefix(spec, "norepartition:"):
-		h, err := sched.ParseHeuristic(strings.TrimPrefix(spec, "norepartition:"))
-		if err != nil {
-			return nil, err
-		}
-		return NewNoRepartition(h, seed)
-	default:
-		h, err := sched.ParseHeuristic(spec)
-		if err != nil {
-			return nil, fmt.Errorf("des: unknown policy %q (want \"portfolio\", \"norepartition[:H]\" or a heuristic name): %w", spec, err)
-		}
-		return NewHeuristicPolicy(h, seed)
+	case err != nil:
+		return nil, err
+	case p.waves:
+		return NewNoRepartition(p.h, seed)
+	case !p.portfolio:
+		hp, _ := NewHeuristicPolicy(p.h, seed) // parsePolicy rejected what it rejects
+		hp.SetFullReplan(p.full)
+		return hp, nil
 	}
+	pp := NewPortfolioPolicy(seed)
+	if p.selector {
+		pp.SetLedger(nil, selector.Thresholds{})
+	}
+	pp.SetFullReplan(p.full)
+	return pp, nil
+}
+
+// ValidatePolicy returns the error ParsePolicy would, without building
+// the policy.
+func ValidatePolicy(spec string) error {
+	_, err := parsePolicy(spec)
+	return err
+}
+
+// parsedPolicy is a policy specification resolved but not built.
+type parsedPolicy struct {
+	h                                sched.Heuristic
+	portfolio, selector, waves, full bool
+}
+
+// parsePolicy is ParsePolicy's grammar.
+func parsePolicy(spec string) (parsedPolicy, error) {
+	if base, found := strings.CutSuffix(spec, ":full"); found {
+		p, err := parsePolicy(base)
+		if err == nil && p.waves {
+			err = fmt.Errorf("des: policy %q has no delta-rescheduling fast path to disable", base)
+		}
+		p.full = true
+		return p, err
+	}
+	var p parsedPolicy
+	var err error
+	switch {
+	case spec == "portfolio", spec == "portfolio:selector":
+		p.portfolio, p.selector = true, spec == "portfolio:selector"
+	case spec == "norepartition":
+		p.h, p.waves = sched.DominantMinRatio, true
+	case strings.HasPrefix(spec, "norepartition:"):
+		p.waves = true
+		if p.h, err = sched.ParseHeuristic(strings.TrimPrefix(spec, "norepartition:")); err == nil {
+			err = sequential(p.h, "scheduling")
+		}
+	default:
+		if p.h, err = sched.ParseHeuristic(spec); err != nil {
+			err = fmt.Errorf("des: unknown policy %q (want \"portfolio\", \"norepartition[:H]\" or a heuristic name): %w", spec, err)
+		} else {
+			err = sequential(p.h, "repartitioning")
+		}
+	}
+	return p, err
+}
+
+// sequential rejects AllProcCache, which runs the applications one
+// after another, as the heuristic of an online policy.
+func sequential(h sched.Heuristic, drives string) error {
+	if h == sched.AllProcCache {
+		return fmt.Errorf("des: %v is sequential and cannot drive online %s", h, drives)
+	}
+	return nil
 }
 
 // ParsePolicyShared is ParsePolicy; engine and workers are ignored,

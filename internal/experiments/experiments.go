@@ -103,9 +103,8 @@ func (f *Figure) Normalized(base string) (*Figure, error) {
 // stream (paired comparison, as in the authors' simulator), so curves
 // differ only through the swept parameter.
 //
-// Every (x, replicate) cell becomes one portfolio scenario; the engine
-// parallelizes across heuristics × scenarios on its bounded worker
-// pool. Heuristic-internal randomness derives from the replicate stream
+// Every (x, replicate) cell becomes one portfolio scenario; the
+// engine's batch dispatcher spreads the scenarios over its workers. Heuristic-internal randomness derives from the replicate stream
 // and the heuristic's position (the engine's substream rule matches the
 // historical serial loop), so results are bit-identical to sequential
 // execution regardless of worker count.

@@ -168,7 +168,7 @@ func SimulateContext(ctx context.Context, sc Scenario) (*Result, error) {
 		if names[i] == "" {
 			names[i] = fmt.Sprintf("node%d", i)
 		}
-		pol, err := nodePolicy(nc.Policy, NodePolicySeed(sc.Seed, i))
+		pol, err := des.ParsePolicy(nodePolicySpec(nc.Policy), NodePolicySeed(sc.Seed, i))
 		if err != nil {
 			return nil, fmt.Errorf("fleet: node %s: %w", names[i], err)
 		}
@@ -234,13 +234,13 @@ func SimulateContext(ctx context.Context, sc Scenario) (*Result, error) {
 	return res, nil
 }
 
-// nodePolicy parses a node's policy specification; empty means
+// nodePolicySpec is a node's policy specification; empty means
 // DominantMinRatio.
-func nodePolicy(spec string, seed uint64) (des.Policy, error) {
+func nodePolicySpec(spec string) string {
 	if spec == "" {
-		spec = "DominantMinRatio"
+		return "DominantMinRatio"
 	}
-	return des.ParsePolicy(spec, seed)
+	return spec
 }
 
 // affinity scores a node's footprint overlap with an arriving job: the

@@ -156,3 +156,81 @@ func TestHeuristicErrorWrapping(t *testing.T) {
 		t.Fatalf("recorded heuristic %v", herr.Heuristic)
 	}
 }
+
+// TestEvaluateStreamOrderedWindow: the dispatcher emits every report in
+// input order, identical to a serial batch's, while never holding more
+// than 2×Workers scenarios pulled but not yet emitted.
+func TestEvaluateStreamOrderedWindow(t *testing.T) {
+	const workers, n = 3, 40
+	scenarios := make([]Scenario, n)
+	for i := range scenarios {
+		scenarios[i] = npbScenario(uint64(i))
+		scenarios[i].Apps[0].Work *= 1 + float64(i)/7
+	}
+	var pulled atomic.Int64
+	seq := func(yield func(Scenario) bool) {
+		for _, sc := range scenarios {
+			pulled.Add(1)
+			if !yield(sc) {
+				return
+			}
+		}
+	}
+	var got []*Report
+	err := New(Config{Workers: workers}).EvaluateStream(context.Background(), seq, func(i int, rep *Report) error {
+		if i != len(got) {
+			t.Fatalf("emitted position %d after %d reports", i, len(got))
+		}
+		if p := pulled.Load(); p-int64(i) > 2*workers {
+			t.Errorf("%d scenarios pulled at emit %d, window %d", p, i, 2*workers)
+		}
+		got = append(got, rep)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != n {
+		t.Fatalf("emitted %d reports for %d scenarios", len(got), n)
+	}
+	requireSameReports(t, New(Config{Workers: 1}).EvaluateBatch(scenarios), got)
+}
+
+// TestEvaluateStreamCancelEmitsPulled: cancelling a stream stops the
+// pulling, still emits every scenario already pulled, in order, and
+// returns ctx.Err() only after the iterator has returned.
+func TestEvaluateStreamCancelEmitsPulled(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var pulled atomic.Int64
+		var returned atomic.Bool
+		seq := func(yield func(Scenario) bool) {
+			defer returned.Store(true)
+			for i := 0; ; i++ { // unbounded: only cancellation ends it
+				pulled.Add(1)
+				if !yield(npbScenario(uint64(i))) {
+					return
+				}
+			}
+		}
+		emitted := 0
+		err := New(Config{Workers: workers}).EvaluateStream(ctx, seq, func(i int, _ *Report) error {
+			if i != emitted {
+				t.Fatalf("%d workers: emitted position %d after %d reports", workers, i, emitted)
+			}
+			if emitted++; emitted == 3 {
+				cancel()
+			}
+			return nil
+		})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%d workers: returned %v, want context.Canceled", workers, err)
+		}
+		if !returned.Load() {
+			t.Errorf("%d workers: the iterator was still running after the call returned", workers)
+		}
+		if p := int(pulled.Load()); emitted != p || emitted > 3+2*workers {
+			t.Errorf("%d workers: emitted %d of %d pulled scenarios after cancelling at 3, want all, at most %d", workers, emitted, p, 3+2*workers)
+		}
+	}
+}

@@ -14,8 +14,8 @@ import (
 //
 // Metric catalog:
 //
-//	portfolio_batches_total        counter    Evaluate and EvaluateBatch calls
-//	portfolio_scenarios_total      counter    scenarios raced
+//	portfolio_batches_total        counter    calls: one Evaluate race or one batch dispatch
+//	portfolio_scenarios_total      counter    scenarios raced (a batch counts each one it pulls)
 //	portfolio_evals_total          counter    (scenario, heuristic) evaluations
 //	portfolio_race_seconds         histogram  wall time of one call
 //	portfolio_eval_seconds         histogram  wall time of one heuristic evaluation
@@ -69,6 +69,13 @@ func (m *Metrics) startCall(n int) time.Time {
 	m.batches.Inc()
 	m.scenarios.Add(uint64(n))
 	return time.Now()
+}
+
+// pulled counts one scenario a batch dispatch pulled.
+func (m *Metrics) pulled() {
+	if m != nil {
+		m.scenarios.Inc()
+	}
 }
 
 // endCall observes the wall time of a call started by startCall.

@@ -14,8 +14,8 @@
 //   - Bounded concurrency. One Engine owns one semaphore, and every
 //     heuristic evaluation of every call holds one of its slots, so
 //     callers can fan out freely without oversubscribing the machine.
-//     A race is serial: only a multi-scenario batch spreads whole
-//     scenarios over several goroutines.
+//     A race is serial; a batch, slice or stream, spreads whole
+//     scenarios over up to Workers goroutines (see EvaluateStream).
 //   - Memoization. Solved (scenario, heuristic) pairs are remembered in
 //     a sharded, mutex-striped cache keyed by a canonical scenario
 //     hash; repeated scenarios cost one map lookup, and concurrent
@@ -34,10 +34,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"iter"
 	"math"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/model"
@@ -48,8 +48,8 @@ import (
 // Config parameterizes an Engine.
 type Config struct {
 	// Workers bounds the heuristic evaluations in flight at once across
-	// every call on the engine, and the goroutines one EvaluateBatch
-	// call races its scenarios on. Values < 1 default to GOMAXPROCS.
+	// every call on the engine, and the goroutines one batch races its
+	// scenarios on (none at 1). Values < 1 default to GOMAXPROCS.
 	// Results are identical at any worker count (see the determinism
 	// property).
 	Workers int
@@ -186,55 +186,149 @@ func (e *Engine) EvaluateBatch(scenarios []Scenario) []*Report {
 	return reports
 }
 
-// EvaluateBatchContext is EvaluateBatch under a context.
+// EvaluateBatchContext is EvaluateBatch under a context: it collects
+// the reports the batch dispatcher (see EvaluateStream) emits.
 //
-// The scenario is the unit of dispatch: the caller races scenarios one
-// after another, joined by up to Workers−1 helper goroutines that claim
-// whole scenarios. Every heuristic evaluation holds a slot of the
-// engine-wide semaphore, so concurrent calls on one engine still
-// respect the global bound. Results land at fixed (scenario, heuristic)
-// indices, so scheduling order never influences the output.
-//
-// Cancellation contract: a race polls ctx before each evaluation, so a
-// cancelled batch stops within one in-flight heuristic evaluation per
-// racing goroutine. The call then returns ctx.Err() alongside the
-// reports; every evaluation that never ran carries ctx.Err() as its
-// Result.Err (cancelled results never shadow computed ones — pickBest
-// skips errors), and a subsequent call on a live context is
-// bit-identical to one on a fresh engine.
+// Cancellation contract: a cancelled batch stops within one in-flight
+// evaluation per racing goroutine and returns ctx.Err() alongside the
+// reports. Every evaluation that never ran, in the scenarios left
+// unpulled too, carries ctx.Err() as its Result.Err (pickBest skips
+// errors), and a later call on a live context is bit-identical to one
+// on a fresh engine.
 func (e *Engine) EvaluateBatchContext(ctx context.Context, scenarios []Scenario) ([]*Report, error) {
-	start := e.metrics.startCall(len(scenarios))
 	reports := make([]*Report, len(scenarios))
-	if helpers := min(cap(e.sem), len(scenarios)) - 1; helpers > 0 {
-		e.raceHelped(ctx, scenarios, reports, helpers)
-	} else {
-		for si := range scenarios {
+	err := e.dispatch(ctx, source{batch: scenarios}, func(i int, rep *Report) error {
+		reports[i] = rep
+		return nil
+	})
+	for si, rep := range reports {
+		if rep == nil {
 			reports[si] = e.race(ctx, &scenarios[si], si)
 		}
 	}
-	e.metrics.endCall(start)
-	return reports, ctx.Err()
+	return reports, err
 }
 
-// raceHelped races scenarios on the caller and helpers extra
-// goroutines, each claiming the next unraced scenario. It is its own
-// function because what a go statement captures is heap-allocated on
-// every call that could reach it, even when no helper starts.
-func (e *Engine) raceHelped(ctx context.Context, scenarios []Scenario, reports []*Report, helpers int) {
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	claim := func() {
-		defer wg.Done()
-		for si := int(next.Add(1)) - 1; si < len(scenarios); si = int(next.Add(1)) - 1 {
-			reports[si] = e.race(ctx, &scenarios[si], si)
+// EvaluateStream races the scenarios of seq on up to Workers goroutines
+// and calls emit with each one's position and report, in input order,
+// on the calling goroutine. seq runs on another goroutine (iter.Pull),
+// so it may block while earlier reports are emitted, and it has
+// returned when EvaluateStream does. At most 2×Workers scenarios are
+// pulled but not yet emitted. An emit error cancels the races in flight
+// and is returned; a cancelled ctx stops the pulling, and what was
+// pulled is still emitted before ctx.Err() is returned.
+func (e *Engine) EvaluateStream(ctx context.Context, seq iter.Seq[Scenario], emit func(i int, rep *Report) error) error {
+	next, stop := iter.Pull(seq)
+	defer stop()
+	return e.dispatch(ctx, source{next: next}, emit)
+}
+
+// source is the dispatcher's input: a batch, or a stream's next.
+type source struct {
+	batch []Scenario
+	next  func() (Scenario, bool)
+}
+
+// pull returns scenario i, the one after the last pulled, if any.
+func (s source) pull(i int) (Scenario, bool) {
+	if s.next != nil {
+		return s.next()
+	}
+	if i < len(s.batch) {
+		return s.batch[i], true
+	}
+	return Scenario{}, false
+}
+
+// dispatch is the engine's one batch dispatcher. With one worker the
+// caller races each scenario it pulls and emits it, starting no
+// goroutine. The call counts as one batch, and each scenario it pulls
+// as one raced.
+func (e *Engine) dispatch(ctx context.Context, src source, emit func(int, *Report) error) error {
+	start := e.metrics.startCall(0)
+	defer e.metrics.endCall(start)
+	if cap(e.sem) > 1 {
+		return e.claim(ctx, src, emit)
+	}
+	for i := 0; ctx.Err() == nil; i++ {
+		sc, ok := src.pull(i)
+		if !ok {
+			break
+		}
+		e.metrics.pulled()
+		if err := emit(i, e.race(ctx, &sc, i)); err != nil {
+			return err
 		}
 	}
-	wg.Add(helpers + 1)
-	for range helpers {
-		go claim()
+	return ctx.Err()
+}
+
+// claim is dispatch on Workers goroutines, each taking a window token,
+// pulling under a mutex and racing; the caller emits in order and
+// returns a token per report. It is its own function because what a go
+// statement captures is heap-allocated on every call that reaches it.
+func (e *Engine) claim(parent context.Context, src source, emit func(int, *Report) error) error {
+	ctx, cancel := context.WithCancel(parent)
+	defer cancel()
+	type raced struct {
+		i   int
+		rep *Report
 	}
-	claim()
-	wg.Wait()
+	window := 2 * cap(e.sem)
+	room := make(chan struct{}, window)
+	results := make(chan raced, window) // never full: it holds at most the window
+	var pulls struct {
+		// Held across src.pull: a stream's next runs one call at a time,
+		// and positions follow input order. Nothing else takes it.
+		sync.Mutex
+		n, live int // scenarios pulled; claimers not yet returned
+	}
+	pulls.live = cap(e.sem)
+	claimer := func() {
+		for {
+			room <- struct{}{}
+			pulls.Lock()
+			i, sc, ok := pulls.n, Scenario{}, false
+			if ctx.Err() == nil {
+				sc, ok = src.pull(i)
+			}
+			if ok {
+				pulls.n++
+			} else if pulls.live--; pulls.live == 0 {
+				close(results) // the other claimers have sent their last report
+			}
+			pulls.Unlock()
+			if !ok {
+				return
+			}
+			e.metrics.pulled()
+			results <- raced{i, e.race(ctx, &sc, i)}
+			// The send readies the caller, but with every processor busy
+			// racing it would run only once a claimer blocks, by then on
+			// a full window: yield so it emits now.
+			runtime.Gosched()
+		}
+	}
+	for range cap(e.sem) {
+		go claimer()
+	}
+	var err error
+	pending, next := make([]*Report, window), 0 // raced reports by position mod window
+	for r := range results {
+		for pending[r.i%window] = r.rep; pending[next%window] != nil; next++ {
+			if err == nil {
+				if err = emit(next, pending[next%window]); err != nil {
+					cancel()
+				}
+			}
+			pending[next%window] = nil
+			<-room
+		}
+	}
+	if err != nil {
+		return err
+	}
+	return parent.Err()
 }
 
 // race evaluates the scenario's heuristics in order on the calling

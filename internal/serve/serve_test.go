@@ -410,6 +410,26 @@ func TestEvaluateBatchStreams(t *testing.T) {
 	}
 }
 
+// TestEvaluateBatchErrorNamesScenario: an invalid scenario's report line
+// names the scenario's position in the batch.
+func TestEvaluateBatchErrorNamesScenario(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	bad := strings.Replace(twoApps, `"work": 5.7e10`, `"work": -1`, 1)
+	in := twoApps + "\n" + twoApps + "\n" + bad + "\n" + twoApps + "\n"
+	resp, body := post(t, ts.URL+"/v1/evaluate-batch", "", in)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	lines := strings.Split(strings.TrimSpace(body), "\n")
+	if len(lines) != 4 {
+		t.Fatalf("got %d report lines, want 4:\n%s", len(lines), body)
+	}
+	want := `{"error":"portfolio: scenario 2: app 0: invalid application \"CG\".work: needs finite positive work, got -1"}`
+	if lines[2] != want {
+		t.Errorf("invalid scenario's line\n got %s\nwant %s", lines[2], want)
+	}
+}
+
 // TestTenantSeedDeterminism: same tenant + same body ⇒ bit-identical
 // response bytes, across repeats and cache states; an explicit seed in
 // the body overrides the tenant derivation entirely.
