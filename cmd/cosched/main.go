@@ -405,20 +405,15 @@ func runBatch(ctx context.Context, client *repro.Client, path string, defaultPl 
 	// exactly as fast as the evaluation window allows, and stops pulling
 	// on failure or cancellation. Its error is read only after
 	// EvaluateBatch returns (which happens-after the iterator finished).
-	// Each scenario's feature bucket is computed at decode time and kept
-	// (a short string, not the scenario), so telemetry can label reports
-	// by index without holding the batch in memory. The iterator runs on
-	// another goroutine than emit, so the buckets are shared under mu.
+	// Each scenario's feature bucket is computed at decode time and held
+	// by the telemetry writer (a short string, not the scenario) until
+	// its report is emitted, so telemetry can label reports by index
+	// without holding the batch in memory.
 	var decodeErr error
-	var mu sync.Mutex
-	var buckets []string
 	scenarios := func(yield func(repro.PortfolioScenario) bool) {
 		decodeErr = serve.DecodeScenarios(r, path, serve.Defaults{Platform: defaultPl, Seed: defaultSeed}, func(sc repro.PortfolioScenario) bool {
 			if tw != nil {
-				bucket := selector.Extract(sc.Platform, sc.Apps).Bucket()
-				mu.Lock()
-				buckets = append(buckets, bucket)
-				mu.Unlock()
+				tw.hold(selector.Extract(sc.Platform, sc.Apps).Bucket())
 			}
 			return yield(sc)
 		})
@@ -426,10 +421,7 @@ func runBatch(ctx context.Context, client *repro.Client, path string, defaultPl 
 	enc := json.NewEncoder(out)
 	if err := client.EvaluateBatch(ctx, scenarios, func(br repro.BatchResult) error {
 		if tw != nil {
-			mu.Lock()
-			bucket := buckets[br.Index]
-			mu.Unlock()
-			if err := tw.record(bucket, br.Report); err != nil {
+			if err := tw.record(tw.take(br.Index), br.Report); err != nil {
 				return err
 			}
 		}
@@ -452,6 +444,36 @@ func runBatch(ctx context.Context, client *repro.Client, path string, defaultPl 
 type telemetryWriter struct {
 	enc    *json.Encoder
 	closer io.Closer
+
+	// pending holds the feature bucket of each scenario decoded but not
+	// yet reported, by scenario index; decoded counts the scenarios
+	// held so far. The decoder holds and the emitter takes on different
+	// goroutines, so mu guards both. A bucket is dropped once taken, so
+	// at most the dispatcher's window of 2×workers scenarios, plus the
+	// one being decoded, is held at once.
+	mu      sync.Mutex
+	pending map[int]string
+	decoded int
+}
+
+// hold keeps the bucket of the next decoded scenario.
+func (t *telemetryWriter) hold(bucket string) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.pending == nil {
+		t.pending = make(map[int]string)
+	}
+	t.pending[t.decoded] = bucket
+	t.decoded++
+}
+
+// take returns scenario i's bucket and drops it.
+func (t *telemetryWriter) take(i int) string {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	bucket := t.pending[i]
+	delete(t.pending, i)
+	return bucket
 }
 
 // openTelemetry opens the telemetry sink: "" means off (nil writer),

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -13,6 +14,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/model"
 	"repro/internal/selector"
 	"repro/internal/serve"
 )
@@ -325,6 +327,51 @@ func TestRunBatchTelemetry(t *testing.T) {
 		if heuristic := []string{"DominantMinRatio", "Fair"}[i%2]; rr.Bucket != want[i/2] || rr.Heuristic != heuristic {
 			t.Fatalf("telemetry line %d is %s, want bucket %q and heuristic %s", i, line, want[i/2], heuristic)
 		}
+	}
+}
+
+// heldWriter checks, at every report line, how many feature buckets
+// the telemetry writer still holds.
+type heldWriter struct {
+	tw   *telemetryWriter
+	max  int
+	rows int
+}
+
+func (w *heldWriter) Write(p []byte) (int, error) {
+	w.tw.mu.Lock()
+	w.max = max(w.max, len(w.tw.pending))
+	w.tw.mu.Unlock()
+	w.rows++
+	return len(p), nil
+}
+
+// TestRunBatchTelemetryBounded: a -telemetry batch holds a scenario's
+// feature bucket only until its report is emitted, so over a long
+// stream at two workers it never holds more than the dispatcher's
+// window of 2×workers scenarios plus the one being decoded.
+func TestRunBatchTelemetryBounded(t *testing.T) {
+	const n, workers = 1200, 2
+	var in strings.Builder
+	for i := range n {
+		fmt.Fprintf(&in, `{"apps": [{"name": "a", "work": %g, "seq": 0.05, "freq": 0.5, "missRate": 1e-3, "refCache": 4e7},
+			{"name": "b", "work": 2e10, "seq": 0.02, "freq": 0.7, "missRate": 5e-3, "refCache": 4e7}],
+			"heuristics": ["Fair"]}`+"\n", 1e10*(1+float64(i)/n))
+	}
+	tw := &telemetryWriter{enc: json.NewEncoder(io.Discard)}
+	out := &heldWriter{tw: tw}
+	client := repro.NewClient(repro.WithWorkers(workers))
+	if err := runBatch(context.Background(), client, writeTemp(t, in.String()), model.TaihuLight(), 1, out, tw); err != nil {
+		t.Fatal(err)
+	}
+	if out.rows != n {
+		t.Fatalf("%d reports for %d scenarios", out.rows, n)
+	}
+	if limit := 2*workers + 1; out.max > limit {
+		t.Errorf("held %d feature buckets at once, want at most %d", out.max, limit)
+	}
+	if len(tw.pending) != 0 {
+		t.Errorf("%d buckets still held after the batch", len(tw.pending))
 	}
 }
 

@@ -225,7 +225,7 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) (err error) 
 				return fmt.Errorf(`-selector: no fleet node has a learned-selection policy (set a node's "policy" to "portfolio:selector")`)
 			}
 		}
-		sc.Metrics = m
+		sc.Metrics, sc.NoEvents = m, true // the output has no node event
 		res, err := fleet.SimulateContext(ctx, sc)
 		if err != nil {
 			return err
@@ -253,12 +253,12 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) (err error) 
 				return fmt.Errorf("-selector: policy %q has no learned-selection mode (use -policy portfolio:selector)", sc.Policy.Name())
 			}
 		}
-		sc.Metrics = m
+		sc.Metrics, sc.NoEvents = m, !*events
 		res, err := des.SimulateContext(ctx, sc)
 		if err != nil {
 			return err
 		}
-		emit = func(enc *json.Encoder) (des.ReplanStats, error) { return emitNode(enc, sc, res, *events) }
+		emit = func(enc *json.Encoder) (des.ReplanStats, error) { return emitNode(enc, sc, res) }
 		if *gantt {
 			for _, j := range res.Jobs {
 				spans = append(spans, sim.Span{Name: j.Name, Arrival: j.Arrival, Start: j.Start, Finish: j.Finish})
@@ -298,17 +298,15 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) (err error) 
 	return nil
 }
 
-// emitNode writes a single-node run: one line per event (unless events
-// is off) and the summary line.
-func emitNode(enc *json.Encoder, sc des.Scenario, res *des.Result, events bool) (des.ReplanStats, error) {
-	if events {
-		for _, ev := range res.Events {
-			if err := enc.Encode(eventJSON{
-				Seq: ev.Seq, Time: ev.Time, Kind: ev.Kind.String(),
-				Job: ev.Job, Name: ev.Name, Resident: ev.Resident, Queued: ev.Queued,
-			}); err != nil {
-				return res.Replan, err
-			}
+// emitNode writes a single-node run: one line per logged event (none
+// with -events=false, whose run keeps no log) and the summary line.
+func emitNode(enc *json.Encoder, sc des.Scenario, res *des.Result) (des.ReplanStats, error) {
+	for _, ev := range res.Events {
+		if err := enc.Encode(eventJSON{
+			Seq: ev.Seq, Time: ev.Time, Kind: ev.Kind.String(),
+			Job: ev.Job, Name: ev.Name, Resident: ev.Resident, Queued: ev.Queued,
+		}); err != nil {
+			return res.Replan, err
 		}
 	}
 	return res.Replan, enc.Encode(summaryJSON{Kind: "summary", SummaryWire: serve.SummaryOf(sc, res)})

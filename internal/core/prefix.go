@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/model"
 )
@@ -50,8 +50,17 @@ func BestRatioPrefixInto(p *Partition, pl model.Platform, apps []model.Applicati
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool {
-		return p.Ratio(order[a]) > p.Ratio(order[b])
+	// slices.SortFunc runs sort.Slice's pdqsort on the same comparisons,
+	// so ties land where they always did, without sort.Slice's
+	// reflection-built swapper and escaping closure.
+	slices.SortFunc(order, func(a, b int) int {
+		switch ra, rb := p.Ratio(a), p.Ratio(b); {
+		case ra > rb:
+			return -1
+		case rb > ra:
+			return 1
+		}
+		return 0
 	})
 	p.idx = order
 

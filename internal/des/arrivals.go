@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
+	"strings"
 
 	"repro/internal/model"
 	"repro/internal/solve"
@@ -46,12 +48,36 @@ func CycleApps(apps []model.Application) (JobFactory, error) {
 		}
 	}
 	tpl := append([]model.Application(nil), apps...)
+	// Names are stamped nameChunk jobs at a time into one string that
+	// holds them back to back, and each job's name is a slice of it: a
+	// stream allocates one string per chunk instead of one per job.
+	var names string // the names of jobs next, next+1, ... of the chunk
+	next := 0
 	return func(i int) model.Application {
+		var digits [20]byte
 		a := tpl[i%len(tpl)]
-		a.Name = fmt.Sprintf("%s#%d", a.Name, i)
+		size := len(a.Name) + 1 + len(strconv.AppendInt(digits[:0], int64(i), 10))
+		if i != next || len(names) < size {
+			total := 0
+			for k := i; k < i+nameChunk; k++ {
+				total += len(tpl[k%len(tpl)].Name) + 1 + len(strconv.AppendInt(digits[:0], int64(k), 10))
+			}
+			var b strings.Builder
+			b.Grow(total)
+			for k := i; k < i+nameChunk; k++ {
+				b.WriteString(tpl[k%len(tpl)].Name)
+				b.WriteByte('#')
+				b.Write(strconv.AppendInt(digits[:0], int64(k), 10))
+			}
+			names = b.String()
+		}
+		a.Name, names, next = names[:size], names[size:], i+1
 		return a
 	}, nil
 }
+
+// nameChunk is how many job names CycleApps stamps into one string.
+const nameChunk = 64
 
 // checkRate validates a rate-like parameter (must be finite and > 0).
 func checkRate(what string, v float64) error {

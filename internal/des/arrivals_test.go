@@ -1,6 +1,7 @@
 package des
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -239,5 +240,30 @@ func TestConstructorValidation(t *testing.T) {
 	}
 	if _, err := NewGammaBursts(1, 1, 1, 5, nil, rng); err == nil {
 		t.Error("nil factory accepted by NewGammaBursts")
+	}
+}
+
+// TestCycleAppsNames: names stamped a chunk at a time are the
+// "<name>#<i>" of fmt.Sprintf, for jobs requested in order across
+// several chunks and out of order too, and the profile is the
+// template's.
+func TestCycleAppsNames(t *testing.T) {
+	tpl := workload.NPB()
+	f, err := CycleApps(tpl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	order := make([]int, 0, 3*nameChunk+6)
+	for i := range 3 * nameChunk {
+		order = append(order, i)
+	}
+	order = append(order, 5, 4, 1000, 1001, 0, 3*nameChunk)
+	for _, i := range order {
+		a := f(i)
+		want := tpl[i%len(tpl)]
+		want.Name = fmt.Sprintf("%s#%d", want.Name, i)
+		if a != want {
+			t.Fatalf("job %d: %+v, want %+v", i, a, want)
+		}
 	}
 }

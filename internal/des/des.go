@@ -29,6 +29,13 @@
 // Simulate drives one Node with it, and internal/fleet routes each
 // arrival to one of many.
 //
+// A node hands every event it logs to one set of sinks, built when the
+// node is: the event log (Result.Events), the Metrics' counters and
+// gauges, and the Metrics' Tracer. The log is kept unless the scenario
+// sets NoEvents, which callers that read only summaries do (the
+// simulate endpoints of internal/serve, and cmd/dessim when it prints
+// no events); metrics and traces see the same events either way.
+//
 // The degenerate scenario (every job at t = 0, a no-repartition policy)
 // reproduces internal/sim's static execution bit-for-bit; the property
 // tests rely on this cross-check. See cmd/dessim for the CLI surface.
@@ -77,6 +84,11 @@ type Scenario struct {
 	// observation; the event log and every result are bit-identical
 	// either way.
 	Metrics *Metrics
+	// NoEvents, when set, keeps no event log: Result.Events stays nil,
+	// while Metrics and its Tracer still see every event. Every other
+	// result is bit-identical either way; a caller that reads only the
+	// summaries skips the log's memory.
+	NoEvents bool
 }
 
 // JobMetrics is the per-job outcome of an online run.
@@ -99,8 +111,10 @@ type JobMetrics struct {
 
 // Result is the full outcome of an online simulation.
 type Result struct {
-	Jobs   []JobMetrics
-	Events []Event // append-only log, Seq-ordered
+	Jobs []JobMetrics
+	// Events is the append-only event log, Seq-ordered; nil when the
+	// scenario set NoEvents.
+	Events []Event
 	// Makespan is the completion time of the last job (virtual time at
 	// which the system drained).
 	Makespan float64
@@ -174,8 +188,40 @@ type jobState struct {
 	// due is the completion instant the last re-plan predicted for a
 	// resident, +Inf when it predicted none (see planCompletions).
 	due     float64
+	id      int32 // the job's id: its index in the node's job table
 	started bool
 	done    bool
+}
+
+// jobTable holds a node's jobs by id, dense in arrival order. The jobs
+// live in blocks that double from one job up to jobBlock and then stay
+// at jobBlock, and an index of pointers finds them: growing the table
+// allocates the next block and appends a pointer, but never moves a
+// job; no block is larger than a slice doubled to the same length would
+// be, and a long stream's table holds at most jobBlock-1 unused slots.
+type jobTable struct {
+	index []*jobState // index[id] is job id
+	free  []jobState  // the newest block's unused slots
+}
+
+// jobBlock is the largest block's jobs.
+const jobBlock = 64
+
+// len returns how many jobs the table holds.
+func (t *jobTable) len() int { return len(t.index) }
+
+// at returns job id, which must be below len.
+func (t *jobTable) at(id int) *jobState { return t.index[id] }
+
+// grow appends a zero job and returns it.
+func (t *jobTable) grow() *jobState {
+	if len(t.free) == 0 {
+		t.free = make([]jobState, min(max(len(t.index), 1), jobBlock))
+	}
+	st := &t.free[0]
+	t.free = t.free[1:]
+	t.index = append(t.index, st)
+	return st
 }
 
 // engine is the event loop of one Node: its jobs and the Result it
@@ -189,22 +235,28 @@ type jobState struct {
 // unfinished jobs therefore always split into two runs of ascending
 // ids: residents, then every job from fifo on — the FIFO waiters
 // [fifo, arrived) followed by the injected arrivals not yet processed
-// [arrived, len(jobs)).
+// [arrived, jobs.len()).
 type engine struct {
-	cfg       NodeConfig
-	jobs      []jobState
-	residents []int // job ids currently on the node, ascending
-	fifo      int   // oldest FIFO waiter: jobs [fifo, arrived) wait for a slot
-	arrived   int   // arrivals processed: jobs [arrived, len(jobs)) are pending
+	cfg       Scenario
+	jobs      jobTable
+	residents []*jobState // the jobs currently on the node, ascending by id
+	fifo      int         // oldest FIFO waiter: jobs [fifo, arrived) wait for a slot
+	arrived   int         // arrivals processed: jobs [arrived, jobs.len()) are pending
 	now       float64
 	res       *Result
 	queueLen  int // current queue length (FIFO + zero-alloc residents)
+
+	// sinks consume every logged event, in order: the event log's
+	// appender unless cfg.NoEvents, the metrics' counters and gauges,
+	// and the metrics' Tracer, whichever NewNode found configured.
+	sinks []func(Event)
+	seq   int // events logged so far
 
 	// Recycled buffers: the policy's resident view and the re-plan's
 	// stuck list. Both are rebuilt from live state at every use, so
 	// recycling cannot change results.
 	view  []Resident
-	stuck []int
+	stuck []*jobState
 }
 
 // Simulate runs the scenario to completion: until the arrival stream is
@@ -232,7 +284,7 @@ const ctxCheckEvery = 8
 // per-call, so no pooled state can leak), and a subsequent call with a
 // live context is bit-identical to an uncancelled run.
 func SimulateContext(ctx context.Context, sc Scenario) (*Result, error) {
-	n, err := NewNode(NodeConfig{Platform: sc.Platform, Policy: sc.Policy, MaxResident: sc.MaxResident, Metrics: sc.Metrics})
+	n, err := NewNode(sc)
 	if err != nil {
 		return nil, err
 	}
@@ -318,10 +370,11 @@ func EachArrival(ctx context.Context, proc ArrivalProcess, duration float64, f f
 func (e *engine) addJob(a Arrival) {
 	pl := e.cfg.Platform
 	d := a.App.D(pl)
-	e.jobs = append(e.jobs, jobState{
+	*e.jobs.grow() = jobState{
+		id:  int32(e.jobs.len() - 1),
 		app: a.App, d: d, dedicated: a.App.ExeD(pl, d, pl.Processors, 1),
 		arrival: a.Time, start: math.NaN(), finish: math.NaN(), exe: math.Inf(1), due: math.Inf(1),
-	})
+	}
 }
 
 // validateArrival rejects non-finite or negative arrival times and
@@ -357,11 +410,11 @@ func (e *engine) runBefore(ctx context.Context, t float64) error {
 // completion, or +Inf when it has neither.
 func (e *engine) nextEvent() float64 {
 	t := math.Inf(1)
-	if e.arrived < len(e.jobs) {
-		t = e.jobs[e.arrived].arrival
+	if e.arrived < e.jobs.len() {
+		t = e.jobs.at(e.arrived).arrival
 	}
-	for _, id := range e.residents {
-		t = min(t, e.jobs[id].due)
+	for _, st := range e.residents {
+		t = min(t, st.due)
 	}
 	return t
 }
@@ -381,7 +434,7 @@ func (e *engine) step(t float64) error {
 	// exactly one policy invocation, like internal/sim's single t=0
 	// allocation.
 	changed = e.admitQueued() || changed
-	for e.arrived < len(e.jobs) && e.jobs[e.arrived].arrival == t {
+	for e.arrived < e.jobs.len() && e.jobs.at(e.arrived).arrival == t {
 		changed = e.admitOrQueue(e.arrived) || changed
 	}
 
@@ -395,7 +448,7 @@ func (e *engine) step(t float64) error {
 	// so a re-plan must reissue it even though no visible state changed.
 	replan := changed
 	for i := 0; !replan && i < len(e.residents); i++ {
-		replan = e.jobs[e.residents[i]].due == t
+		replan = e.residents[i].due == t
 	}
 	if !replan {
 		e.recountQueue()
@@ -419,13 +472,12 @@ func (e *engine) step(t float64) error {
 		if len(stuck) == 0 {
 			break
 		}
-		for _, id := range stuck {
-			st := &e.jobs[id]
+		for _, st := range stuck {
 			st.frac = 1
 			st.done = true
 			st.finish = e.now
 			st.procs, st.cache, st.exe = 0, 0, math.Inf(1)
-			e.log(EventFinish, id)
+			e.log(EventFinish, int(st.id))
 		}
 		e.pruneResidents()
 		e.admitQueued()
@@ -449,8 +501,7 @@ func (e *engine) advance(t float64) bool {
 	e.now = t
 	e.res.QueueTime += float64(e.queueLen) * dt
 	finished := false
-	for _, id := range e.residents {
-		st := &e.jobs[id]
+	for _, st := range e.residents {
 		if st.done {
 			continue
 		}
@@ -465,7 +516,7 @@ func (e *engine) advance(t float64) bool {
 			st.finish = t
 			st.procs, st.cache, st.exe = 0, 0, math.Inf(1)
 			finished = true
-			e.log(EventFinish, id)
+			e.log(EventFinish, int(st.id))
 		}
 	}
 	if finished {
@@ -478,9 +529,9 @@ func (e *engine) advance(t float64) bool {
 // admission order.
 func (e *engine) pruneResidents() {
 	live := e.residents[:0]
-	for _, id := range e.residents {
-		if !e.jobs[id].done {
-			live = append(live, id)
+	for _, st := range e.residents {
+		if !st.done {
+			live = append(live, st)
 		}
 	}
 	e.residents = live
@@ -497,7 +548,7 @@ func (e *engine) admitOrQueue(id int) bool {
 		e.log(EventArrival, id)
 		return false
 	}
-	e.residents = append(e.residents, id)
+	e.residents = append(e.residents, e.jobs.at(id))
 	e.fifo++
 	e.log(EventArrival, id)
 	return true
@@ -508,7 +559,7 @@ func (e *engine) admitOrQueue(id int) bool {
 func (e *engine) admitQueued() bool {
 	admitted := false
 	for e.fifo < e.arrived && (e.cfg.MaxResident == 0 || len(e.residents) < e.cfg.MaxResident) {
-		e.residents = append(e.residents, e.fifo)
+		e.residents = append(e.residents, e.jobs.at(e.fifo))
 		e.fifo++
 		admitted = true
 	}
@@ -527,10 +578,9 @@ func (e *engine) repartition() error {
 	}
 	view = view[:len(e.residents)]
 	e.view = view
-	for i, id := range e.residents {
-		st := &e.jobs[id]
+	for i, st := range e.residents {
 		view[i] = Resident{
-			Job:       id,
+			Job:       int(st.id),
 			App:       st.app,
 			Remaining: 1 - st.frac,
 			Assign:    sched.Assignment{Processors: st.procs, CacheShare: st.cache},
@@ -576,8 +626,7 @@ func (e *engine) repartition() error {
 		return fmt.Errorf("des: policy %s exceeded the cache budget: %v > 1", e.cfg.Policy.Name(), sumX.Sum())
 	}
 	applied := false
-	for i, id := range e.residents {
-		st := &e.jobs[id]
+	for i, st := range e.residents {
 		if st.procs != asg[i].Processors || st.cache != asg[i].CacheShare {
 			applied = true
 			st.procs, st.cache = asg[i].Processors, asg[i].CacheShare
@@ -586,7 +635,7 @@ func (e *engine) repartition() error {
 		if !st.started && st.procs > 0 {
 			st.started = true
 			st.start = e.now
-			e.log(EventStart, id)
+			e.log(EventStart, int(st.id))
 		}
 	}
 	// Only allocation *changes* count as repartitions; a frozen policy
@@ -603,10 +652,9 @@ func (e *engine) repartition() error {
 // Jobs whose predicted completion cannot advance the clock (remaining
 // time below one ulp of the current virtual time) are returned as stuck
 // instead, so the caller can finish them and avoid a zero-dt livelock.
-func (e *engine) planCompletions() (stuck []int) {
+func (e *engine) planCompletions() (stuck []*jobState) {
 	stuck = e.stuck[:0]
-	for _, id := range e.residents {
-		st := &e.jobs[id]
+	for _, st := range e.residents {
 		st.due = math.Inf(1)
 		if math.IsInf(st.exe, 1) {
 			continue // zero allocation: waits for a future repartition
@@ -620,7 +668,7 @@ func (e *engine) planCompletions() (stuck []int) {
 			continue
 		}
 		if !(t > e.now) {
-			stuck = append(stuck, id)
+			stuck = append(stuck, st)
 			continue
 		}
 		st.due = t
@@ -635,8 +683,8 @@ func (e *engine) planCompletions() (stuck []int) {
 // residents holding no processors.
 func (e *engine) recountQueue() {
 	n := e.arrived - e.fifo
-	for _, id := range e.residents {
-		if e.jobs[id].procs == 0 {
+	for _, st := range e.residents {
+		if st.procs == 0 {
 			n++
 		}
 	}
@@ -646,17 +694,19 @@ func (e *engine) recountQueue() {
 	}
 }
 
-// log appends one event to the result's event log, stamping the
-// occupancy after the event: Resident counts jobs holding processors,
-// Queued the FIFO waiters plus zero-allocation residents — the same
-// partition the queue-length metric integrates, so statistics derived
-// from the event stream agree with Result.MeanQueueLength. Jobs marked
-// done inside an advance sweep are excluded even before the resident
-// list is pruned.
+// log hands one event to every sink, stamping the occupancy after the
+// event: Resident counts jobs holding processors, Queued the FIFO
+// waiters plus zero-allocation residents — the same partition the
+// queue-length metric integrates, so statistics derived from the event
+// stream agree with Result.MeanQueueLength. Jobs marked done inside an
+// advance sweep are excluded even before the resident list is pruned.
 func (e *engine) log(kind EventKind, job int) {
+	if len(e.sinks) == 0 {
+		return
+	}
 	running, parked := 0, 0
-	for _, id := range e.residents {
-		if st := &e.jobs[id]; !st.done {
+	for _, st := range e.residents {
+		if !st.done {
 			if st.procs > 0 {
 				running++
 			} else {
@@ -665,7 +715,7 @@ func (e *engine) log(kind EventKind, job int) {
 		}
 	}
 	ev := Event{
-		Seq:      len(e.res.Events),
+		Seq:      e.seq,
 		Time:     e.now,
 		Kind:     kind,
 		Job:      job,
@@ -673,25 +723,22 @@ func (e *engine) log(kind EventKind, job int) {
 		Queued:   e.arrived - e.fifo + parked,
 	}
 	if job >= 0 {
-		ev.Name = e.jobs[job].app.Name
+		ev.Name = e.jobs.at(job).app.Name
 	}
-	e.res.Events = append(e.res.Events, ev)
-	if m := e.cfg.Metrics; m != nil {
-		m.events[kind].Inc()
-		m.residentJobs.Set(int64(running))
-		m.queueDepth.Set(int64(ev.Queued))
-		m.Tracer.Event(kind.String(), ev.Name, e.now, job)
+	e.seq++
+	for _, sink := range e.sinks {
+		sink(ev)
 	}
 }
 
+// record is the event log's sink.
+func (e *engine) record(ev Event) { e.res.Events = append(e.res.Events, ev) }
+
 // finalize computes per-job metrics and their summaries.
 func (e *engine) finalize() {
-	e.res.Jobs = make([]JobMetrics, len(e.jobs))
-	waits := make([]float64, len(e.jobs))
-	resps := make([]float64, len(e.jobs))
-	stretches := make([]float64, len(e.jobs))
-	for id := range e.jobs {
-		st := &e.jobs[id]
+	e.res.Jobs = make([]JobMetrics, e.jobs.len())
+	for id := range e.jobs.len() {
+		st := e.jobs.at(id)
 		m := JobMetrics{
 			Job:      id,
 			Name:     st.app.Name,
@@ -705,7 +752,6 @@ func (e *engine) finalize() {
 			m.Stretch = m.Response / st.dedicated
 		}
 		e.res.Jobs[id] = m
-		waits[id], resps[id], stretches[id] = m.Wait, m.Response, m.Stretch
 		if st.finish > e.res.Makespan {
 			e.res.Makespan = st.finish
 		}
@@ -714,9 +760,18 @@ func (e *engine) finalize() {
 			om.stretchHist.Observe(m.Stretch)
 		}
 	}
-	// Summaries: errors impossible for the non-empty sample (Simulate
+	// Summaries, each over one sample buffer refilled from the per-job
+	// metrics: errors impossible for the non-empty sample (Simulate
 	// rejects empty arrival streams).
-	e.res.Wait, _ = stats.Summarize(waits)
-	e.res.Response, _ = stats.Summarize(resps)
-	e.res.Stretch, _ = stats.Summarize(stretches)
+	sample := make([]float64, len(e.res.Jobs))
+	summarize := func(of func(*JobMetrics) float64) stats.Summary {
+		for i := range e.res.Jobs {
+			sample[i] = of(&e.res.Jobs[i])
+		}
+		s, _ := stats.Summarize(sample)
+		return s
+	}
+	e.res.Wait = summarize(func(m *JobMetrics) float64 { return m.Wait })
+	e.res.Response = summarize(func(m *JobMetrics) float64 { return m.Response })
+	e.res.Stretch = summarize(func(m *JobMetrics) float64 { return m.Stretch })
 }

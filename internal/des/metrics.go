@@ -86,6 +86,19 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	return m
 }
 
+// count is the metrics' event sink: the event's kind counter and the
+// occupancy gauges after it.
+func (m *Metrics) count(ev Event) {
+	m.events[ev.Kind].Inc()
+	m.residentJobs.Set(int64(ev.Resident))
+	m.queueDepth.Set(int64(ev.Queued))
+}
+
+// trace is the Tracer's event sink.
+func (m *Metrics) trace(ev Event) {
+	m.Tracer.Event(ev.Kind.String(), ev.Name, ev.Time, ev.Job)
+}
+
 // observeReplan folds a finished run's delta-rescheduling telemetry
 // into the counters. Called once per Simulate, so the counters stay
 // monotone across runs sharing a registry.

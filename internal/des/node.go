@@ -4,26 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-
-	"repro/internal/model"
 )
-
-// NodeConfig parameterizes one steppable online node (see Node).
-type NodeConfig struct {
-	// Platform is the node's hardware: its own processor count, cache
-	// size and latency constants.
-	Platform model.Platform
-	// Policy repartitions the node's resident set at every arrival and
-	// completion, exactly as in Scenario.
-	Policy Policy
-	// MaxResident, when > 0, bounds node sharing; excess jobs queue in
-	// the node-local FIFO.
-	MaxResident int
-	// Metrics instruments the node (may be shared across nodes: all
-	// counters are atomic). Nil disables observation without changing
-	// any result bit.
-	Metrics *Metrics
-}
 
 // Node is the simulation engine of one node, driven from outside: it
 // accepts arrivals one at a time (Inject) interleaved with bounded time
@@ -38,18 +19,33 @@ type Node struct {
 	finished bool
 }
 
-// NewNode validates cfg and returns an idle node at virtual time 0.
-func NewNode(cfg NodeConfig) (*Node, error) {
-	if err := cfg.Platform.Validate(); err != nil {
+// NewNode validates the node's fields of sc — its Platform, Policy,
+// MaxResident, Metrics and NoEvents, read exactly as Simulate reads
+// them — and returns an idle node at virtual time 0. A node is fed by
+// Inject, so it reads neither sc.Arrivals nor sc.Duration. The node's
+// event sinks are built here from sc: the log unless NoEvents, the
+// metrics' counters and gauges, and their Tracer when it is set.
+func NewNode(sc Scenario) (*Node, error) {
+	if err := sc.Platform.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Policy == nil {
+	if sc.Policy == nil {
 		return nil, fmt.Errorf("des: node needs an online policy")
 	}
-	if cfg.MaxResident < 0 {
-		return nil, fmt.Errorf("des: max resident must be >= 0, got %d", cfg.MaxResident)
+	if sc.MaxResident < 0 {
+		return nil, fmt.Errorf("des: max resident must be >= 0, got %d", sc.MaxResident)
 	}
-	return &Node{e: &engine{cfg: cfg, res: &Result{}}}, nil
+	e := &engine{cfg: sc, res: &Result{}}
+	if !sc.NoEvents {
+		e.sinks = append(e.sinks, e.record)
+	}
+	if m := sc.Metrics; m != nil {
+		e.sinks = append(e.sinks, m.count)
+		if m.Tracer != nil {
+			e.sinks = append(e.sinks, m.trace)
+		}
+	}
+	return &Node{e: e}, nil
 }
 
 // Inject registers one arrival. Arrival times must be non-decreasing
@@ -63,8 +59,8 @@ func (n *Node) Inject(a Arrival) error {
 	if err := validateArrival(a); err != nil {
 		return err
 	}
-	if k := len(n.e.jobs); k > 0 && a.Time < n.e.jobs[k-1].arrival {
-		return fmt.Errorf("des: arrivals went backwards: t=%g after t=%g", a.Time, n.e.jobs[k-1].arrival)
+	if k := n.e.jobs.len(); k > 0 && a.Time < n.e.jobs.at(k-1).arrival {
+		return fmt.Errorf("des: arrivals went backwards: t=%g after t=%g", a.Time, n.e.jobs.at(k-1).arrival)
 	}
 	if a.Time < n.e.now {
 		return fmt.Errorf("des: arrival at t=%g precedes the node clock t=%g", a.Time, n.e.now)
@@ -102,9 +98,9 @@ func (n *Node) Finish(ctx context.Context) (*Result, error) {
 	if err := n.e.runBefore(ctx, math.Inf(1)); err != nil {
 		return nil, err
 	}
-	for id := range n.e.jobs {
-		if !n.e.jobs[id].done {
-			return nil, fmt.Errorf("des: deadlock: job %d (%s) can never finish (zero allocation with no pending events)", id, n.e.jobs[id].app.Name)
+	for id := range n.e.jobs.len() {
+		if !n.e.jobs.at(id).done {
+			return nil, fmt.Errorf("des: deadlock: job %d (%s) can never finish (zero allocation with no pending events)", id, n.e.jobs.at(id).app.Name)
 		}
 	}
 	n.e.finalize()
@@ -129,7 +125,7 @@ func (n *Node) Now() float64 { return n.e.now }
 // join-shortest-queue router's load signal). It also counts arrivals
 // injected at this instant and not yet processed.
 func (n *Node) JobsInSystem() int {
-	return len(n.e.residents) + len(n.e.jobs) - n.e.fifo
+	return len(n.e.residents) + n.e.jobs.len() - n.e.fifo
 }
 
 // BacklogAt estimates the remaining work on the node as wall time at
@@ -144,8 +140,7 @@ func (n *Node) JobsInSystem() int {
 func (n *Node) BacklogAt(t float64) float64 {
 	e := n.e
 	backlog := 0.0
-	for _, id := range e.residents {
-		st := &e.jobs[id]
+	for _, st := range e.residents {
 		if st.procs > 0 && !math.IsInf(st.exe, 1) {
 			if rem := (1-st.frac)*st.exe - (t - e.now); rem > 0 {
 				backlog += rem
@@ -154,27 +149,25 @@ func (n *Node) BacklogAt(t float64) float64 {
 		}
 		backlog += (1 - st.frac) * st.dedicated
 	}
-	for id := e.fifo; id < len(e.jobs); id++ {
-		backlog += (1 - e.jobs[id].frac) * e.jobs[id].dedicated
+	for _, st := range e.jobs.index[e.fifo:] {
+		backlog += (1 - st.frac) * st.dedicated
 	}
 	return backlog
 }
 
 // VisitUnfinished calls f for every unfinished job on the node, in
-// arrival order, with the job's application name and remaining work
-// fraction — the raw material for footprint-affinity routing scores.
-// Like BacklogAt it visits the unfinished jobs only. The walk is one
-// loop over both runs of ids (see engine) so that it stays small enough
-// to inline: f is then inlined into the caller's loop, not called
-// indirectly once per job.
-func (n *Node) VisitUnfinished(f func(name string, remaining float64)) {
+// arrival order, with the job's id (dense in injection order) and its
+// remaining work fraction — the raw material for footprint-affinity
+// routing scores. Like BacklogAt it visits the unfinished jobs only:
+// the residents, then every job from the FIFO's oldest waiter on. The
+// walk stays small enough to inline, so f is inlined into the caller's
+// loops, not called indirectly once per job.
+func (n *Node) VisitUnfinished(f func(job int, remaining float64)) {
 	e := n.e
-	ids := e.residents
-	for k := range len(ids) + len(e.jobs) - e.fifo {
-		id := e.fifo + k - len(ids)
-		if k < len(ids) {
-			id = ids[k]
-		}
-		f(e.jobs[id].app.Name, 1-e.jobs[id].frac)
+	for _, st := range e.residents {
+		f(int(st.id), 1-st.frac)
+	}
+	for _, st := range e.jobs.index[e.fifo:] {
+		f(int(st.id), 1-st.frac)
 	}
 }

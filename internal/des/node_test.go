@@ -18,7 +18,7 @@ func TestNodeAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := NewNode(NodeConfig{Platform: pl, Policy: pol})
+	n, err := NewNode(Scenario{Platform: pl, Policy: pol})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,15 +46,15 @@ func TestNodeAccessors(t *testing.T) {
 	if b3 := n.BacklogAt(3); b3 > b2 {
 		t.Errorf("backlog grew with t: BacklogAt(3)=%v > BacklogAt(2)=%v", b3, b2)
 	}
-	names := 0
-	n.VisitUnfinished(func(name string, remaining float64) {
-		names++
-		if name == "" || !(remaining > 0) || remaining > 1 {
-			t.Errorf("VisitUnfinished(%q, %v): malformed", name, remaining)
+	visits := 0
+	n.VisitUnfinished(func(job int, remaining float64) {
+		visits++
+		if job < 0 || !(remaining > 0) || remaining > 1 {
+			t.Errorf("VisitUnfinished(%d, %v): malformed", job, remaining)
 		}
 	})
-	if names != 2 {
-		t.Errorf("VisitUnfinished visited %d jobs, want 2", names)
+	if visits != 2 {
+		t.Errorf("VisitUnfinished visited %d jobs, want 2", visits)
 	}
 	if _, err := n.Finish(context.Background()); err != nil {
 		t.Fatal(err)
@@ -68,17 +68,17 @@ func TestNodeValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewNode(NodeConfig{Platform: pl}); err == nil {
+	if _, err := NewNode(Scenario{Platform: pl}); err == nil {
 		t.Error("NewNode accepted a nil policy")
 	}
-	if _, err := NewNode(NodeConfig{Platform: model.Platform{}, Policy: pol}); err == nil {
+	if _, err := NewNode(Scenario{Platform: model.Platform{}, Policy: pol}); err == nil {
 		t.Error("NewNode accepted an invalid platform")
 	}
-	if _, err := NewNode(NodeConfig{Platform: pl, Policy: pol, MaxResident: -1}); err == nil {
+	if _, err := NewNode(Scenario{Platform: pl, Policy: pol, MaxResident: -1}); err == nil {
 		t.Error("NewNode accepted a negative residency cap")
 	}
 
-	n, err := NewNode(NodeConfig{Platform: pl, Policy: pol})
+	n, err := NewNode(Scenario{Platform: pl, Policy: pol})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestNodeEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := NewNode(NodeConfig{Platform: model.TaihuLight(), Policy: pol})
+	n, err := NewNode(Scenario{Platform: model.TaihuLight(), Policy: pol})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestNodeWalksMatchJobTable(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				n, err := NewNode(NodeConfig{Platform: pl, Policy: pol, MaxResident: maxRes})
+				n, err := NewNode(Scenario{Platform: pl, Policy: pol, MaxResident: maxRes})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -227,8 +227,8 @@ func walkMismatch(n *Node, at float64) string {
 	e := n.e
 	var ids []int
 	backlog := 0.0
-	for id := range e.jobs {
-		st := &e.jobs[id]
+	for id := range e.jobs.len() {
+		st := e.jobs.at(id)
 		if st.done {
 			continue
 		}
@@ -249,15 +249,15 @@ func walkMismatch(n *Node, at float64) string {
 	}
 	var msg string
 	k := 0
-	n.VisitUnfinished(func(name string, remaining float64) {
+	n.VisitUnfinished(func(job int, remaining float64) {
 		switch {
 		case msg != "":
 		case k >= len(ids):
-			msg = fmt.Sprintf("visited %s past the %d unfinished jobs", name, len(ids))
-		case name != e.jobs[ids[k]].app.Name:
-			msg = fmt.Sprintf("visit %d is %s, scan has %s", k, name, e.jobs[ids[k]].app.Name)
-		case math.Float64bits(remaining) != math.Float64bits(1-e.jobs[ids[k]].frac):
-			msg = fmt.Sprintf("visit %d (%s) remaining %v, scan %v", k, name, remaining, 1-e.jobs[ids[k]].frac)
+			msg = fmt.Sprintf("visited job %d past the %d unfinished jobs", job, len(ids))
+		case job != ids[k]:
+			msg = fmt.Sprintf("visit %d is job %d, scan has %d", k, job, ids[k])
+		case math.Float64bits(remaining) != math.Float64bits(1-e.jobs.at(ids[k]).frac):
+			msg = fmt.Sprintf("visit %d (job %d) remaining %v, scan %v", k, job, remaining, 1-e.jobs.at(ids[k]).frac)
 		}
 		k++
 	})

@@ -129,6 +129,8 @@ type HeuristicPolicy struct {
 	memo  *sched.PlanMemo
 	stats ReplanStats
 	apps  []model.Application // residual-work plan buffer, recycled
+	plan  sched.Schedule      // the schedule every solve writes, recycled
+	rng   solve.RNG           // a randomized heuristic's stream, reseeded per call
 }
 
 // NewHeuristicPolicy returns a policy wrapping h. Sequential heuristics
@@ -139,7 +141,7 @@ func NewHeuristicPolicy(h sched.Heuristic, seed uint64) (*HeuristicPolicy, error
 	if err := sequential(h, "repartitioning"); err != nil {
 		return nil, err
 	}
-	return &HeuristicPolicy{h: h, seed: seed, memo: sched.NewPlanMemo(0)}, nil
+	return &HeuristicPolicy{h: h, seed: seed, memo: sched.NewCopyingPlanMemo(0)}, nil
 }
 
 // SetFullReplan disables (true) or re-enables (false) the delta
@@ -160,13 +162,13 @@ func (p *HeuristicPolicy) ReplanStats() ReplanStats {
 // Allocate implements Policy.
 func (p *HeuristicPolicy) Allocate(pl model.Platform, residents []Resident) ([]sched.Assignment, error) {
 	p.calls++
-	// Deterministic heuristics never read the RNG; skipping its
-	// construction is bit-identical and keeps the fast path
-	// allocation-free. The call counter still advances so the substream
+	// Deterministic heuristics never read the RNG; leaving it nil is
+	// bit-identical. The call counter still advances so the substream
 	// schedule is independent of the heuristic kind.
 	var rng *solve.RNG
 	if p.h.Randomized() {
-		rng = solve.NewRNG(solve.Substream(p.seed, p.calls))
+		p.rng.Reseed(solve.Substream(p.seed, p.calls))
+		rng = &p.rng
 	}
 	p.apps = residualApps(p.apps, residents)
 	// The memo is a one-lane race: a deterministic plan is probed and
@@ -177,11 +179,15 @@ func (p *HeuristicPolicy) Allocate(pl model.Platform, residents []Resident) ([]s
 	if memoized && p.memo.LookupAll(lane, pl, p.apps, plan) {
 		p.stats.FastPath++
 	} else {
-		s, err := p.h.Schedule(pl, p.apps, rng)
+		in, err := sched.Prepare(pl, p.apps)
+		if err == nil {
+			err = p.h.ScheduleInto(context.TODO(), &in, rng, &p.plan)
+			in.Release()
+		}
 		if err != nil {
 			return nil, &sched.HeuristicError{Heuristic: p.h, Err: err}
 		}
-		plan[0] = s
+		plan[0] = &p.plan
 		if memoized {
 			p.memo.StoreAll(lane, pl, p.apps, plan)
 		}
@@ -239,6 +245,12 @@ type PortfolioPolicy struct {
 	apps  []model.Application // residual-work plan buffer, recycled
 	rs    []portfolio.Result  // one result per lane, recycled
 	plans []*sched.Schedule   // memo probe and store buffer, recycled
+	// Per-lane evaluation storage: lane hi solves into bufs[hi] with
+	// stream rngs[hi], reseeded per call. Only the winner's assignments
+	// leave Allocate, and the memo copies the plans it keeps, so a race
+	// allocates no plan of its own.
+	bufs []sched.Schedule
+	rngs []solve.RNG
 
 	// Learned selection ("portfolio:selector"): when a ledger is set,
 	// Allocate first asks it for a confident predicted winner and, when
@@ -259,8 +271,9 @@ type PortfolioPolicy struct {
 func NewPortfolioPolicy(seed uint64) *PortfolioPolicy {
 	hs := onlineHeuristics()
 	return &PortfolioPolicy{
-		hs: hs, seed: seed, memo: sched.NewPlanMemo(0),
+		hs: hs, seed: seed, memo: sched.NewCopyingPlanMemo(0),
 		rs: make([]portfolio.Result, len(hs)), plans: make([]*sched.Schedule, len(hs)),
+		bufs: make([]sched.Schedule, len(hs)), rngs: make([]solve.RNG, len(hs)),
 	}
 }
 
@@ -341,9 +354,10 @@ func (p *PortfolioPolicy) Allocate(pl model.Platform, residents []Resident) ([]s
 			p.rs[hi] = portfolio.Result{Heuristic: h, Schedule: p.plans[hi]}
 			continue
 		}
-		s, err := h.SchedulePrepared(context.TODO(), &in, laneRNG(h, scSeed, hi))
+		s := &p.bufs[hi]
+		err := h.ScheduleInto(context.TODO(), &in, p.laneRNG(h, scSeed, hi), s)
 		if err != nil {
-			err = &sched.HeuristicError{Heuristic: h, Err: err}
+			s, err = nil, &sched.HeuristicError{Heuristic: h, Err: err}
 		}
 		p.rs[hi] = portfolio.Result{Heuristic: h, Schedule: s, Err: err}
 		p.plans[hi] = s
@@ -365,13 +379,15 @@ func (p *PortfolioPolicy) Allocate(pl model.Platform, residents []Resident) ([]s
 	return p.rs[best].Schedule.Assignments, nil
 }
 
-// laneRNG returns the stream of lane hi of a race seeded with scSeed,
-// or nil for a deterministic heuristic, which never reads it.
-func laneRNG(h sched.Heuristic, scSeed uint64, hi int) *solve.RNG {
+// laneRNG reseeds lane hi's stream as that of a race seeded with
+// scSeed and returns it, or nil for a deterministic heuristic, which
+// never reads it.
+func (p *PortfolioPolicy) laneRNG(h sched.Heuristic, scSeed uint64, hi int) *solve.RNG {
 	if !h.Randomized() {
 		return nil
 	}
-	return solve.NewRNG(portfolio.HeuristicSeed(scSeed, hi))
+	p.rngs[hi].Reseed(portfolio.HeuristicSeed(scSeed, hi))
+	return &p.rngs[hi]
 }
 
 // predict solves only the ledger's confidently predicted winner, on
@@ -390,8 +406,8 @@ func (p *PortfolioPolicy) predict(in *sched.Prepared, pl model.Platform, scSeed 
 		return nil, false
 	}
 	hi := slices.Index(p.hs, pred.Heuristic)
-	s, err := pred.Heuristic.SchedulePrepared(context.TODO(), in, laneRNG(pred.Heuristic, scSeed, hi))
-	if err != nil || s.Sequential {
+	s := &p.bufs[hi]
+	if err := pred.Heuristic.ScheduleInto(context.TODO(), in, p.laneRNG(pred.Heuristic, scSeed, hi), s); err != nil || s.Sequential {
 		return nil, false
 	}
 	return s.Assignments, true

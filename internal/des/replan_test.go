@@ -258,6 +258,55 @@ func TestHeuristicPolicyFastPathAllocs(t *testing.T) {
 	}
 }
 
+// TestReplanAllocBudget pins what an online replan allocates. A
+// memo-hit portfolio Allocate re-solves only the randomized lanes, into
+// the policy's lane buffers with streams reseeded in place, and
+// allocates nothing. A full replan of a resident set the memo has not
+// seen also stores its deterministic plans and the set's key. The memo
+// carves its copies in chunks until its ring wraps and then reuses the
+// storage of the plans it evicts, so over 100 such calls the average is
+// the key plus a fraction: AllocsPerRun reads 1, and the budget leaves
+// one for the collector. Pools refill at random under -race, so the
+// test skips there.
+func TestReplanAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not deterministic under -race")
+	}
+	const fullReplanBudget = 2
+	pl := model.TaihuLight()
+	apps := testApps(t, 4)
+	residents := make([]Resident, len(apps))
+	for i, a := range apps {
+		residents[i] = Resident{Job: i, App: a, Remaining: 1}
+	}
+	pol := NewPortfolioPolicy(1)
+	if _, err := pol.Allocate(pl, residents); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := pol.Allocate(pl, residents); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("memo-hit Allocate allocates %.2f times per call, want 0", n)
+	}
+	// Every call sees a resident set the memo has not: the first job's
+	// remaining work shrinks each time.
+	call := 0
+	if n := testing.AllocsPerRun(100, func() {
+		call++
+		residents[0].Remaining = 1 / float64(call+1)
+		if _, err := pol.Allocate(pl, residents); err != nil {
+			t.Fatal(err)
+		}
+	}); n > fullReplanBudget {
+		t.Errorf("a full replan allocates %.2f times per call, budget %d", n, fullReplanBudget)
+	}
+	if st := pol.ReplanStats(); st.FullSolve < 100 {
+		t.Errorf("replan stats %+v: the second run did not replan in full", st)
+	}
+}
+
 // TestPortfolioPolicyFastPathAllocs bounds the delta path of the
 // portfolio policy: only the randomized heuristics re-solve (their
 // substreams never repeat), so the per-call allocation budget is a

@@ -88,6 +88,9 @@ type Scenario struct {
 	// trained win-rate ledger (nil leaves them always falling back to
 	// the full race, bit-identical to "portfolio").
 	Ledger *selector.Ledger
+	// NoEvents, when set, keeps no node event logs: every node's
+	// Result.Events stays nil (see des.Scenario.NoEvents).
+	NoEvents bool
 }
 
 // Route records one routing decision.
@@ -107,8 +110,9 @@ type NodeResult struct {
 	// Jobs is how many jobs the router sent to this node.
 	Jobs int
 	// Result is the node's full single-node outcome (event log, per-job
-	// metrics, integrals). A node that received no jobs has an empty
-	// result with Makespan 0.
+	// metrics, integrals); its event log is nil when the scenario set
+	// NoEvents. A node that received no jobs has an empty result with
+	// Makespan 0.
 	Result *des.Result
 }
 
@@ -175,11 +179,12 @@ func SimulateContext(ctx context.Context, sc Scenario) (*Result, error) {
 		if sc.Ledger != nil {
 			des.ConfigureSelector(pol, sc.Ledger, selector.Thresholds{})
 		}
-		nodes[i], err = des.NewNode(des.NodeConfig{
+		nodes[i], err = des.NewNode(des.Scenario{
 			Platform:    nc.Platform,
 			Policy:      pol,
 			MaxResident: nc.MaxResident,
 			Metrics:     sc.Metrics,
+			NoEvents:    sc.NoEvents,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("fleet: node %s: %w", names[i], err)
@@ -191,7 +196,26 @@ func SimulateContext(ctx context.Context, sc Scenario) (*Result, error) {
 	// Only cache-affinity reads Affinity, and each score walks the node's
 	// unfinished jobs, so the other routers skip it.
 	_, scoreAffinity := router.(cacheAffinity)
+	// Cache-affinity numbers each job's template (its base name) once,
+	// on arrival, and tmpl[i][j] is that of node i's job j, so scoring a
+	// node compares integers instead of parsing names.
+	var (
+		templates map[string]int
+		tmpl      [][]int
+	)
+	if scoreAffinity {
+		templates, tmpl = map[string]int{}, make([][]int, len(nodes))
+	}
 	res.Truncated, err = des.EachArrival(ctx, sc.Arrivals, sc.Duration, func(a des.Arrival) error {
+		t := 0
+		if scoreAffinity {
+			base := baseName(a.App.Name)
+			var ok bool
+			if t, ok = templates[base]; !ok {
+				t = len(templates)
+				templates[base] = t
+			}
+		}
 		// Advance every node to the arrival instant, then score them.
 		for i, n := range nodes {
 			if err := n.AdvanceBefore(a.Time); err != nil {
@@ -203,7 +227,7 @@ func SimulateContext(ctx context.Context, sc Scenario) (*Result, error) {
 				InSystem: n.JobsInSystem(),
 			}
 			if scoreAffinity {
-				states[i].Affinity = affinity(n, a.App.Name)
+				states[i].Affinity = affinity(n, tmpl[i], t)
 			}
 		}
 		pick := router.Pick(states, a)
@@ -212,6 +236,9 @@ func SimulateContext(ctx context.Context, sc Scenario) (*Result, error) {
 		}
 		if err := nodes[pick].Inject(a); err != nil {
 			return fmt.Errorf("fleet: node %s: %w", names[pick], err)
+		}
+		if scoreAffinity {
+			tmpl[pick] = append(tmpl[pick], t)
 		}
 		res.Routes = append(res.Routes, Route{Job: res.Jobs, Time: a.Time, Node: pick})
 		res.Jobs++
@@ -243,14 +270,14 @@ func nodePolicySpec(spec string) string {
 	return spec
 }
 
-// affinity scores a node's footprint overlap with an arriving job: the
-// summed remaining fractions of unfinished jobs stamped from the same
-// template (see NodeState.Affinity).
-func affinity(n *des.Node, name string) float64 {
-	base := baseName(name)
+// affinity scores a node's footprint overlap with an arriving job of
+// template t: the summed remaining fractions of the node's unfinished
+// jobs of the same template, where tmpl[j] is the template of the
+// node's job j (see NodeState.Affinity).
+func affinity(n *des.Node, tmpl []int, t int) float64 {
 	score := 0.0
-	n.VisitUnfinished(func(resident string, remaining float64) {
-		if baseName(resident) == base {
+	n.VisitUnfinished(func(job int, remaining float64) {
+		if tmpl[job] == t {
 			score += remaining
 		}
 	})

@@ -105,8 +105,8 @@ func ExactSubset(pl model.Platform, apps []model.Application) (*Schedule, []bool
 		}
 	}
 	var eq equalizer
-	s, err := sharesScheduleEq(&eq, pl, apps, consts.D, win.shares)
-	if err != nil {
+	s := new(Schedule)
+	if err := sharesScheduleEq(&eq, pl, apps, consts.D, win.shares, s); err != nil {
 		return nil, nil, err
 	}
 	return s, win.members, nil

@@ -175,53 +175,76 @@ func (h Heuristic) ScheduleContext(ctx context.Context, pl model.Platform, apps 
 // and one constants table. The schedule is bit-identical to
 // ScheduleContext's on the same (platform, applications) pair.
 func (h Heuristic) SchedulePrepared(ctx context.Context, in *Prepared, rng *solve.RNG) (*Schedule, error) {
-	if err := ctx.Err(); err != nil {
+	s := new(Schedule)
+	if err := h.ScheduleInto(ctx, in, rng, s); err != nil {
 		return nil, err
 	}
-	return h.scheduleWith(ctx, in.scratchFor(h), in.pl, in.apps, rng)
+	return s, nil
+}
+
+// ScheduleInto is SchedulePrepared writing the schedule into dst: its
+// assignments reuse dst.Assignments' storage when it is large enough,
+// so a caller that keeps one dst per heuristic evaluates without
+// allocating. The schedule is bit-identical to SchedulePrepared's; on
+// an error dst holds no schedule.
+func (h Heuristic) ScheduleInto(ctx context.Context, in *Prepared, rng *solve.RNG, dst *Schedule) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	return h.scheduleWith(ctx, in.scratchFor(h), in.pl, in.apps, rng, dst)
 }
 
 // scheduleWith dispatches to the heuristic implementations on an
 // already-validated input with a caller-held scratch whose constants
-// table holds what h reads for (pl, apps) (see Prepared.scratchFor).
-func (h Heuristic) scheduleWith(ctx context.Context, sc *scratch, pl model.Platform, apps []model.Application, rng *solve.RNG) (*Schedule, error) {
+// table holds what h reads for (pl, apps) (see Prepared.scratchFor),
+// writing the schedule into dst.
+func (h Heuristic) scheduleWith(ctx context.Context, sc *scratch, pl model.Platform, apps []model.Application, rng *solve.RNG, dst *Schedule) error {
 	switch h {
 	case DominantRandom, DominantMinRatio, DominantMaxRatio,
 		DominantRevRandom, DominantRevMinRatio, DominantRevMaxRatio:
-		return dominantSchedule(sc, pl, apps, h, rng)
+		return dominantSchedule(sc, pl, apps, h, rng, dst)
 	case Fair:
-		return fairSchedule(pl, apps, sc.k.D)
+		fairSchedule(pl, apps, sc.k.D, dst)
+		return nil
 	case ZeroCache:
 		shares := growF64(sc.shares, len(apps))
 		for i := range shares {
 			shares[i] = 0
 		}
 		sc.shares = shares
-		return sharesScheduleWith(sc, pl, apps, shares)
+		return sharesScheduleWith(sc, pl, apps, shares, dst)
 	case RandomPart:
-		return randomPartSchedule(sc, pl, apps, rng)
+		return randomPartSchedule(sc, pl, apps, rng, dst)
 	case AllProcCache:
-		return allProcCacheSchedule(pl, apps, sc.k.D)
+		allProcCacheSchedule(pl, apps, sc.k.D, dst)
+		return nil
 	case SharedCache:
-		return sharedCacheSchedule(sc, pl, apps)
+		return sharedCacheSchedule(sc, pl, apps, dst)
 	case LocalSearch:
-		return localSearchSchedule(ctx, sc, pl, apps, LocalSearchOptions{}, rng)
+		return localSearchSchedule(ctx, sc, pl, apps, LocalSearchOptions{}, rng, dst)
 	default:
-		return nil, fmt.Errorf("sched: unknown heuristic %v", h)
+		return fmt.Errorf("sched: unknown heuristic %v", h)
 	}
 }
 
-// choiceFor maps a heuristic to its core.Choice.
-func choiceFor(h Heuristic, rng *solve.RNG) (core.Choice, bool, error) {
+// choice maps a dominant-partition heuristic to its core.Choice. The
+// Random policy draws from rng through the scratch's one persistent
+// closure, core.ChooseRandom's draw, so a randomized build allocates no
+// closure of its own.
+func (sc *scratch) choice(h Heuristic, rng *solve.RNG) (core.Choice, bool, error) {
 	switch h {
-	case DominantRandom:
-		return core.ChooseRandom(requireRNG(rng)), false, nil
+	case DominantRandom, DominantRevRandom:
+		sc.rng = requireRNG(rng)
+		if sc.random == nil {
+			sc.random = func(_ *core.Partition, candidates []int) int {
+				return candidates[sc.rng.Intn(len(candidates))]
+			}
+		}
+		return sc.random, h == DominantRevRandom, nil
 	case DominantMinRatio:
 		return core.ChooseMinRatio, false, nil
 	case DominantMaxRatio:
 		return core.ChooseMaxRatio, false, nil
-	case DominantRevRandom:
-		return core.ChooseRandom(requireRNG(rng)), true, nil
 	case DominantRevMinRatio:
 		return core.ChooseMinRatio, true, nil
 	case DominantRevMaxRatio:
@@ -246,50 +269,50 @@ func requireRNG(rng *solve.RNG) *solve.RNG {
 // the constants table and none of its entries depends on s_i, so
 // building on the applications themselves picks the proxy's partition.
 // The partition is left over (pl, apps) with the solve's table.
-func dominantSchedule(sc *scratch, pl model.Platform, apps []model.Application, h Heuristic, rng *solve.RNG) (*Schedule, error) {
-	choice, reverse, err := choiceFor(h, rng)
+func dominantSchedule(sc *scratch, pl model.Platform, apps []model.Application, h Heuristic, rng *solve.RNG, dst *Schedule) error {
+	choice, reverse, err := sc.choice(h, rng)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if err := core.BuildDominantInto(&sc.part, pl, apps, &sc.k, reverse, choice); err != nil {
-		return nil, err
+		return err
 	}
 	sc.shares = sc.part.SharesInto(sc.shares)
-	return sharesScheduleWith(sc, pl, apps, sc.shares)
+	return sharesScheduleWith(sc, pl, apps, sc.shares, dst)
 }
 
 // sharesScheduleWith is sharesScheduleEq on pooled scratch.
-func sharesScheduleWith(sc *scratch, pl model.Platform, apps []model.Application, shares []float64) (*Schedule, error) {
-	return sharesScheduleEq(&sc.eq, pl, apps, sc.k.D, shares)
+func sharesScheduleWith(sc *scratch, pl model.Platform, apps []model.Application, shares []float64, dst *Schedule) error {
+	return sharesScheduleEq(&sc.eq, pl, apps, sc.k.D, shares, dst)
 }
 
 // sharesScheduleEq completes a schedule from fixed cache shares by
 // equalizing completion times with eq, given each application's d_i,
-// and materializes the resulting Schedule — the only allocation of the
-// hot path. The makespan reads each application's cost per operation
-// from the equalization (eq.makespan), so the shares' power law is
-// evaluated once per application.
-func sharesScheduleEq(eq *equalizer, pl model.Platform, apps []model.Application, d, shares []float64) (*Schedule, error) {
+// and writes it into dst. The makespan reads each application's cost
+// per operation from the equalization (eq.makespan), so the shares'
+// power law is evaluated once per application.
+func sharesScheduleEq(eq *equalizer, pl model.Platform, apps []model.Application, d, shares []float64, dst *Schedule) error {
 	procs, _, err := eq.equalize(pl, apps, d, shares)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	asg := make([]Assignment, len(apps))
+	asg := dst.resize(len(apps))
 	for i := range apps {
 		asg[i] = Assignment{Processors: procs[i], CacheShare: shares[i]}
 	}
-	return &Schedule{Assignments: asg, Makespan: eq.makespan(apps, procs)}, nil
+	dst.Makespan = eq.makespan(apps, procs)
+	return nil
 }
 
 // fairSchedule: p_i = p/n and x_i = f_i / Σf_j (Section 6.3).
-func fairSchedule(pl model.Platform, apps []model.Application, d []float64) (*Schedule, error) {
+func fairSchedule(pl model.Platform, apps []model.Application, d []float64, dst *Schedule) {
 	n := float64(len(apps))
 	var fsum solve.Kahan
 	for _, a := range apps {
 		fsum.Add(a.AccessFreq)
 	}
 	total := fsum.Sum()
-	asg := make([]Assignment, len(apps))
+	asg := dst.resize(len(apps))
 	for i, a := range apps {
 		x := 0.0
 		if total > 0 {
@@ -297,13 +320,12 @@ func fairSchedule(pl model.Platform, apps []model.Application, d []float64) (*Sc
 		}
 		asg[i] = Assignment{Processors: pl.Processors / n, CacheShare: x}
 	}
-	s := &Schedule{Assignments: asg, Makespan: maxFinish(pl, apps, d, asg)}
-	return s, nil
+	dst.Makespan = maxFinish(pl, apps, d, asg)
 }
 
 // randomPartSchedule: uniformly random membership, closed-form shares on
 // the members, equalized processors (Section 6.3).
-func randomPartSchedule(sc *scratch, pl model.Platform, apps []model.Application, rng *solve.RNG) (*Schedule, error) {
+func randomPartSchedule(sc *scratch, pl model.Platform, apps []model.Application, rng *solve.RNG, dst *Schedule) error {
 	r := requireRNG(rng)
 	members := growBool(sc.members, len(apps))
 	sc.members = members
@@ -311,22 +333,22 @@ func randomPartSchedule(sc *scratch, pl model.Platform, apps []model.Application
 		members[i] = r.Intn(2) == 1
 	}
 	if err := sc.part.ResetWith(pl, apps, &sc.k, members); err != nil {
-		return nil, err
+		return err
 	}
 	sc.shares = sc.part.SharesInto(sc.shares)
-	return sharesScheduleWith(sc, pl, apps, sc.shares)
+	return sharesScheduleWith(sc, pl, apps, sc.shares, dst)
 }
 
 // allProcCacheSchedule: applications run one after another, each on the
 // whole machine with the whole cache.
-func allProcCacheSchedule(pl model.Platform, apps []model.Application, d []float64) (*Schedule, error) {
-	asg := make([]Assignment, len(apps))
+func allProcCacheSchedule(pl model.Platform, apps []model.Application, d []float64, dst *Schedule) {
+	asg := dst.resize(len(apps))
 	var total solve.Kahan
 	for i, a := range apps {
 		asg[i] = Assignment{Processors: pl.Processors, CacheShare: 1}
 		total.Add(a.ExeD(pl, d[i], pl.Processors, 1))
 	}
-	return &Schedule{Assignments: asg, Makespan: total.Sum(), Sequential: true}, nil
+	dst.Makespan, dst.Sequential = total.Sum(), true
 }
 
 // SortedByRatio returns application indices sorted by increasing

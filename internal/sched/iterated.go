@@ -192,7 +192,11 @@ func LocalSearchScheduleContext(ctx context.Context, pl model.Platform, apps []m
 		return nil, err
 	}
 	defer in.Release()
-	return localSearchSchedule(ctx, in.scratchFor(LocalSearch), pl, apps, opts, rng)
+	s := new(Schedule)
+	if err := localSearchSchedule(ctx, in.scratchFor(LocalSearch), pl, apps, opts, rng, s); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
 // localSearchMakespan evaluates one candidate membership: Lemma 4 shares
@@ -214,24 +218,25 @@ func localSearchMakespan(sc *scratch, pl model.Platform, apps []model.Applicatio
 	return sc.eq.makespan(apps, procs), nil
 }
 
-// localSearchSchedule is the scratch-backed hill climb. Candidate
-// memberships are scored by localSearchMakespan; only the final winner
-// is materialized as a Schedule (bit-identical to scoring, since both
-// run the same deterministic arithmetic).
-func localSearchSchedule(ctx context.Context, sc *scratch, pl model.Platform, apps []model.Application, opts LocalSearchOptions, rng *solve.RNG) (*Schedule, error) {
+// localSearchSchedule is the scratch-backed hill climb, writing the
+// schedule into dst. Candidate memberships are scored by
+// localSearchMakespan; only the final winner is materialized as a
+// Schedule (bit-identical to scoring, since both run the same
+// deterministic arithmetic). The warm start's schedule stays in dst
+// while the climb scores candidates, which never touch it.
+func localSearchSchedule(ctx context.Context, sc *scratch, pl model.Platform, apps []model.Application, opts LocalSearchOptions, rng *solve.RNG, dst *Schedule) error {
 	// The warm start leaves sc.part over (pl, apps) with the solve's
 	// constants table, so every candidate below only sets its membership.
-	warm, err := dominantSchedule(sc, pl, apps, DominantMinRatio, rng)
-	if err != nil {
-		return nil, err
+	if err := dominantSchedule(sc, pl, apps, DominantMinRatio, rng, dst); err != nil {
+		return err
 	}
 	// Recover the warm membership from the shares.
 	members := growBool(sc.members, len(apps))
 	sc.members = members
-	for i, a := range warm.Assignments {
+	for i, a := range dst.Assignments {
 		members[i] = a.CacheShare > 0
 	}
-	bestSpan := warm.Makespan
+	bestSpan := dst.Makespan
 	bestIsWarm := true
 	bestM := growBool(sc.bestM, len(apps))
 	sc.bestM = bestM
@@ -240,7 +245,8 @@ func localSearchSchedule(ctx context.Context, sc *scratch, pl model.Platform, ap
 	if err := core.BestRatioPrefixInto(&sc.prefix, pl, apps, &sc.k); err == nil {
 		// The prefix partition already holds the candidate membership, so
 		// score its shares directly.
-		prefM := sc.prefix.MembersInto(nil)
+		sc.prefM = sc.prefix.MembersInto(sc.prefM)
+		prefM := sc.prefM
 		if span, err := localSearchMakespan(sc, pl, apps, prefM); err == nil && span < bestSpan {
 			bestSpan = span
 			bestIsWarm = false
@@ -255,7 +261,7 @@ func localSearchSchedule(ctx context.Context, sc *scratch, pl model.Platform, ap
 			// package; poll the context per candidate toggle so
 			// cancellation returns within one equalizer solve.
 			if err := ctx.Err(); err != nil {
-				return nil, err
+				return err
 			}
 			members[i] = !members[i]
 			span, err := localSearchMakespan(sc, pl, apps, members)
@@ -279,11 +285,11 @@ func localSearchSchedule(ctx context.Context, sc *scratch, pl model.Platform, ap
 		}
 	}
 	if bestIsWarm {
-		return warm, nil
+		return nil
 	}
 	if err := sc.part.SetMembers(bestM); err != nil {
-		return nil, err
+		return err
 	}
 	sc.shares = sc.part.SharesInto(sc.shares)
-	return sharesScheduleWith(sc, pl, apps, sc.shares)
+	return sharesScheduleWith(sc, pl, apps, sc.shares, dst)
 }

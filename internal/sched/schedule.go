@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/model"
 	"repro/internal/solve"
@@ -41,6 +42,15 @@ type Schedule struct {
 	// after another (AllProcCache) instead of concurrently; finish
 	// times then accumulate.
 	Sequential bool
+}
+
+// resize makes s a concurrent schedule of n assignments for the caller
+// to fill, and returns them. It reuses s's assignment storage, growing
+// it as append does, so a buffer reused across resident sets of rising
+// size reallocates a logarithmic number of times.
+func (s *Schedule) resize(n int) []Assignment {
+	s.Assignments, s.Sequential = slices.Grow(s.Assignments[:0], n)[:n], false
+	return s.Assignments
 }
 
 // ErrInfeasible is returned when no valid schedule exists for the inputs

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/model"
+	"repro/internal/solve"
 )
 
 // scratch is the workspace of the evaluations on one Prepared input.
@@ -12,18 +13,21 @@ import (
 // the model constants table, partition state, cache-share vectors,
 // equalizer coefficients — lives here and is recycled through a
 // sync.Pool, so the steady-state hot path only allocates the Schedule
-// it returns. Buffers are fully overwritten before use; pooling cannot
+// it returns, and nothing when the caller supplies it (ScheduleInto). Buffers are fully overwritten before use; pooling cannot
 // change results.
 type scratch struct {
 	k       model.Constants // the solve's d_i, thresholds and weights
 	members []bool          // random-membership / warm-start vector
 	bestM   []bool          // local search's best membership snapshot
+	prefM   []bool          // local search's prefix membership snapshot
 	shares  []float64       // cache-share vector under evaluation
 	occ     []float64       // shared-cache occupancy vector
 	dampP   []float64       // shared-cache damped processor state
 	part    core.Partition  // reusable partition for the builders
 	prefix  core.Partition  // reusable partition for the prefix scan
 	eq      equalizer       // equalizer state incl. persistent bisect objective
+	rng     *solve.RNG      // the stream random draws from (see choice)
+	random  core.Choice     // persistent Random choice over rng
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}

@@ -43,13 +43,18 @@ func SharedCacheSchedule(pl model.Platform, apps []model.Application) (*Schedule
 		return nil, err
 	}
 	defer in.Release()
-	return sharedCacheSchedule(in.scratchFor(SharedCache), pl, apps)
+	s := new(Schedule)
+	if err := sharedCacheSchedule(in.scratchFor(SharedCache), pl, apps, s); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
 // sharedCacheSchedule is the scratch-backed fixed-point iteration; every
 // equalizer pass reuses the same coefficient and processor buffers and
-// reads d_i from the scratch's constants table.
-func sharedCacheSchedule(sc *scratch, pl model.Platform, apps []model.Application) (*Schedule, error) {
+// reads d_i from the scratch's constants table. The schedule is written
+// into dst.
+func sharedCacheSchedule(sc *scratch, pl model.Platform, apps []model.Application, dst *Schedule) error {
 	n := len(apps)
 	procs := growF64(sc.dampP, n)
 	sc.dampP = procs
@@ -62,7 +67,7 @@ func sharedCacheSchedule(sc *scratch, pl model.Platform, apps []model.Applicatio
 		occupancies(apps, procs, occ)
 		next, _, err := sc.eq.equalize(pl, apps, sc.k.D, occ)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		var delta float64
 		for i := range procs {
@@ -81,13 +86,14 @@ func sharedCacheSchedule(sc *scratch, pl model.Platform, apps []model.Applicatio
 	// the pass's costs per operation at those occupancies.
 	final, _, err := sc.eq.equalize(pl, apps, sc.k.D, occ)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	asg := make([]Assignment, n)
+	asg := dst.resize(n)
 	for i := range asg {
 		asg[i] = Assignment{Processors: final[i], CacheShare: occ[i]}
 	}
-	return &Schedule{Assignments: asg, Makespan: sc.eq.makespan(apps, final)}, nil
+	dst.Makespan = sc.eq.makespan(apps, final)
+	return nil
 }
 
 // occupancies fills occ with the access-pressure-proportional cache

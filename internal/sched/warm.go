@@ -68,7 +68,20 @@ type PlanMemo struct {
 	misses    uint64
 	evictions uint64
 	key       []byte // recycled fingerprint buffer
+	// copies is set for a memo that stores copies of the plans it is
+	// given (NewCopyingPlanMemo). A copy lives in storage that stays
+	// with its ring slot: the slot's next plan is copied over it.
+	// spare and spareAsg are what new storage is carved from,
+	// carveChunk plans at a time, so that the copies of a race's plans
+	// cost two allocations rather than two each.
+	copies   bool
+	spare    []Schedule
+	spareAsg []Assignment
 }
+
+// carveChunk is how many plans' storage the memo allocates at once:
+// one race's deterministic plans.
+const carveChunk = 8
 
 // memoPlan is one retained plan: heuristic h's schedule for the
 // resident set keyed by key.
@@ -93,6 +106,17 @@ func NewPlanMemo(capacity int) *PlanMemo {
 		capacity = DefaultPlanMemoCapacity
 	}
 	return &PlanMemo{capacity: capacity, index: make(map[string]int32)}
+}
+
+// NewCopyingPlanMemo is NewPlanMemo for callers that reuse the
+// buffers their plans live in: the memo stores a copy of each plan, in
+// storage recycled with the plan's ring slot, so once the ring has
+// wrapped, storing allocates at most a resident set's key. A plan a
+// lookup returns stays valid until the next StoreAll.
+func NewCopyingPlanMemo(capacity int) *PlanMemo {
+	m := NewPlanMemo(capacity)
+	m.copies = true
+	return m
 }
 
 // MemoStats are a PlanMemo's monotonic counters.
@@ -183,9 +207,11 @@ func (m *PlanMemo) LookupAll(hs []Heuristic, pl model.Platform, apps []model.App
 // index order, on one input: one fingerprint, one map probe and at most
 // one key allocation for the whole set. Randomized lanes and nil plans
 // are skipped, and so is a heuristic whose plan the set already holds.
-// The caller must only store plans actually produced by hs[i] on
-// exactly (pl, apps); StoreAll trusts that contract. plans must be at
-// least as long as hs.
+// Unless the memo copies plans (NewCopyingPlanMemo), it keeps the plans
+// themselves, so callers must not modify them afterwards. The caller
+// must only store plans actually produced by hs[i] on exactly
+// (pl, apps); StoreAll trusts that contract. plans must be at least as
+// long as hs.
 func (m *PlanMemo) StoreAll(hs []Heuristic, pl model.Platform, apps []model.Application, plans []*Schedule) {
 	key := m.fingerprint(pl, apps)
 	first := m.first(key)
@@ -196,13 +222,13 @@ func (m *PlanMemo) StoreAll(hs []Heuristic, pl model.Platform, apps []model.Appl
 	}
 }
 
-// put stores s as heuristic h's plan of the resident set key
-// fingerprints, whose oldest plan is first (-1 when it has none),
-// unless the set already holds one, and returns the set's oldest plan
-// afterwards. A full memo first evicts its oldest plan, which may be
-// the set's oldest, or even its only one: the plan then starts the set
-// anew, as a later StoreAll of the evicted set would, under the same
-// key string.
+// put stores s, or a copy of it in a copying memo, as heuristic h's
+// plan of the resident set key fingerprints, whose oldest plan is first
+// (-1 when it has none), unless the set already holds one, and returns
+// the set's oldest plan afterwards. A full memo first evicts its oldest
+// plan, which may be the set's oldest, or even its only one: the plan
+// then starts the set anew, as a later StoreAll of the evicted set
+// would, under the same key string.
 func (m *PlanMemo) put(key []byte, first int32, h Heuristic, s *Schedule) int32 {
 	last := int32(-1)
 	for i := first; i >= 0; i = m.ring[i].next {
@@ -233,8 +259,36 @@ func (m *PlanMemo) put(key []byte, first int32, h Heuristic, s *Schedule) int32 
 		k = m.ring[first].key
 		m.ring[last].next = slot
 	}
+	if m.copies {
+		// A refilled slot still holds its evicted plan, whose storage
+		// the copy reuses.
+		own := m.carve(m.ring[slot].s, len(s.Assignments))
+		own.Assignments = append(own.Assignments, s.Assignments...)
+		own.Makespan, own.Sequential = s.Makespan, s.Sequential
+		s = own
+	}
 	m.ring[slot] = memoPlan{s: s, key: k, h: h, next: -1}
 	return first
+}
+
+// carve returns a copy's storage, emptied, with room for n assignments:
+// own, the slot's previous copy, when there is one with the room, else
+// storage carved from the memo's spare chunks.
+func (m *PlanMemo) carve(own *Schedule, n int) *Schedule {
+	if own == nil {
+		if len(m.spare) == 0 {
+			m.spare = make([]Schedule, carveChunk)
+		}
+		own, m.spare = &m.spare[0], m.spare[1:]
+	}
+	if cap(own.Assignments) < n {
+		if len(m.spareAsg) < n {
+			m.spareAsg = make([]Assignment, n*carveChunk)
+		}
+		own.Assignments, m.spareAsg = m.spareAsg[:0:n], m.spareAsg[n:]
+	}
+	own.Assignments = own.Assignments[:0]
+	return own
 }
 
 // evict drops the oldest plan, the head of the ring, and returns it:

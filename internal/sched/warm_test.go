@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -184,5 +185,62 @@ func TestPlanMemoHitAllocs(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Errorf("memo hit allocates %.1f times per run, want 0", allocs)
+	}
+}
+
+// TestCopyingPlanMemoKeepsCopies: a copying memo serves what was
+// stored even after the caller's buffers are overwritten by the next
+// solve, and once its ring wraps it stores into the storage of the
+// plans it evicts, with no allocation beyond a new set's key.
+func TestCopyingPlanMemoKeepsCopies(t *testing.T) {
+	pl := model.TaihuLight()
+	apps := warmApps(t, 4)
+	other := append([]model.Application(nil), apps...)
+	other[0].Work *= 2
+	hs := DeterministicHeuristics
+	// solveAll returns hs's plans on set, in buffers the caller owns.
+	solveAll := func(set []model.Application) []*Schedule {
+		in, err := Prepare(pl, set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer in.Release()
+		plans := make([]*Schedule, len(hs))
+		for i, h := range hs {
+			plans[i] = new(Schedule)
+			if err := h.ScheduleInto(context.Background(), &in, nil, plans[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return plans
+	}
+	memo := NewCopyingPlanMemo(len(hs))
+	plans := solveAll(apps)
+	memo.StoreAll(hs, pl, apps, plans)
+	for _, p := range plans {
+		p.Makespan = -1
+		clear(p.Assignments)
+	}
+	got := make([]*Schedule, len(hs))
+	if !memo.LookupAll(hs, pl, apps, got) {
+		t.Fatal("the stored plans missed the memo")
+	}
+	for i, h := range hs {
+		cold, err := h.Schedule(pl, apps, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[i] == plans[i] || !reflect.DeepEqual(cold, got[i]) {
+			t.Errorf("%v: memo holds %+v, want a copy of the cold solve %+v", h, got[i], cold)
+		}
+	}
+	sets := [][]model.Application{other, apps}
+	solved := [][]*Schedule{solveAll(other), solveAll(apps)}
+	turn := 0
+	if n := testing.AllocsPerRun(20, func() {
+		memo.StoreAll(hs, pl, sets[turn%2], solved[turn%2])
+		turn++
+	}); n > 1 {
+		t.Errorf("a wrapped copying memo allocates %v times per store, want at most 1 (the key)", n)
 	}
 }

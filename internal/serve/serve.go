@@ -320,6 +320,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
+	sc.NoEvents = true // the summary reads no event
 	var start time.Time
 	if s.schedLat != nil {
 		start = time.Now()
@@ -338,7 +339,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 // handleSimulateFleet mirrors handleSimulate for multi-node fleet
 // scenarios: decode the fleet spec (node policies included, so a bad
 // one is a 400), default the seed from the tenant, and return the
-// fleet-wide summary.
+// fleet-wide summary, again from a run that keeps no event logs.
 func (s *Server) handleSimulateFleet(w http.ResponseWriter, r *http.Request) {
 	sp, err := fleet.DecodeSpec(r.Body)
 	if err != nil {
@@ -353,6 +354,7 @@ func (s *Server) handleSimulateFleet(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
+	sc.NoEvents = true
 	var start time.Time
 	if s.schedLat != nil {
 		start = time.Now()

@@ -33,6 +33,11 @@ func NewRNG(seed uint64) *RNG {
 	return &RNG{state: seed}
 }
 
+// Reseed restarts r in place as the stream NewRNG(seed) returns, so a
+// caller that draws a fresh stream per call can keep one generator
+// instead of allocating one each time.
+func (r *RNG) Reseed(seed uint64) { r.state = seed }
+
 // Split returns a new generator whose stream is statistically independent
 // from r's. It advances r by one step. Splitting is used to give each
 // experiment replicate its own stream without coupling replicate count to
