@@ -237,7 +237,7 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 		label = h.String()
 	}
 	if *local {
-		refined, err := sched.LocalSearchScheduleContext(ctx, pl, apps, sched.LocalSearchOptions{}, solve.NewRNG(*seed))
+		refined, err := sched.LocalSearch.ScheduleContext(ctx, pl, apps, solve.NewRNG(*seed))
 		if err != nil {
 			return err
 		}

@@ -192,7 +192,7 @@ func SimulateRedistribute(pl Platform, apps []Application, s *Schedule) (*Simula
 // DominantMinRatio. Never worse than the warm start; strictly better on
 // workloads with heterogeneous sequential fractions and tight caches.
 func LocalSearchSchedule(pl Platform, apps []Application, rng *solve.RNG) (*Schedule, error) {
-	return sched.LocalSearchSchedule(pl, apps, sched.LocalSearchOptions{}, rng)
+	return sched.LocalSearch.Schedule(pl, apps, rng)
 }
 
 // MetricsRegistry collects runtime telemetry — counters, gauges and

@@ -261,9 +261,6 @@ func runFleetScenario(ctx context.Context, in *genscen.FleetInstance, opt FleetO
 		Policy:   in.Nodes[0].Policy,
 		Seed:     fleet.NodePolicySeed(in.Seed, 0),
 	}
-	if dsp.Policy == "" {
-		dsp.Policy = "DominantMinRatio"
-	}
 	dsp.MaxResident = in.Nodes[0].MaxResident
 	dsc, err := dsp.Build()
 	if err != nil {

@@ -121,18 +121,29 @@ func TestPolicyHeuristicErrorTyped(t *testing.T) {
 
 // TestValidatePolicyMatchesParse: ValidatePolicy accepts exactly the
 // specifications ParsePolicy builds, and rejects the others with
-// ParsePolicy's error.
+// ParsePolicy's error. The empty spec is the default DominantMinRatio
+// policy; ":full" names no policy and stays an error.
 func TestValidatePolicyMatchesParse(t *testing.T) {
 	for _, spec := range []string{
 		"portfolio", "portfolio:full", "portfolio:selector", "portfolio:selector:full",
 		"Fair", "RandomPart:full", "norepartition", "norepartition:Fair",
-		"", "bogus", "AllProcCache", "AllProcCache:full", "norepartition:AllProcCache",
+		"", ":full", "bogus", "AllProcCache", "AllProcCache:full", "norepartition:AllProcCache",
 		"norepartition:full", "norepartition:Fair:full", "norepartition:bogus", "portfolio:bogus",
 	} {
-		_, parseErr := ParsePolicy(spec, 1)
+		pol, parseErr := ParsePolicy(spec, 1)
 		err := ValidatePolicy(spec)
 		if (err == nil) != (parseErr == nil) || err != nil && err.Error() != parseErr.Error() {
 			t.Errorf("ValidatePolicy(%q) = %v, ParsePolicy error %v", spec, err, parseErr)
+		}
+		switch spec {
+		case "":
+			if parseErr != nil || pol.Name() != "heuristic:DominantMinRatio" {
+				t.Errorf("ParsePolicy(%q) = %v, %v; want the DominantMinRatio policy", spec, pol, parseErr)
+			}
+		case ":full":
+			if parseErr == nil {
+				t.Errorf("ParsePolicy(%q) accepted a spec that names no policy", spec)
+			}
 		}
 	}
 }

@@ -18,10 +18,10 @@
 // them, and every prediction is re-planned whenever the allocation
 // changes. Arrivals reach a node in time order, so the loop needs no
 // event queue. The whole simulation is a pure function of the
-// scenario — single-threaded event loop, policies (the portfolio race
-// included) running on it, and all randomness drawn from seeded
-// solve.RNG streams — so a fixed seed yields an identical event log
-// across runs.
+// scenario — single-threaded event loop, policies (each replan one
+// race of their heuristics) running on it, and all randomness drawn
+// from seeded solve.RNG streams — so a fixed seed yields an identical
+// event log across runs.
 //
 // The engine is a Node, fed one arrival at a time. Every online run
 // drives Nodes through one arrival intake, EachArrival, which pulls the

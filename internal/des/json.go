@@ -279,11 +279,7 @@ func (sp *Spec) Build() (Scenario, error) {
 	if err != nil {
 		return Scenario{}, err
 	}
-	spec := sp.Policy
-	if spec == "" {
-		spec = "DominantMinRatio"
-	}
-	pol, err := ParsePolicy(spec, sp.Seed)
+	pol, err := ParsePolicy(sp.Policy, sp.Seed)
 	if err != nil {
 		return Scenario{}, err
 	}

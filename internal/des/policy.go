@@ -87,9 +87,8 @@ func (r ReplanStats) HitRate() float64 {
 // heuristics: each resident's profile with its work scaled to what is
 // left, so remaining work is charged under the shares decided now. A
 // fresh job (Remaining == 1) is passed through bit-identically. The
-// result reuses buf's backing array when large enough — policies keep a
-// private buffer so per-event replanning does not allocate (nothing
-// downstream retains the slice past the Allocate call).
+// result reuses buf's backing array when large enough: each race keeps
+// one, and nothing downstream retains the slice past the replan.
 func residualApps(buf []model.Application, residents []Resident) []model.Application {
 	apps := buf
 	if cap(apps) < len(residents) {
@@ -113,25 +112,163 @@ func residualApps(buf []model.Application, residents []Resident) []model.Applica
 	return apps
 }
 
-// HeuristicPolicy repartitions with one of the paper's heuristics at
-// every decision point, rescheduling the residual work of every
-// resident job. For deterministic heuristics it replans through a
-// sched.PlanMemo: a recurring resident shape (waves of template jobs
-// under a residency cap) is served by the memoized plan, certified
-// bit-equivalent to a cold solve by its exact input fingerprint.
-// Randomized heuristics always re-solve — their per-call RNG substream
-// never repeats, so no cached plan can be certified.
-type HeuristicPolicy struct {
-	h     sched.Heuristic
+// race is the replan loop of every online policy: at each decision
+// point it races its lanes, one heuristic each, over the residual work
+// of the resident jobs. The portfolio policy races eleven lanes; a
+// one-heuristic policy, and each wave of the no-repartition policy,
+// race one. The residual set is validated once (sched.Prepare), lane
+// hi solves on it into its own plan buffer with its own stream,
+// reseeded per call, and the winner is portfolio.BestIndex of the
+// lanes, so a portfolio replan is bit-identical to a portfolio.Engine
+// race of the same scenario without going through an engine. Only the
+// winner's assignments leave the race.
+//
+// Delta rescheduling: a race with a deterministic lane keeps those
+// lanes' plans in a sched.PlanMemo keyed by the exact bits of the
+// resident set (names excluded, so waves of re-stamped template jobs
+// fingerprint identically). When every deterministic lane hits (one
+// LookupAll probe), the race replays the certified plans and solves
+// only its randomized lanes, whose per-call streams never repeat; any
+// miss solves every lane and stores the deterministic plans in one
+// StoreAll. A race with no deterministic lane, a full replan and a
+// wave never touch a memo. Event logs are bit-identical either way.
+type race struct {
+	hs    []sched.Heuristic
 	seed  uint64
 	calls uint64
 	full  bool
-	memo  *sched.PlanMemo
+	memo  *sched.PlanMemo // nil: the race never replays a plan
 	stats ReplanStats
 	apps  []model.Application // residual-work plan buffer, recycled
-	plan  sched.Schedule      // the schedule every solve writes, recycled
-	rng   solve.RNG           // a randomized heuristic's stream, reseeded per call
+	rs    []portfolio.Result  // one result per lane, recycled
+	plans []*sched.Schedule   // memo probe and store buffer, recycled
+	bufs  []sched.Schedule    // lane hi's plan storage, recycled
+	rngs  []solve.RNG         // lane hi's stream, reseeded per call
+	// one backs the lanes of a one-lane race, which thus allocates no
+	// lane storage of its own.
+	one struct {
+		hs    [1]sched.Heuristic
+		rs    [1]portfolio.Result
+		plans [1]*sched.Schedule
+		bufs  [1]sched.Schedule
+		rngs  [1]solve.RNG
+	}
 }
+
+// init makes r the race of hs, seeded with seed, with a plan memo if
+// memoize is set and some lane is deterministic.
+func (r *race) init(hs []sched.Heuristic, seed uint64, memoize bool) {
+	r.hs, r.seed = hs, seed
+	if n := len(hs); n == 1 {
+		r.rs, r.plans, r.bufs, r.rngs = r.one.rs[:], r.one.plans[:], r.one.bufs[:], r.one.rngs[:]
+	} else {
+		r.rs, r.plans = make([]portfolio.Result, n), make([]*sched.Schedule, n)
+		r.bufs, r.rngs = make([]sched.Schedule, n), make([]solve.RNG, n)
+	}
+	if memoize && slices.ContainsFunc(hs, func(h sched.Heuristic) bool { return !h.Randomized() }) {
+		r.memo = sched.NewPlanMemo(0)
+	}
+}
+
+// initOne makes r the one-lane race of h.
+func (r *race) initOne(h sched.Heuristic, seed uint64, memoize bool) {
+	r.one.hs[0] = h
+	r.init(r.one.hs[:], seed, memoize)
+}
+
+// SetFullReplan disables (true) or re-enables (false) the delta fast
+// path, forcing every Allocate call to solve every lane; the ":full"
+// policy-spec suffix sets it. Event logs are bit-identical either way.
+func (r *race) SetFullReplan(full bool) { r.full = full }
+
+// ReplanStats reports the delta-rescheduling telemetry; the engine
+// copies it into Result.Replan.
+func (r *race) ReplanStats() ReplanStats {
+	st := r.stats
+	if r.memo != nil {
+		ms := r.memo.Stats()
+		st.MemoHits, st.MemoMisses, st.MemoEvictions = ms.Hits, ms.Misses, ms.Evictions
+	}
+	return st
+}
+
+// replan races one call over the residual work of residents. With in
+// nil the call starts here: replan counts it, builds its residual set
+// and prepares that only if some lane must solve. Otherwise the caller
+// (the selector's fallback) has done all three, and in is the call's
+// prepared input.
+func (r *race) replan(pl model.Platform, residents []Resident, in *sched.Prepared) ([]sched.Assignment, error) {
+	if in == nil {
+		r.calls++
+		r.apps = residualApps(r.apps, residents)
+	}
+	replay := r.memo != nil && !r.full
+	hit := replay && r.memo.LookupAll(r.hs, pl, r.apps, r.plans)
+	var own sched.Prepared
+	for hi, h := range r.hs {
+		if hit && !h.Randomized() {
+			r.rs[hi] = portfolio.Result{Heuristic: h, Schedule: r.plans[hi]}
+			continue
+		}
+		if in == nil {
+			var err error
+			if own, err = sched.Prepare(pl, r.apps); err != nil {
+				return nil, err
+			}
+			in = &own
+		}
+		s := &r.bufs[hi]
+		err := h.ScheduleInto(context.TODO(), in, r.laneRNG(hi), s)
+		if err != nil {
+			s, err = nil, &sched.HeuristicError{Heuristic: h, Err: err}
+		}
+		r.rs[hi] = portfolio.Result{Heuristic: h, Schedule: s, Err: err}
+		r.plans[hi] = s
+	}
+	own.Release()
+	if hit {
+		r.stats.FastPath++
+	} else {
+		// StoreAll skips a failed lane, whose Schedule is nil.
+		r.stats.FullSolve++
+		if replay {
+			r.memo.StoreAll(r.hs, pl, r.apps, r.plans)
+		}
+	}
+	switch best := portfolio.BestIndex(r.rs); {
+	case best >= 0:
+		return r.rs[best].Schedule.Assignments, nil
+	case len(r.rs) == 1 && r.rs[0].Err != nil:
+		return nil, r.rs[0].Err // a one-heuristic race fails with its heuristic's error
+	}
+	return nil, fmt.Errorf("des: no heuristic produced a feasible repartition")
+}
+
+// laneRNG reseeds lane hi's stream for this call and returns it, or nil
+// for a deterministic heuristic, which never reads it. A one-lane race
+// draws the call's substream. A wider race draws lane hi's stream of a
+// race seeded with that substream mixed through SplitMix64 (one RNG
+// step): portfolio.HeuristicSeed takes substream hi+1 of its seed with
+// the same stride, so unmixed, calls == hi+1 would hand randomized
+// lanes systematically colliding streams.
+func (r *race) laneRNG(hi int) *solve.RNG {
+	if !r.hs[hi].Randomized() {
+		return nil
+	}
+	seed := solve.Substream(r.seed, r.calls)
+	if len(r.hs) > 1 {
+		seed = portfolio.HeuristicSeed(solve.NewRNG(seed).Uint64(), hi)
+	}
+	r.rngs[hi].Reseed(seed)
+	return &r.rngs[hi]
+}
+
+// HeuristicPolicy repartitions with one of the paper's heuristics at
+// every decision point, rescheduling the residual work of every
+// resident job: a one-lane race. A deterministic heuristic replays a
+// recurring resident shape's memoized plan; a randomized one always
+// re-solves, since no cached plan can certify its per-call stream.
+type HeuristicPolicy struct{ race }
 
 // NewHeuristicPolicy returns a policy wrapping h. Sequential heuristics
 // (AllProcCache) cannot express a concurrent repartition and are
@@ -141,116 +278,30 @@ func NewHeuristicPolicy(h sched.Heuristic, seed uint64) (*HeuristicPolicy, error
 	if err := sequential(h, "repartitioning"); err != nil {
 		return nil, err
 	}
-	return &HeuristicPolicy{h: h, seed: seed, memo: sched.NewCopyingPlanMemo(0)}, nil
-}
-
-// SetFullReplan disables (true) or re-enables (false) the delta
-// fast path, forcing every Allocate call through a cold solve. The
-// conform equivalence sweep runs both modes and compares event logs
-// bit-for-bit; the ":full" policy-spec suffix exposes it on the wire.
-func (p *HeuristicPolicy) SetFullReplan(full bool) { p.full = full }
-
-// ReplanStats reports the delta-rescheduling telemetry; the engine
-// copies it into Result.Replan.
-func (p *HeuristicPolicy) ReplanStats() ReplanStats {
-	st := p.stats
-	ms := p.memo.Stats()
-	st.MemoHits, st.MemoMisses, st.MemoEvictions = ms.Hits, ms.Misses, ms.Evictions
-	return st
+	p := new(HeuristicPolicy)
+	p.initOne(h, seed, true)
+	return p, nil
 }
 
 // Allocate implements Policy.
 func (p *HeuristicPolicy) Allocate(pl model.Platform, residents []Resident) ([]sched.Assignment, error) {
-	p.calls++
-	// Deterministic heuristics never read the RNG; leaving it nil is
-	// bit-identical. The call counter still advances so the substream
-	// schedule is independent of the heuristic kind.
-	var rng *solve.RNG
-	if p.h.Randomized() {
-		p.rng.Reseed(solve.Substream(p.seed, p.calls))
-		rng = &p.rng
-	}
-	p.apps = residualApps(p.apps, residents)
-	// The memo is a one-lane race: a deterministic plan is probed and
-	// stored alone, and a randomized one (whose stream the fingerprint
-	// does not capture) or a full replan never touches it.
-	memoized := !p.full && !p.h.Randomized()
-	lane, plan := []sched.Heuristic{p.h}, []*sched.Schedule{nil}
-	if memoized && p.memo.LookupAll(lane, pl, p.apps, plan) {
-		p.stats.FastPath++
-	} else {
-		in, err := sched.Prepare(pl, p.apps)
-		if err == nil {
-			err = p.h.ScheduleInto(context.TODO(), &in, rng, &p.plan)
-			in.Release()
-		}
-		if err != nil {
-			return nil, &sched.HeuristicError{Heuristic: p.h, Err: err}
-		}
-		plan[0] = &p.plan
-		if memoized {
-			p.memo.StoreAll(lane, pl, p.apps, plan)
-		}
-		p.stats.FullSolve++
-	}
-	s := plan[0]
-	if s.Sequential {
-		return nil, fmt.Errorf("des: heuristic %v produced a sequential schedule", p.h)
-	}
-	return s.Assignments, nil
+	return p.replan(pl, residents, nil)
 }
 
 // Name implements Policy.
-func (p *HeuristicPolicy) Name() string { return "heuristic:" + p.h.String() }
+func (p *HeuristicPolicy) Name() string { return "heuristic:" + p.hs[0].String() }
 
 // onlineHeuristics is the portfolio raced by PortfolioPolicy: every
-// extended heuristic except the sequential AllProcCache baseline.
-func onlineHeuristics() []sched.Heuristic {
-	hs := make([]sched.Heuristic, 0, len(sched.ExtendedHeuristics))
-	for _, h := range sched.ExtendedHeuristics {
-		if h != sched.AllProcCache {
-			hs = append(hs, h)
-		}
-	}
-	return hs
-}
+// extended heuristic except the sequential AllProcCache baseline. Races
+// only read it, so every portfolio policy shares it.
+var onlineHeuristics = slices.DeleteFunc(slices.Clone(sched.ExtendedHeuristics),
+	func(h sched.Heuristic) bool { return h == sched.AllProcCache })
 
 // PortfolioPolicy races the whole heuristic portfolio over the residual
-// workload at every decision point and applies the winner. A race is
-// one loop on the simulating goroutine: the residual set is validated
-// once (sched.Prepare), heuristic hi runs on that input with the
-// stream portfolio.HeuristicSeed derives for lane hi, and the winner
-// is portfolio.BestIndex of the lanes — so every replan is
-// bit-identical to a portfolio.Engine race of the same scenario,
-// without taking the engine's slots or counting in its metrics.
-//
-// Delta rescheduling: the policy keeps a sched.PlanMemo of the
-// deterministic heuristics' plans, keyed by the exact bit pattern of
-// the resident set (platform, residual apps) with one slot per
-// heuristic — names excluded, so waves of re-stamped template jobs
-// ("cg#17") fingerprint identically. When every deterministic
-// heuristic hits the memo (one LookupAll probe), the race replays the
-// certified plans and solves only the randomized heuristics (their
-// per-call substreams never repeat, so they are never memoizable).
-// Any miss solves every lane, and the deterministic plans then seed
-// the memo in one StoreAll. Event logs and replan counters are
-// bit-identical either way.
+// workload at every decision point and applies the winner: a race of
+// every concurrent heuristic, one lane each.
 type PortfolioPolicy struct {
-	hs    []sched.Heuristic
-	seed  uint64
-	calls uint64
-	full  bool
-	memo  *sched.PlanMemo
-	stats ReplanStats
-	apps  []model.Application // residual-work plan buffer, recycled
-	rs    []portfolio.Result  // one result per lane, recycled
-	plans []*sched.Schedule   // memo probe and store buffer, recycled
-	// Per-lane evaluation storage: lane hi solves into bufs[hi] with
-	// stream rngs[hi], reseeded per call. Only the winner's assignments
-	// leave Allocate, and the memo copies the plans it keeps, so a race
-	// allocates no plan of its own.
-	bufs []sched.Schedule
-	rngs []solve.RNG
+	race
 
 	// Learned selection ("portfolio:selector"): when a ledger is set,
 	// Allocate first asks it for a confident predicted winner and, when
@@ -269,19 +320,10 @@ type PortfolioPolicy struct {
 // its caller's goroutine and memoizes recurring resident shapes in its
 // own name-insensitive plan memo; it shares nothing with any engine.
 func NewPortfolioPolicy(seed uint64) *PortfolioPolicy {
-	hs := onlineHeuristics()
-	return &PortfolioPolicy{
-		hs: hs, seed: seed, memo: sched.NewCopyingPlanMemo(0),
-		rs: make([]portfolio.Result, len(hs)), plans: make([]*sched.Schedule, len(hs)),
-		bufs: make([]sched.Schedule, len(hs)), rngs: make([]solve.RNG, len(hs)),
-	}
+	p := new(PortfolioPolicy)
+	p.init(onlineHeuristics, seed, true)
+	return p
 }
-
-// SetFullReplan disables (true) or re-enables (false) the delta
-// fast path, forcing every Allocate call to solve every lane.
-// The conform equivalence sweep runs both modes and compares event logs
-// bit-for-bit; the ":full" policy-spec suffix exposes it on the wire.
-func (p *PortfolioPolicy) SetFullReplan(full bool) { p.full = full }
 
 // SetLedger switches the policy into learned-selection mode backed by
 // l (nil keeps selector mode with an always-fallback empty ledger).
@@ -316,78 +358,24 @@ func ConfigureSelector(pol Policy, l *selector.Ledger, th selector.Thresholds) b
 	return true
 }
 
-// ReplanStats reports the delta-rescheduling telemetry; the engine
-// copies it into Result.Replan.
-func (p *PortfolioPolicy) ReplanStats() ReplanStats {
-	st := p.stats
-	ms := p.memo.Stats()
-	st.MemoHits, st.MemoMisses, st.MemoEvictions = ms.Hits, ms.Misses, ms.Evictions
-	return st
-}
-
 // Allocate implements Policy.
 func (p *PortfolioPolicy) Allocate(pl model.Platform, residents []Resident) ([]sched.Assignment, error) {
+	if !p.selMode {
+		return p.replan(pl, residents, nil)
+	}
 	p.calls++
-	// Lane hi draws from substream hi+1 of the race seed
-	// (portfolio.HeuristicSeed), with the same solve.Substream stride
-	// this package uses, so a plain substream calls here would cancel
-	// whenever calls == hi+1 and hand randomized heuristics
-	// systematically colliding streams. Mixing the per-call seed
-	// through SplitMix64 (one RNG step) decorrelates the two layers.
 	p.apps = residualApps(p.apps, residents)
-	scSeed := solve.NewRNG(solve.Substream(p.seed, p.calls)).Uint64()
 	in, err := sched.Prepare(pl, p.apps)
 	if err != nil {
 		return nil, err
 	}
 	defer in.Release()
-	if p.selMode {
-		if asg, ok := p.predict(&in, pl, scSeed); ok {
-			p.predictions++
-			return asg, nil
-		}
-		p.fallbacks++
+	if asg, ok := p.predict(&in, pl); ok {
+		p.predictions++
+		return asg, nil
 	}
-	hit := !p.full && p.memo.LookupAll(p.hs, pl, p.apps, p.plans)
-	for hi, h := range p.hs {
-		if hit && !h.Randomized() {
-			p.rs[hi] = portfolio.Result{Heuristic: h, Schedule: p.plans[hi]}
-			continue
-		}
-		s := &p.bufs[hi]
-		err := h.ScheduleInto(context.TODO(), &in, p.laneRNG(h, scSeed, hi), s)
-		if err != nil {
-			s, err = nil, &sched.HeuristicError{Heuristic: h, Err: err}
-		}
-		p.rs[hi] = portfolio.Result{Heuristic: h, Schedule: s, Err: err}
-		p.plans[hi] = s
-	}
-	if hit {
-		p.stats.FastPath++
-	} else {
-		// Seed the memo with this race's deterministic plans so the
-		// next recurrence of the same resident shape takes the fast
-		// path. A failed heuristic's Schedule is nil, which StoreAll
-		// skips.
-		p.stats.FullSolve++
-		p.memo.StoreAll(p.hs, pl, p.apps, p.plans)
-	}
-	best := portfolio.BestIndex(p.rs)
-	if best < 0 {
-		return nil, fmt.Errorf("des: no heuristic produced a feasible repartition")
-	}
-	return p.rs[best].Schedule.Assignments, nil
-}
-
-// laneRNG reseeds lane hi's stream as that of a race seeded with
-// scSeed and returns it, or nil for a deterministic heuristic, which
-// never reads it.
-func (p *PortfolioPolicy) laneRNG(h sched.Heuristic, scSeed uint64, hi int) *solve.RNG {
-	if !h.Randomized() {
-		return nil
-	}
-	p.rngs[hi].Reseed(portfolio.HeuristicSeed(scSeed, hi))
-	return &p.rngs[hi]
+	p.fallbacks++
+	return p.replan(pl, residents, &in)
 }
 
 // predict solves only the ledger's confidently predicted winner, on
@@ -396,7 +384,7 @@ func (p *PortfolioPolicy) laneRNG(h sched.Heuristic, scSeed uint64, hi int) *sol
 // heuristic's lane of the race. ok is false — deferring to the race —
 // when the ledger has no confident call or the predicted heuristic
 // fails on this residual workload.
-func (p *PortfolioPolicy) predict(in *sched.Prepared, pl model.Platform, scSeed uint64) ([]sched.Assignment, bool) {
+func (p *PortfolioPolicy) predict(in *sched.Prepared, pl model.Platform) ([]sched.Assignment, bool) {
 	if p.ledger == nil {
 		return nil, false
 	}
@@ -407,7 +395,7 @@ func (p *PortfolioPolicy) predict(in *sched.Prepared, pl model.Platform, scSeed 
 	}
 	hi := slices.Index(p.hs, pred.Heuristic)
 	s := &p.bufs[hi]
-	if err := pred.Heuristic.ScheduleInto(context.TODO(), in, p.laneRNG(pred.Heuristic, scSeed, hi), s); err != nil || s.Sequential {
+	if err := pred.Heuristic.ScheduleInto(context.TODO(), in, p.laneRNG(hi), s); err != nil {
 		return nil, false
 	}
 	return s.Assignments, true
@@ -422,17 +410,15 @@ func (p *PortfolioPolicy) Name() string {
 }
 
 // NoRepartition schedules jobs in waves: when the node is idle it
-// allocates the whole resident set with the wrapped heuristic and then
-// freezes — jobs arriving mid-wave wait (zero allocation) until the
-// wave drains. With every job present at t = 0 this reproduces the
-// paper's static setting exactly; it is also the natural baseline that
-// quantifies what dynamic repartitioning buys.
+// allocates the whole resident set with the wrapped heuristic, in a
+// one-lane race without a memo, and then freezes — jobs arriving
+// mid-wave wait (zero allocation) until the wave drains. With every job
+// present at t = 0 this reproduces the paper's static setting exactly;
+// it is also the natural baseline that quantifies what dynamic
+// repartitioning buys.
 type NoRepartition struct {
-	h     sched.Heuristic
-	seed  uint64
-	calls uint64
-	apps  []model.Application // residual-work plan buffer, recycled
-	frzn  []sched.Assignment  // frozen-wave assignment buffer, recycled
+	wave race               // a named field: the policy reports no replan telemetry
+	frzn []sched.Assignment // frozen-wave assignment buffer, recycled
 }
 
 // NewNoRepartition returns the wave-scheduling policy around h.
@@ -440,7 +426,9 @@ func NewNoRepartition(h sched.Heuristic, seed uint64) (*NoRepartition, error) {
 	if err := sequential(h, "scheduling"); err != nil {
 		return nil, err
 	}
-	return &NoRepartition{h: h, seed: seed}, nil
+	p := new(NoRepartition)
+	p.wave.initOne(h, seed, false)
+	return p, nil
 }
 
 // Allocate implements Policy.
@@ -460,34 +448,19 @@ func (p *NoRepartition) Allocate(pl model.Platform, residents []Resident) ([]sch
 			// arrivals keep their zero assignment and wait. The engine
 			// consumes the returned slice before the next Allocate call,
 			// so the buffer is safely recycled.
-			asg := p.frzn
-			if cap(asg) < len(residents) {
-				asg = make([]sched.Assignment, len(residents))
+			p.frzn = slices.Grow(p.frzn[:0], len(residents))
+			for _, rr := range residents {
+				p.frzn = append(p.frzn, rr.Assign)
 			}
-			asg = asg[:len(residents)]
-			p.frzn = asg
-			for i, rr := range residents {
-				asg[i] = rr.Assign
-			}
-			return asg, nil
+			return p.frzn, nil
 		}
 	}
 	// Node drained (or first wave): schedule everything resident.
-	p.calls++
-	rng := solve.NewRNG(solve.Substream(p.seed, p.calls))
-	p.apps = residualApps(p.apps, residents)
-	s, err := p.h.Schedule(pl, p.apps, rng)
-	if err != nil {
-		return nil, &sched.HeuristicError{Heuristic: p.h, Err: err}
-	}
-	if s.Sequential {
-		return nil, fmt.Errorf("des: heuristic %v produced a sequential schedule", p.h)
-	}
-	return s.Assignments, nil
+	return p.wave.replan(pl, residents, nil)
 }
 
 // Name implements Policy.
-func (p *NoRepartition) Name() string { return "norepartition:" + p.h.String() }
+func (p *NoRepartition) Name() string { return "norepartition:" + p.wave.hs[0].String() }
 
 // ParsePolicy resolves a policy specification string:
 //
@@ -498,6 +471,7 @@ func (p *NoRepartition) Name() string { return "norepartition:" + p.h.String() }
 //	                           policy always races and is bit-identical to
 //	                           "portfolio")
 //	"<Heuristic>"              repartition with that heuristic every event
+//	""                         the default: "DominantMinRatio"
 //	"norepartition[:<H>]"      wave scheduling, frozen between drains
 //
 // The replanning policies ("portfolio" and plain heuristics) take the
@@ -540,7 +514,7 @@ type parsedPolicy struct {
 
 // parsePolicy is ParsePolicy's grammar.
 func parsePolicy(spec string) (parsedPolicy, error) {
-	if base, found := strings.CutSuffix(spec, ":full"); found {
+	if base, found := strings.CutSuffix(spec, ":full"); found && base != "" {
 		p, err := parsePolicy(base)
 		if err == nil && p.waves {
 			err = fmt.Errorf("des: policy %q has no delta-rescheduling fast path to disable", base)
@@ -551,6 +525,8 @@ func parsePolicy(spec string) (parsedPolicy, error) {
 	var p parsedPolicy
 	var err error
 	switch {
+	case spec == "":
+		p.h = sched.DominantMinRatio
 	case spec == "portfolio", spec == "portfolio:selector":
 		p.portfolio, p.selector = true, spec == "portfolio:selector"
 	case spec == "norepartition":

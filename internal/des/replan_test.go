@@ -206,7 +206,9 @@ func waveScenario(t *testing.T, spec string, seed uint64) Scenario {
 // TestDeltaMatchesFullReplan is the in-package equivalence spot check
 // (the exhaustive sweep lives in the conform build): the delta fast
 // path must reproduce the full-replan run bit-for-bit — event log, job
-// metrics, and every integral — while actually taking fast paths.
+// metrics, and every integral — while actually taking fast paths. A
+// race with no deterministic lane (DominantRandom) never touches a
+// memo: it takes no fast path and counts no memo hit or miss.
 func TestDeltaMatchesFullReplan(t *testing.T) {
 	for _, spec := range []string{"portfolio", "DominantMinRatio", "DominantRandom"} {
 		delta, err := Simulate(waveScenario(t, spec, 7))
@@ -219,6 +221,9 @@ func TestDeltaMatchesFullReplan(t *testing.T) {
 		}
 		if spec != "DominantRandom" && delta.Replan.FastPath == 0 {
 			t.Errorf("%s: delta run never took the fast path (stats %+v)", spec, delta.Replan)
+		}
+		if st := delta.Replan; spec == "DominantRandom" && (st.FastPath != 0 || st.MemoHits != 0 || st.MemoMisses != 0) {
+			t.Errorf("%s: a race with no deterministic lane touched the memo (stats %+v)", spec, st)
 		}
 		if full.Replan.FastPath != 0 {
 			t.Errorf("%s:full: full-replan run claims fast paths (stats %+v)", spec, full.Replan)

@@ -172,7 +172,7 @@ func SimulateContext(ctx context.Context, sc Scenario) (*Result, error) {
 		if names[i] == "" {
 			names[i] = fmt.Sprintf("node%d", i)
 		}
-		pol, err := des.ParsePolicy(nodePolicySpec(nc.Policy), NodePolicySeed(sc.Seed, i))
+		pol, err := des.ParsePolicy(nc.Policy, NodePolicySeed(sc.Seed, i))
 		if err != nil {
 			return nil, fmt.Errorf("fleet: node %s: %w", names[i], err)
 		}
@@ -259,15 +259,6 @@ func SimulateContext(ctx context.Context, sc Scenario) (*Result, error) {
 	}
 	aggregate(res)
 	return res, nil
-}
-
-// nodePolicySpec is a node's policy specification; empty means
-// DominantMinRatio.
-func nodePolicySpec(spec string) string {
-	if spec == "" {
-		return "DominantMinRatio"
-	}
-	return spec
 }
 
 // affinity scores a node's footprint overlap with an arriving job of

@@ -82,7 +82,7 @@ func (sp *Spec) Validate() error {
 		if n.MaxResident < 0 {
 			return fmt.Errorf("fleet: node %d: maxResident must be >= 0, got %d", i, n.MaxResident)
 		}
-		if err := des.ValidatePolicy(nodePolicySpec(n.Policy)); err != nil {
+		if err := des.ValidatePolicy(n.Policy); err != nil {
 			return fmt.Errorf("fleet: node %d: %w", i, err)
 		}
 	}

@@ -221,7 +221,7 @@ func (h Heuristic) scheduleWith(ctx context.Context, sc *scratch, pl model.Platf
 	case SharedCache:
 		return sharedCacheSchedule(sc, pl, apps, dst)
 	case LocalSearch:
-		return localSearchSchedule(ctx, sc, pl, apps, LocalSearchOptions{}, rng, dst)
+		return localSearchSchedule(ctx, sc, pl, apps, rng, dst)
 	default:
 		return fmt.Errorf("sched: unknown heuristic %v", h)
 	}

@@ -140,64 +140,19 @@ func sharesAt(K float64, A, M, d []float64, alpha float64, maxX []float64) []flo
 // minimal share achieving K is exactly the current x_i, and K cannot
 // drop because Σ x_i(K-ε) > 1. Improvement therefore requires changing
 // the *membership* — which applications receive cache at all — a
-// combinatorial move. LocalSearchSchedule performs exactly that move,
+// combinatorial move. LocalSearch performs exactly that move,
 // evaluating every candidate membership under the true Amdahl profiles
 // (the Section 5 heuristics choose membership on a perfectly parallel
 // proxy, ignoring s_i).
 
-// LocalSearchOptions tunes LocalSearchSchedule.
-type LocalSearchOptions struct {
-	// MaxPasses bounds full sweeps over the applications (default: no
-	// bound other than convergence; each pass strictly improves the
-	// makespan, so at most 64 passes are attempted as a safety net).
-	MaxPasses int
-	// Tolerance is the relative improvement below which a toggle is not
-	// taken (default 1e-12).
-	Tolerance float64
-}
-
-func (o LocalSearchOptions) maxPasses() int {
-	if o.MaxPasses <= 0 {
-		return 64
-	}
-	return o.MaxPasses
-}
-
-func (o LocalSearchOptions) tol() float64 {
-	if o.Tolerance <= 0 {
-		return 1e-12
-	}
-	return o.Tolerance
-}
-
-// LocalSearchSchedule is the speedup-profile-aware extension the paper's
-// conclusion calls for: starting from the DominantMinRatio membership, it
-// hill-climbs over cache-partition memberships by single toggles
-// (admit/evict one application), evaluating each candidate with the
-// closed-form Lemma 4 shares followed by the Amdahl completion-time
-// equalizer — i.e. the true profiles, not the perfectly parallel proxy.
-// The returned schedule is never worse than DominantMinRatio's and can
-// strictly improve it when sequential fractions are heterogeneous.
-func LocalSearchSchedule(pl model.Platform, apps []model.Application, opts LocalSearchOptions, rng *solve.RNG) (*Schedule, error) {
-	return LocalSearchScheduleContext(context.Background(), pl, apps, opts, rng)
-}
-
-// LocalSearchScheduleContext is LocalSearchSchedule under a context:
-// the hill climb polls ctx before every candidate toggle and returns
-// ctx.Err() promptly once cancelled, leaving the pooled scratch in a
-// reusable state.
-func LocalSearchScheduleContext(ctx context.Context, pl model.Platform, apps []model.Application, opts LocalSearchOptions, rng *solve.RNG) (*Schedule, error) {
-	in, err := Prepare(pl, apps)
-	if err != nil {
-		return nil, err
-	}
-	defer in.Release()
-	s := new(Schedule)
-	if err := localSearchSchedule(ctx, in.scratchFor(LocalSearch), pl, apps, opts, rng, s); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
+// The hill climb stops after localSearchPasses full sweeps over the
+// applications at most (each pass strictly improves the makespan, so
+// the bound is only a safety net), and takes a toggle only when it
+// improves the makespan by more than the relative localSearchTol.
+const (
+	localSearchPasses = 64
+	localSearchTol    = 1e-12
+)
 
 // localSearchMakespan evaluates one candidate membership: Lemma 4 shares
 // on the membership, Amdahl equalization, max finish time (read from the
@@ -218,13 +173,21 @@ func localSearchMakespan(sc *scratch, pl model.Platform, apps []model.Applicatio
 	return sc.eq.makespan(apps, procs), nil
 }
 
-// localSearchSchedule is the scratch-backed hill climb, writing the
-// schedule into dst. Candidate memberships are scored by
+// localSearchSchedule is LocalSearch, the speedup-profile-aware
+// extension the paper's conclusion calls for: starting from the
+// DominantMinRatio membership, it hill-climbs over cache-partition
+// memberships by single toggles (admit/evict one application),
+// evaluating each candidate with the closed-form Lemma 4 shares
+// followed by the Amdahl completion-time equalizer — the true profiles,
+// not the perfectly parallel proxy. The schedule, written into dst, is
+// never worse than DominantMinRatio's and can strictly improve it when
+// sequential fractions are heterogeneous. The climb polls ctx before
+// every candidate toggle. Candidate memberships are scored by
 // localSearchMakespan; only the final winner is materialized as a
 // Schedule (bit-identical to scoring, since both run the same
 // deterministic arithmetic). The warm start's schedule stays in dst
 // while the climb scores candidates, which never touch it.
-func localSearchSchedule(ctx context.Context, sc *scratch, pl model.Platform, apps []model.Application, opts LocalSearchOptions, rng *solve.RNG, dst *Schedule) error {
+func localSearchSchedule(ctx context.Context, sc *scratch, pl model.Platform, apps []model.Application, rng *solve.RNG, dst *Schedule) error {
 	// The warm start leaves sc.part over (pl, apps) with the solve's
 	// constants table, so every candidate below only sets its membership.
 	if err := dominantSchedule(sc, pl, apps, DominantMinRatio, rng, dst); err != nil {
@@ -254,7 +217,7 @@ func localSearchSchedule(ctx context.Context, sc *scratch, pl model.Platform, ap
 			copy(bestM, prefM)
 		}
 	}
-	for pass := 0; pass < opts.maxPasses(); pass++ {
+	for pass := 0; pass < localSearchPasses; pass++ {
 		improved := false
 		for i := range apps {
 			// The climb is the only unbounded-iteration loop in the
@@ -271,7 +234,7 @@ func localSearchSchedule(ctx context.Context, sc *scratch, pl model.Platform, ap
 				members[i] = !members[i]
 				continue
 			}
-			if span < bestSpan*(1-opts.tol()) {
+			if span < bestSpan*(1-localSearchTol) {
 				bestSpan = span
 				bestIsWarm = false
 				copy(bestM, members)

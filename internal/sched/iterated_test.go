@@ -121,7 +121,7 @@ func TestLocalSearchNeverWorseThanWarmStart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ls, err := LocalSearchSchedule(pl, apps, LocalSearchOptions{}, nil)
+		ls, err := LocalSearch.Schedule(pl, apps, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +149,7 @@ func TestLocalSearchImprovesHeterogeneousSeqFractions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ls, err := LocalSearchSchedule(pl, apps, LocalSearchOptions{}, nil)
+	ls, err := LocalSearch.Schedule(pl, apps, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestLocalSearchMatchesExactOnSmallPerfectlyParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ls, err := LocalSearchSchedule(pl, apps, LocalSearchOptions{}, nil)
+	ls, err := LocalSearch.Schedule(pl, apps, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,13 +178,6 @@ func TestLocalSearchMatchesExactOnSmallPerfectlyParallel(t *testing.T) {
 	}
 	if ls.Makespan > exact.Makespan*1.01 {
 		t.Fatalf("local search far from exact: %v vs %v", ls.Makespan, exact.Makespan)
-	}
-}
-
-func TestLocalSearchOptionsDefaults(t *testing.T) {
-	var o LocalSearchOptions
-	if o.maxPasses() != 64 || o.tol() != 1e-12 {
-		t.Fatalf("defaults drifted: %d %v", o.maxPasses(), o.tol())
 	}
 }
 

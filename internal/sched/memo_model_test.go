@@ -3,6 +3,7 @@ package sched
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/model"
@@ -12,8 +13,8 @@ import (
 // refMemo is the reference model of PlanMemo: a plan memo keyed by the
 // string fingerprint of (heuristic, platform, applications), one map
 // entry per plan, evicting FIFO. Every PlanMemo operation must return
-// what refMemo returns and leave the same counters; LookupAll and
-// StoreAll are consecutive Get and Put calls here.
+// plans equal to what refMemo returns and leave the same counters;
+// LookupAll and StoreAll are consecutive Get and Put calls here.
 type refMemo struct {
 	capacity                int
 	plans                   map[string]*Schedule
@@ -90,6 +91,16 @@ func (m *refMemo) Stats() MemoStats {
 	return MemoStats{Hits: m.hits, Misses: m.misses, Evictions: m.evictions, Entries: len(m.plans)}
 }
 
+// samePlan reports whether a and b are both nil or equal plans: a
+// PlanMemo hands back its copies of the plans it was given, so plans
+// compare by value.
+func samePlan(a, b *Schedule) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return a.Makespan == b.Makespan && a.Sequential == b.Sequential && slices.Equal(a.Assignments, b.Assignments)
+}
+
 // holds reports, without counting a lookup, whether m retains h's plan
 // for (pl, apps), and which.
 func (m *PlanMemo) holds(h Heuristic, pl model.Platform, apps []model.Application) *Schedule {
@@ -148,8 +159,8 @@ func TestPlanMemoMatchesReference(t *testing.T) {
 					rs, rok := ref.Get(h, pl, apps)
 					// A randomized lane is skipped, which a one-lane call
 					// reports as a vacuous hit.
-					if s != rs || ok != (rok || h.Randomized()) {
-						t.Fatalf("cap %d seed %d op %d %s = (%p, %v), reference (%p, %v)", capacity, seed, op, desc, s, ok, rs, rok)
+					if !samePlan(s, rs) || ok != (rok || h.Randomized()) {
+						t.Fatalf("cap %d seed %d op %d %s = (%v, %v), reference (%v, %v)", capacity, seed, op, desc, s, ok, rs, rok)
 					}
 				case 1:
 					desc = fmt.Sprintf("store(%v, set %d)", h, k)
@@ -169,8 +180,8 @@ func TestPlanMemoMatchesReference(t *testing.T) {
 						t.Fatalf("cap %d seed %d op %d %s = %v, reference %v", capacity, seed, op, desc, ok, rok)
 					}
 					for i := range hs {
-						if got[i] != want[i] {
-							t.Fatalf("cap %d seed %d op %d %s: lane %d %p, reference %p", capacity, seed, op, desc, i, got[i], want[i])
+						if !samePlan(got[i], want[i]) {
+							t.Fatalf("cap %d seed %d op %d %s: lane %d %v, reference %v", capacity, seed, op, desc, i, got[i], want[i])
 						}
 					}
 				case 3:
@@ -190,8 +201,8 @@ func TestPlanMemoMatchesReference(t *testing.T) {
 				if op%16 == 0 {
 					for kk, a := range sets {
 						for _, hh := range ExtendedHeuristics {
-							if s, rs := memo.holds(hh, pl, a), ref.plans[ref.key(hh, pl, a)]; s != rs {
-								t.Fatalf("cap %d seed %d op %d %s: holds %v set %d = %p, reference %p", capacity, seed, op, desc, hh, kk, s, rs)
+							if s, rs := memo.holds(hh, pl, a), ref.plans[ref.key(hh, pl, a)]; !samePlan(s, rs) {
+								t.Fatalf("cap %d seed %d op %d %s: holds %v set %d = %v, reference %v", capacity, seed, op, desc, hh, kk, s, rs)
 							}
 						}
 					}
@@ -239,8 +250,8 @@ func TestPlanMemoStoreAllOneKey(t *testing.T) {
 		t.Errorf("LookupAll allocates %v times, want 0", n)
 	}
 	for i, h := range hs {
-		if !h.Randomized() && got[i] != plans[i] {
-			t.Errorf("%v: got plan %p, want %p", h, got[i], plans[i])
+		if !h.Randomized() && !samePlan(got[i], plans[i]) {
+			t.Errorf("%v: got plan %v, want %v", h, got[i], plans[i])
 		}
 	}
 }

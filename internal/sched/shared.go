@@ -23,7 +23,7 @@ import (
 // and the equalized processors depend on the occupancies, the schedule is
 // a fixed point, found by damped iteration.
 //
-// Comparing SharedCacheSchedule against the dominant-partition heuristics
+// Comparing SharedCache against the dominant-partition heuristics
 // isolates the value of partitioning itself (Cache Allocation
 // Technology), beyond the value of co-scheduling.
 
@@ -32,28 +32,14 @@ import (
 // observed need.
 const sharedCacheIterations = 200
 
-// SharedCacheSchedule co-schedules the applications on an unpartitioned
-// LLC: processors are assigned by the completion-time equalizer, cache
-// occupancies follow the access-pressure approximation above, and the
-// two are iterated to a fixed point. The returned schedule stores the
-// equilibrium occupancies in the CacheShare fields (they sum to 1).
-func SharedCacheSchedule(pl model.Platform, apps []model.Application) (*Schedule, error) {
-	in, err := Prepare(pl, apps)
-	if err != nil {
-		return nil, err
-	}
-	defer in.Release()
-	s := new(Schedule)
-	if err := sharedCacheSchedule(in.scratchFor(SharedCache), pl, apps, s); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// sharedCacheSchedule is the scratch-backed fixed-point iteration; every
-// equalizer pass reuses the same coefficient and processor buffers and
-// reads d_i from the scratch's constants table. The schedule is written
-// into dst.
+// sharedCacheSchedule is SharedCache: it co-schedules the applications
+// on an unpartitioned LLC. Processors are assigned by the
+// completion-time equalizer, cache occupancies follow the
+// access-pressure approximation above, and the two are iterated to a
+// fixed point; the schedule, written into dst, stores the equilibrium
+// occupancies in the CacheShare fields (they sum to 1). Every equalizer
+// pass reuses the same coefficient and processor buffers and reads d_i
+// from the scratch's constants table.
 func sharedCacheSchedule(sc *scratch, pl model.Platform, apps []model.Application, dst *Schedule) error {
 	n := len(apps)
 	procs := growF64(sc.dampP, n)
@@ -123,7 +109,7 @@ func PartitioningGain(pl model.Platform, apps []model.Application) (float64, err
 	if err != nil {
 		return 0, err
 	}
-	shared, err := SharedCacheSchedule(pl, apps)
+	shared, err := SharedCache.Schedule(pl, apps, nil)
 	if err != nil {
 		return 0, err
 	}

@@ -11,7 +11,7 @@ import (
 func TestSharedCacheScheduleFeasible(t *testing.T) {
 	pl := refPlatform()
 	apps := synthApps(91, 24, 0.06)
-	s, err := SharedCacheSchedule(pl, apps)
+	s, err := SharedCache.Schedule(pl, apps, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestSharedCacheScheduleFeasible(t *testing.T) {
 func TestSharedCacheEqualFinish(t *testing.T) {
 	pl := refPlatform()
 	apps := synthApps(92, 12, 0.05)
-	s, err := SharedCacheSchedule(pl, apps)
+	s, err := SharedCache.Schedule(pl, apps, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestSharedCacheEqualFinish(t *testing.T) {
 func TestSharedCacheOccupancyTracksPressure(t *testing.T) {
 	pl := refPlatform()
 	apps := npbApps(0.05)
-	s, err := SharedCacheSchedule(pl, apps)
+	s, err := SharedCache.Schedule(pl, apps, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestPartitioningGainPositiveUnderContention(t *testing.T) {
 func TestSharedCacheSingleApp(t *testing.T) {
 	pl := refPlatform()
 	apps := npbApps(0.05)[:1]
-	s, err := SharedCacheSchedule(pl, apps)
+	s, err := SharedCache.Schedule(pl, apps, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestSharedCacheSingleApp(t *testing.T) {
 
 func TestSharedCacheRejectsInvalid(t *testing.T) {
 	pl := refPlatform()
-	if _, err := SharedCacheSchedule(pl, nil); err == nil {
+	if _, err := SharedCache.Schedule(pl, nil, nil); err == nil {
 		t.Fatal("empty set accepted")
 	}
 }
@@ -122,11 +122,11 @@ func TestSharedCacheDeterministicProperty(t *testing.T) {
 	f := func(seed uint64, nPick uint8) bool {
 		n := 1 + int(nPick)%32
 		apps := synthApps(seed, n, 0.05)
-		a, err := SharedCacheSchedule(pl, apps)
+		a, err := SharedCache.Schedule(pl, apps, nil)
 		if err != nil {
 			return false
 		}
-		b, err := SharedCacheSchedule(pl, apps)
+		b, err := SharedCache.Schedule(pl, apps, nil)
 		if err != nil {
 			return false
 		}
@@ -147,7 +147,7 @@ func TestPartitionedNeverWorseThanShared(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sh, err := SharedCacheSchedule(pl, apps)
+		sh, err := SharedCache.Schedule(pl, apps, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

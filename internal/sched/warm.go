@@ -33,19 +33,25 @@ import (
 // reports) and online callers re-stamp names per job ("cg#17"), which
 // would otherwise defeat the memo on recurring workload shapes. It
 // covers the resident set alone: the heuristic picks one of the set's
-// plans, so the plans a portfolio race stores for one resident set
+// plans, so the plans a race stores for one resident set
 // share one key, encoded, hashed and allocated once per race.
 
 // PlanMemo memoizes deterministic heuristic plans keyed by the exact
 // bit pattern of (platform, applications) — the resident set — with one
-// slot per heuristic. It is the plan cache behind the DES
-// delta-rescheduling policies: online resident sets recur (a drained
-// wave re-admits a fresh batch of template jobs), and a recurring set
-// costs one map probe instead of a full solve. A race stores its
+// slot per heuristic. It is the plan cache behind the replan race of
+// the DES policies: online resident sets recur (a drained wave
+// re-admits a fresh batch of template jobs), and a recurring set costs
+// one map probe instead of a full solve. A race stores its
 // deterministic plans with StoreAll and a replan probes them with
 // LookupAll, each with one fingerprint, one map probe and at most one
-// key allocation for the whole set; a single-heuristic policy makes
-// the same calls with one lane.
+// key allocation for the whole set, whether the race has eleven lanes
+// or one.
+//
+// The memo stores a copy of each plan, so a race can solve into the
+// same buffers at every replan. A copy lives in storage that stays
+// with its ring slot: the slot's next plan is copied over it, so once
+// the ring has wrapped, storing allocates at most a resident set's
+// key. A plan a lookup returns stays valid until the next StoreAll.
 //
 // Capacity counts plans, not resident sets, and eviction is FIFO per
 // (heuristic, resident set) entry: the memo drops its oldest plan, and
@@ -68,13 +74,9 @@ type PlanMemo struct {
 	misses    uint64
 	evictions uint64
 	key       []byte // recycled fingerprint buffer
-	// copies is set for a memo that stores copies of the plans it is
-	// given (NewCopyingPlanMemo). A copy lives in storage that stays
-	// with its ring slot: the slot's next plan is copied over it.
-	// spare and spareAsg are what new storage is carved from,
+	// spare and spareAsg are what new copies' storage is carved from,
 	// carveChunk plans at a time, so that the copies of a race's plans
 	// cost two allocations rather than two each.
-	copies   bool
 	spare    []Schedule
 	spareAsg []Assignment
 }
@@ -106,17 +108,6 @@ func NewPlanMemo(capacity int) *PlanMemo {
 		capacity = DefaultPlanMemoCapacity
 	}
 	return &PlanMemo{capacity: capacity, index: make(map[string]int32)}
-}
-
-// NewCopyingPlanMemo is NewPlanMemo for callers that reuse the
-// buffers their plans live in: the memo stores a copy of each plan, in
-// storage recycled with the plan's ring slot, so once the ring has
-// wrapped, storing allocates at most a resident set's key. A plan a
-// lookup returns stays valid until the next StoreAll.
-func NewCopyingPlanMemo(capacity int) *PlanMemo {
-	m := NewPlanMemo(capacity)
-	m.copies = true
-	return m
 }
 
 // MemoStats are a PlanMemo's monotonic counters.
@@ -186,8 +177,8 @@ func (m *PlanMemo) find(first int32, h Heuristic) (*Schedule, bool) {
 // depend on the RNG stream, which the fingerprint deliberately does
 // not capture — and left untouched, so a call whose lanes are all
 // randomized reports true. The hit path performs no allocation.
-// Returned schedules are shared: callers must treat them as immutable.
-// plans must be at least as long as hs.
+// Returned schedules are the memo's copies: callers must treat them as
+// immutable. plans must be at least as long as hs.
 func (m *PlanMemo) LookupAll(hs []Heuristic, pl model.Platform, apps []model.Application, plans []*Schedule) bool {
 	first := m.first(m.fingerprint(pl, apps))
 	for i, h := range hs {
@@ -207,11 +198,10 @@ func (m *PlanMemo) LookupAll(hs []Heuristic, pl model.Platform, apps []model.App
 // index order, on one input: one fingerprint, one map probe and at most
 // one key allocation for the whole set. Randomized lanes and nil plans
 // are skipped, and so is a heuristic whose plan the set already holds.
-// Unless the memo copies plans (NewCopyingPlanMemo), it keeps the plans
-// themselves, so callers must not modify them afterwards. The caller
-// must only store plans actually produced by hs[i] on exactly
-// (pl, apps); StoreAll trusts that contract. plans must be at least as
-// long as hs.
+// The memo keeps copies, so callers may reuse the plans' storage
+// afterwards. The caller must only store plans actually produced by
+// hs[i] on exactly (pl, apps); StoreAll trusts that contract. plans
+// must be at least as long as hs.
 func (m *PlanMemo) StoreAll(hs []Heuristic, pl model.Platform, apps []model.Application, plans []*Schedule) {
 	key := m.fingerprint(pl, apps)
 	first := m.first(key)
@@ -222,13 +212,13 @@ func (m *PlanMemo) StoreAll(hs []Heuristic, pl model.Platform, apps []model.Appl
 	}
 }
 
-// put stores s, or a copy of it in a copying memo, as heuristic h's
-// plan of the resident set key fingerprints, whose oldest plan is first
-// (-1 when it has none), unless the set already holds one, and returns
-// the set's oldest plan afterwards. A full memo first evicts its oldest
-// plan, which may be the set's oldest, or even its only one: the plan
-// then starts the set anew, as a later StoreAll of the evicted set
-// would, under the same key string.
+// put stores a copy of s as heuristic h's plan of the resident set key
+// fingerprints, whose oldest plan is first (-1 when it has none),
+// unless the set already holds one, and returns the set's oldest plan
+// afterwards. A full memo first evicts its oldest plan, which may be
+// the set's oldest, or even its only one: the plan then starts the set
+// anew, as a later StoreAll of the evicted set would, under the same
+// key string.
 func (m *PlanMemo) put(key []byte, first int32, h Heuristic, s *Schedule) int32 {
 	last := int32(-1)
 	for i := first; i >= 0; i = m.ring[i].next {
@@ -259,15 +249,12 @@ func (m *PlanMemo) put(key []byte, first int32, h Heuristic, s *Schedule) int32 
 		k = m.ring[first].key
 		m.ring[last].next = slot
 	}
-	if m.copies {
-		// A refilled slot still holds its evicted plan, whose storage
-		// the copy reuses.
-		own := m.carve(m.ring[slot].s, len(s.Assignments))
-		own.Assignments = append(own.Assignments, s.Assignments...)
-		own.Makespan, own.Sequential = s.Makespan, s.Sequential
-		s = own
-	}
-	m.ring[slot] = memoPlan{s: s, key: k, h: h, next: -1}
+	// A refilled slot still holds its evicted plan, whose storage the
+	// copy reuses.
+	own := m.carve(m.ring[slot].s, len(s.Assignments))
+	own.Assignments = append(own.Assignments, s.Assignments...)
+	own.Makespan, own.Sequential = s.Makespan, s.Sequential
+	m.ring[slot] = memoPlan{s: own, key: k, h: h, next: -1}
 	return first
 }
 

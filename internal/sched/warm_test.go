@@ -32,10 +32,10 @@ func store(m *PlanMemo, h Heuristic, pl model.Platform, apps []model.Application
 }
 
 // TestPlanMemoHitIsColdSolve is the certification property: a memo
-// hit must return the exact schedule a cold solve produces — same
-// struct, bit for bit — because the fingerprint covers every numeric
-// input of the (pure) deterministic heuristics. The plans go in with
-// one StoreAll and come out with one LookupAll, as a race's do.
+// hit must return the exact schedule a cold solve produces, bit for
+// bit, because the fingerprint covers every numeric input of the
+// (pure) deterministic heuristics. The plans go in with one StoreAll
+// and come out with one LookupAll, as a race's do.
 func TestPlanMemoHitIsColdSolve(t *testing.T) {
 	pl := model.TaihuLight()
 	apps := warmApps(t, 6)
@@ -64,8 +64,8 @@ func TestPlanMemoHitIsColdSolve(t *testing.T) {
 		if h.Randomized() {
 			continue
 		}
-		if got[i] != stored[i] {
-			t.Errorf("%v: memo hit returned a different schedule object", h)
+		if !samePlan(got[i], stored[i]) {
+			t.Errorf("%v: memo hit returned %+v, stored %+v", h, got[i], stored[i])
 		}
 		cold, err := h.Schedule(pl, apps, nil)
 		if err != nil {
@@ -98,8 +98,8 @@ func TestPlanMemoNameInsensitive(t *testing.T) {
 	if !ok {
 		t.Fatal("renamed apps missed the memo; fingerprint must ignore names")
 	}
-	if got != s {
-		t.Fatal("renamed apps hit a different plan")
+	if !samePlan(got, s) {
+		t.Fatalf("renamed apps hit plan %+v, stored %+v", got, s)
 	}
 	// A numeric perturbation of one ulp MUST miss: the certificate is
 	// exactness, not similarity.
@@ -188,11 +188,11 @@ func TestPlanMemoHitAllocs(t *testing.T) {
 	}
 }
 
-// TestCopyingPlanMemoKeepsCopies: a copying memo serves what was
-// stored even after the caller's buffers are overwritten by the next
-// solve, and once its ring wraps it stores into the storage of the
-// plans it evicts, with no allocation beyond a new set's key.
-func TestCopyingPlanMemoKeepsCopies(t *testing.T) {
+// TestPlanMemoKeepsCopies: the memo serves what was stored even after
+// the caller's buffers are overwritten by the next solve, and once its
+// ring wraps it stores into the storage of the plans it evicts, with no
+// allocation beyond a new set's key.
+func TestPlanMemoKeepsCopies(t *testing.T) {
 	pl := model.TaihuLight()
 	apps := warmApps(t, 4)
 	other := append([]model.Application(nil), apps...)
@@ -214,7 +214,7 @@ func TestCopyingPlanMemoKeepsCopies(t *testing.T) {
 		}
 		return plans
 	}
-	memo := NewCopyingPlanMemo(len(hs))
+	memo := NewPlanMemo(len(hs))
 	plans := solveAll(apps)
 	memo.StoreAll(hs, pl, apps, plans)
 	for _, p := range plans {
@@ -241,6 +241,6 @@ func TestCopyingPlanMemoKeepsCopies(t *testing.T) {
 		memo.StoreAll(hs, pl, sets[turn%2], solved[turn%2])
 		turn++
 	}); n > 1 {
-		t.Errorf("a wrapped copying memo allocates %v times per store, want at most 1 (the key)", n)
+		t.Errorf("a wrapped memo allocates %v times per store, want at most 1 (the key)", n)
 	}
 }

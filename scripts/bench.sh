@@ -12,7 +12,8 @@
 #
 # Environment:
 #   BENCH_TIME        -benchtime (default 30x; the microsecond BenchmarkHeuristic
-#                     arms always run 10000x, see run_bench)
+#                     arms always run 10000x and BenchmarkFleetRoute 300x, see
+#                     run_bench)
 #   BENCH_COUNT       rounds: each runs every package's benchmarks once (-count 1), and
 #                     the rounds feed the median/MAD aggregation (default 10)
 #   BENCH_LABEL       trajectory label (default: the short git SHA, "+dirty" when
@@ -60,7 +61,11 @@ run_bench() {
       bench_pkg portfolio 'BenchmarkPortfolio|BenchmarkSelector' "$BENCH_TIME"
       bench_pkg des 'BenchmarkDES' "$BENCH_TIME"
       bench_pkg serve 'BenchmarkServe' "$BENCH_TIME"
-      bench_pkg fleet 'BenchmarkFleet' "$BENCH_TIME"
+      # BenchmarkFleetRoute, the first fleet arm, read bimodal at 30x
+      # (about 200 or 340 us per op from one round to the next, with
+      # its untimed warm-up op); at 300x its rounds agree.
+      bench_pkg fleet '^BenchmarkFleetRoute$' 300x
+      bench_pkg fleet 'BenchmarkFleet(DES|RouteLong)' "$BENCH_TIME"
       # A BenchmarkHeuristic op takes microseconds: over 30 iterations one
       # pooled-buffer refill moves B/op by about 54 bytes, so whether a run
       # caught a refill decided the B/op gate. At 10000 iterations a refill
