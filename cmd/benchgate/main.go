@@ -30,6 +30,7 @@ import (
 	"os/exec"
 	"regexp"
 	"runtime"
+	"slices"
 	"strings"
 
 	"repro/internal/benchgate"
@@ -42,15 +43,16 @@ func main() {
 func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("benchgate", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	defaults := benchgate.DefaultTolerances()
 	var (
 		baselinePath = fs.String("baseline", "benchmarks/baseline.json", "baseline JSON path")
 		trajectory   = fs.String("trajectory", "", "NDJSON trajectory to append this run to (e.g. benchmarks/trajectory.ndjson)")
 		label        = fs.String("label", "", "label recorded in the trajectory (e.g. a short git SHA)")
 		update       = fs.Bool("update", false, "rewrite the in-scope baseline entries from this run")
-		tolNs        = fs.Float64("tol-ns", 30, "ns/op tolerance, percent (< 0 reports but never gates)")
-		tolB         = fs.Float64("tol-b", 10, "B/op tolerance, percent (< 0 reports but never gates)")
-		tolAllocs    = fs.Float64("tol-allocs", 5, "allocs/op tolerance, percent (< 0 reports but never gates)")
-		madK         = fs.Float64("mad-k", 3, "noise window MAD multiplier")
+		tolNs        = fs.Float64("tol-ns", defaults.NsPct, "ns/op tolerance, percent (< 0 reports but never gates)")
+		tolB         = fs.Float64("tol-b", defaults.BPct, "B/op tolerance, percent (< 0 reports but never gates)")
+		tolAllocs    = fs.Float64("tol-allocs", defaults.AllocsPct, "allocs/op tolerance, percent (< 0 reports but never gates)")
+		madK         = fs.Float64("mad-k", defaults.MADK, "noise window MAD multiplier")
 		only         = fs.String("only", "", "gate only benchmarks matching this regex (applied to run and baseline)")
 		skip         = fs.String("skip", "", "exclude benchmarks matching this regex (applied to run and baseline)")
 		quiet        = fs.Bool("quiet", false, "only print failures")
@@ -113,6 +115,11 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		if !checkRatios(base.Ratios, scope, cur, stdout, stderr) {
 			fmt.Fprintf(stderr, "benchgate: FAIL: %s not updated: the run fails its ratio table\n", *baselinePath)
 			return 1
+		}
+		if *only != "" || *skip != "" {
+			// A scoped run may cover fewer packages than the baseline's
+			// entries come from; keep every package already listed.
+			ctx.Pkg = unionPkgs(base.Context.Pkg, ctx.Pkg)
 		}
 		base.Context = ctx
 		if err := base.Save(*baselinePath); err != nil {
@@ -194,6 +201,18 @@ func checkRatios(rows []benchgate.Ratio, scope, cur map[string]benchgate.Sample,
 		ok = false
 	}
 	return ok
+}
+
+// unionPkgs joins two comma-separated package lists, keeping a's order
+// and appending the packages of b that a lacks.
+func unionPkgs(a, b string) string {
+	var pkgs []string
+	for _, p := range strings.Split(a+","+b, ",") {
+		if p != "" && !slices.Contains(pkgs, p) {
+			pkgs = append(pkgs, p)
+		}
+	}
+	return strings.Join(pkgs, ",")
 }
 
 // gitSHA returns the commit checked out in the working directory, or ""

@@ -274,6 +274,31 @@ func TestUpdateKeepsOutOfScopeEntries(t *testing.T) {
 	}
 }
 
+// TestScopedUpdateKeepsContextPackages: re-recording one arm from a
+// run of its package alone keeps every package the baseline's context
+// already lists, and adds the run's.
+func TestScopedUpdateKeepsContextPackages(t *testing.T) {
+	base := ratioBaseline(t, benchLog(1000, 2000, 300))
+	b, err := benchgate.LoadBaseline(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Context.Pkg = "repro/internal/portfolio,repro/internal/des"
+	if err := b.Save(base); err != nil {
+		t.Fatal(err)
+	}
+	run := "pkg: repro/internal/fleet\nBenchmarkFleetRoute-8\t 300\t 1000 ns/op\t 10 B/op\t 1 allocs/op\n"
+	if code, out := runGate(run, "-baseline", base, "-update", "-only", "^BenchmarkFleetRoute$"); code != 0 {
+		t.Fatalf("scoped update failed (%d): %s", code, out)
+	}
+	if b, err = benchgate.LoadBaseline(base); err != nil {
+		t.Fatal(err)
+	}
+	if want := "repro/internal/portfolio,repro/internal/des,repro/internal/fleet"; b.Context.Pkg != want {
+		t.Errorf("context pkg %q after a scoped update, want %q", b.Context.Pkg, want)
+	}
+}
+
 // TestUpdateRefusesFailingRatio: -update checks the in-scope ratio rows
 // on the new samples and leaves the baseline untouched when one fails.
 func TestUpdateRefusesFailingRatio(t *testing.T) {

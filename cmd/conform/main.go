@@ -29,9 +29,10 @@
 // runs the corpus's recorded seeds, parameters and families whatever
 // the generation flags say, because digests compare only under the
 // parameters they were computed under. With -fleet, the flags only the
-// single-node harness reads (-grid, -oracle-max, -min-apps, -max-apps,
-// -selector, -selector-gap-bound) are usage errors rather than
-// silently ignored.
+// single-node harness reads (-workers, -grid, -oracle-max, -min-apps,
+// -max-apps, -selector, -selector-gap-bound) are usage errors rather
+// than silently ignored: a fleet run races each node's policy on the
+// simulating goroutine, so it has no worker count.
 //
 // The exit status is 0 only when every cross-check passed (and, with
 // -golden, every digest matched). A failing single-node seed prints a
@@ -126,7 +127,7 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) (int, error)
 		var nodeOnly string
 		fs.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "grid", "oracle-max", "min-apps", "max-apps", "selector", "selector-gap-bound":
+			case "workers", "grid", "oracle-max", "min-apps", "max-apps", "selector", "selector-gap-bound":
 				nodeOnly = f.Name
 			}
 		})
@@ -159,10 +160,7 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) (int, error)
 		if err != nil {
 			return 2, err
 		}
-		opt := conform.FleetOptions{
-			Seeds: *seeds, BaseSeed: *baseSeed, Families: fams,
-			Workers: *workers, Metrics: metrics,
-		}
+		opt := conform.FleetOptions{Seeds: *seeds, BaseSeed: *baseSeed, Families: fams, Metrics: metrics}
 		useCorpus = func(g *conform.Golden) string {
 			opt = g.FleetOptions(opt)
 			return fmt.Sprintf("seeds=%d baseSeed=%d, %d families", opt.Seeds, opt.BaseSeed, len(opt.Families))

@@ -24,17 +24,19 @@ func runMain(t *testing.T, args ...string) (code int, stdout, stderr string) {
 }
 
 // modes are the CLI's two harnesses: the flags selecting one, the
-// prefix of its messages, a family for one-seed corpora and its
-// committed corpus.
+// prefix of its messages, a family for one-seed corpora, its committed
+// corpus and the flags its corpus check adds (only the single-node
+// harness has a worker count).
 var modes = []struct {
 	name   string
 	flags  []string
 	prefix string
 	family string
 	corpus string
+	check  []string
 }{
-	{"single-node", nil, "", "single-app", "golden.json"},
-	{"fleet", []string{"-fleet"}, "fleet ", "fleet-burst", "golden_fleet.json"},
+	{"single-node", nil, "", "single-app", "golden.json", []string{"-workers", "3"}},
+	{"fleet", []string{"-fleet"}, "fleet ", "fleet-burst", "golden_fleet.json", nil},
 }
 
 func TestSmallSweepMarkdown(t *testing.T) {
@@ -80,7 +82,7 @@ func TestCommittedGoldenCorpus(t *testing.T) {
 	for i, m := range modes {
 		t.Run(m.name, func(t *testing.T) {
 			testdata := filepath.Join("..", "..", "internal", "conform", "testdata")
-			code, _, errOut := runMain(t, append(m.flags, "-golden", filepath.Join(testdata, m.corpus), "-workers", "3")...)
+			code, _, errOut := runMain(t, append(append(m.flags, "-golden", filepath.Join(testdata, m.corpus)), m.check...)...)
 			if code != 0 {
 				t.Fatalf("golden check failed (exit %d):\n%s", code, errOut)
 			}
@@ -141,6 +143,7 @@ func TestBadFlags(t *testing.T) {
 		{args: []string{"-families", "bogus"}},
 		{args: []string{"-golden", filepath.Join(t.TempDir(), "nope.json")}},
 		{args: []string{"-fleet", "-selector", "x"}, want: "-selector applies to the single-node harness, not -fleet"},
+		{args: []string{"-fleet", "-workers", "8"}, want: "-workers applies to the single-node harness, not -fleet"},
 		{args: []string{"-fleet", "-seeds", "1", "-grid", "3", "-oracle-max", "2", "-min-apps", "7"}, want: "applies to the single-node harness, not -fleet"},
 		{args: []string{"-fleet", "-oracle-max", "2"}, want: "-oracle-max applies to the single-node harness"},
 		{args: []string{"-fleet", "-min-apps", "7"}, want: "-min-apps applies to the single-node harness"},

@@ -197,7 +197,7 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) (err error) 
 	// record anything.
 	m := des.NewMetrics(reg)
 	if m != nil && *tracePath != "" {
-		m.Tracer = obs.NewTracer(0)
+		m.Tracer = obs.NewTracer()
 	}
 
 	// emit writes the run's NDJSON lines and returns its replan totals;
@@ -219,7 +219,7 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) (err error) 
 			selecting := false
 			for _, n := range sc.Nodes {
 				pol, err := des.ParsePolicy(n.Policy, 0)
-				selecting = selecting || err == nil && des.ConfigureSelector(pol, sc.Ledger, selector.Thresholds{})
+				selecting = selecting || err == nil && des.ConfigureSelector(pol, sc.Ledger)
 			}
 			if !selecting {
 				return fmt.Errorf(`-selector: no fleet node has a learned-selection policy (set a node's "policy" to "portfolio:selector")`)
@@ -249,7 +249,7 @@ func run(ctx context.Context, args []string, out, errOut io.Writer) (err error) 
 			if err != nil {
 				return err
 			}
-			if !des.ConfigureSelector(sc.Policy, ledger, selector.Thresholds{}) {
+			if !des.ConfigureSelector(sc.Policy, ledger) {
 				return fmt.Errorf("-selector: policy %q has no learned-selection mode (use -policy portfolio:selector)", sc.Policy.Name())
 			}
 		}

@@ -318,7 +318,11 @@ func ReplayArrivals(arrivals []JobArrival) (ArrivalProcess, error) { return des.
 // HeuristicRepartition returns the online policy that reschedules every
 // resident job's remaining work with h at each arrival and completion.
 func HeuristicRepartition(h Heuristic, seed uint64) (OnlinePolicy, error) {
-	return des.NewHeuristicPolicy(h, seed)
+	p, err := des.NewHeuristicPolicy(h, seed)
+	if err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
 // PortfolioRepartition returns the online policy that races the whole
@@ -335,7 +339,11 @@ func PortfolioRepartition(workers int, seed uint64) OnlinePolicy {
 // wait). With every job at t = 0 this reproduces the paper's static
 // setting bit-for-bit.
 func NoRepartitionPolicy(h Heuristic, seed uint64) (OnlinePolicy, error) {
-	return des.NewNoRepartition(h, seed)
+	p, err := des.NewNoRepartition(h, seed)
+	if err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
 // Fleet simulation (internal/fleet): N heterogeneous nodes, each

@@ -191,3 +191,33 @@ func TestWorkloadScalesEndToEnd(t *testing.T) {
 		}
 	}
 }
+
+// TestFacadeConstructorErrorsReturnNil: a constructor that fails returns
+// a nil interface beside its error, never one holding a nil pointer, so
+// a caller may test the result against nil.
+func TestFacadeConstructorErrorsReturnNil(t *testing.T) {
+	factory, err := CycleJobs(NPB())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		build func() (any, error)
+	}{
+		{"PoissonArrivals", func() (any, error) { return PoissonArrivals(-1, 3, nil, nil) }},
+		{"InhomogeneousPoissonArrivals", func() (any, error) { return InhomogeneousPoissonArrivals(nil, 1, 3, factory, nil) }},
+		{"GammaBurstArrivals", func() (any, error) { return GammaBurstArrivals(0, 1, 1, 3, factory, nil) }},
+		{"BatchArrivals", func() (any, error) { return BatchArrivals(-1, 1, 3, factory) }},
+		{"ReplayArrivals", func() (any, error) { return ReplayArrivals(nil) }},
+		{"HeuristicRepartition", func() (any, error) { return HeuristicRepartition(AllProcCache, 0) }},
+		{"NoRepartitionPolicy", func() (any, error) { return NoRepartitionPolicy(AllProcCache, 0) }},
+	} {
+		v, err := tc.build()
+		if err == nil {
+			t.Errorf("%s accepted an invalid argument", tc.name)
+		}
+		if v != nil {
+			t.Errorf("%s returned %#v beside its error, want nil", tc.name, v)
+		}
+	}
+}

@@ -34,7 +34,7 @@ type mode struct {
 	familyLine string // "type" of an NDJSON family line
 	prefix     string // starts the mode's Compare messages
 	families   []string
-	// run sweeps families.
+	// run sweeps families; the fleet harness has no worker count.
 	run func(seeds, workers int, metrics *obs.Registry) (harnessReport, error)
 }
 
@@ -52,7 +52,7 @@ func modes(nodeFams []genscen.Family, fleetFams []genscen.FleetFamily) []mode {
 			name: "fleet", corpus: "golden_fleet.json", familyLine: "fleet-family", prefix: "fleet ",
 			families: names(fleetFams),
 			run: func(seeds, workers int, metrics *obs.Registry) (harnessReport, error) {
-				return RunFleet(FleetOptions{Seeds: seeds, Families: fleetFams, Workers: workers, Metrics: metrics})
+				return RunFleet(FleetOptions{Seeds: seeds, Families: fleetFams, Metrics: metrics})
 			},
 		},
 	}

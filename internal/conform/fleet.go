@@ -25,9 +25,6 @@ type FleetOptions struct {
 	BaseSeed uint64
 	// Families to generate; nil means every fleet family.
 	Families []genscen.FleetFamily
-	// Workers is reported with the results and otherwise unused: fleet
-	// runs race on the simulating goroutine. Zero defaults to 8.
-	Workers int
 	// Metrics optionally instruments every simulation; digests are
 	// identical with and without it.
 	Metrics *obs.Registry
@@ -39,9 +36,6 @@ func (o FleetOptions) normalized() FleetOptions {
 	}
 	if len(o.Families) == 0 {
 		o.Families = append([]genscen.FleetFamily(nil), genscen.FleetFamilies...)
-	}
-	if o.Workers == 0 {
-		o.Workers = 8
 	}
 	return o
 }
@@ -61,7 +55,6 @@ type FleetFamilyResult struct {
 type FleetReport struct {
 	Seeds    int                 `json:"seeds"`
 	BaseSeed uint64              `json:"baseSeed"`
-	Workers  int                 `json:"workers"`
 	Families []FleetFamilyResult `json:"families"`
 }
 
@@ -92,7 +85,7 @@ func (r *FleetReport) Golden() *Golden {
 func (r *FleetReport) Markdown(out io.Writer) error {
 	ew := &errWriter{w: out}
 	fmt.Fprintf(ew, "# Fleet conformance report\n\n")
-	fmt.Fprintf(ew, "seeds=%d baseSeed=%d workers=%d\n\n", r.Seeds, r.BaseSeed, r.Workers)
+	fmt.Fprintf(ew, "seeds=%d baseSeed=%d\n\n", r.Seeds, r.BaseSeed)
 	fmt.Fprintf(ew, "| family | scenarios | best routing | violations | digest |\n")
 	fmt.Fprintf(ew, "|---|---:|---|---:|---|\n")
 	for _, f := range r.Families {
@@ -114,7 +107,7 @@ func (r *FleetReport) Markdown(out io.Writer) error {
 // violation, and a trailing "summary" object.
 func (r *FleetReport) NDJSON(w io.Writer) error {
 	return writeNDJSON(w, r.Families, map[string]any{
-		"seeds": r.Seeds, "baseSeed": r.BaseSeed, "workers": r.Workers,
+		"seeds": r.Seeds, "baseSeed": r.BaseSeed,
 	})
 }
 
@@ -145,7 +138,7 @@ func RunFleet(opt FleetOptions) (*FleetReport, error) {
 // layer or the node engines fails the gate.
 func RunFleetContext(ctx context.Context, opt FleetOptions) (*FleetReport, error) {
 	opt = opt.normalized()
-	rep := &FleetReport{Seeds: opt.Seeds, BaseSeed: opt.BaseSeed, Workers: opt.Workers}
+	rep := &FleetReport{Seeds: opt.Seeds, BaseSeed: opt.BaseSeed}
 	for _, fam := range opt.Families {
 		fr := FleetFamilyResult{Family: fam.String(), BestRouting: map[string]int{}}
 		famHash := sha256.New()

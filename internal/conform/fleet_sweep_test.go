@@ -22,7 +22,7 @@ func TestFleetRoutingDeterminism(t *testing.T) {
 	}
 	// BaseSeed 1 matches the CLI default, so this test and the
 	// documented `conform -fleet -seeds 100` run the same scenarios.
-	rep, err := RunFleet(FleetOptions{Seeds: 100, BaseSeed: 1, Workers: 8})
+	rep, err := RunFleet(FleetOptions{Seeds: 100, BaseSeed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

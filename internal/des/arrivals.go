@@ -104,48 +104,61 @@ func checkFactory(f JobFactory) error {
 	return nil
 }
 
-// Poisson is a homogeneous Poisson arrival process: independent
-// exponential inter-arrival times with the given rate.
-type Poisson struct {
-	rate    float64
+// stream is every built-in arrival process. It counts the jobs, stamps
+// each through the factory and ends at the n-th job or when the clock
+// overflows; only at, the arrival time of each job, differs between
+// processes.
+type stream struct {
+	name    string
 	n, done int
-	t       float64
+	t       float64 // the clock: the last arrival's time, 0 before the first
+	// at returns the arrival time of job i given the clock t at job i-1.
+	at      func(t float64, i int) float64
 	factory JobFactory
-	rng     *solve.RNG
 }
 
-// NewPoisson returns a Poisson process emitting n arrivals at the given
-// rate (arrivals per unit virtual time).
-func NewPoisson(rate float64, n int, factory JobFactory, rng *solve.RNG) (*Poisson, error) {
-	if err := checkRate("poisson rate", rate); err != nil {
-		return nil, err
-	}
+// newStream checks the factory and the count every generated process
+// shares, after the process's own parameters.
+func newStream(name string, n int, factory JobFactory, at func(t float64, i int) float64) (ArrivalProcess, error) {
 	if err := checkFactory(factory); err != nil {
 		return nil, err
 	}
 	if err := checkCount(n); err != nil {
 		return nil, err
 	}
-	return &Poisson{rate: rate, n: n, factory: factory, rng: requireRNG(rng)}, nil
+	return &stream{name: name, n: n, at: at, factory: factory}, nil
 }
 
 // Next implements ArrivalProcess.
-func (p *Poisson) Next() (Arrival, bool) {
-	if p.done >= p.n {
+func (s *stream) Next() (Arrival, bool) {
+	if s.done >= s.n {
 		return Arrival{}, false
 	}
-	p.t += expVariate(p.rng, p.rate)
-	if clockOverflow(p.t) {
-		p.done = p.n
+	s.t = s.at(s.t, s.done)
+	if clockOverflow(s.t) {
+		s.done = s.n
 		return Arrival{}, false
 	}
-	a := Arrival{Time: p.t, App: p.factory(p.done)}
-	p.done++
+	a := Arrival{Time: s.t, App: s.factory(s.done)}
+	s.done++
 	return a, true
 }
 
 // Name implements ArrivalProcess.
-func (p *Poisson) Name() string { return "poisson" }
+func (s *stream) Name() string { return s.name }
+
+// NewPoisson returns a homogeneous Poisson process ("poisson") emitting
+// n arrivals at the given rate (arrivals per unit virtual time):
+// independent exponential inter-arrival times.
+func NewPoisson(rate float64, n int, factory JobFactory, rng *solve.RNG) (ArrivalProcess, error) {
+	if err := checkRate("poisson rate", rate); err != nil {
+		return nil, err
+	}
+	r := requireRNG(rng)
+	return newStream("poisson", n, factory, func(t float64, _ int) float64 {
+		return t + expVariate(r, rate)
+	})
+}
 
 // expVariate draws an exponential variate with the given rate by
 // inversion. 1-U is in (0, 1], so the logarithm is finite.
@@ -183,88 +196,50 @@ func SinusoidRate(base, amp, period float64) (RateFunc, error) {
 	}, nil
 }
 
-// InhomogeneousPoisson simulates a Poisson process with time-varying
-// intensity λ(t) by Lewis–Shedler thinning: candidate points are drawn
-// from a homogeneous process at the bounding rate λmax and accepted with
-// probability λ(t)/λmax (the standard IPPP recipe).
-type InhomogeneousPoisson struct {
-	rate    RateFunc
-	maxRate float64
-	n, done int
-	t       float64
-	factory JobFactory
-	rng     *solve.RNG
-}
-
-// NewInhomogeneousPoisson returns a thinning-based process emitting n
-// arrivals with intensity rate, bounded above by maxRate (λ(t) values
-// exceeding the bound are clamped, preserving correctness of the
-// acceptance test at the cost of flattening the excess).
-func NewInhomogeneousPoisson(rate RateFunc, maxRate float64, n int, factory JobFactory, rng *solve.RNG) (*InhomogeneousPoisson, error) {
+// NewInhomogeneousPoisson returns a process ("ipoisson") emitting n
+// arrivals with time-varying intensity rate, simulated by Lewis–Shedler
+// thinning: candidate points are drawn from a homogeneous process at
+// the bounding rate maxRate and accepted with probability
+// λ(t)/maxRate (the standard IPPP recipe). λ(t) values exceeding the
+// bound are clamped, preserving correctness of the acceptance test at
+// the cost of flattening the excess.
+func NewInhomogeneousPoisson(rate RateFunc, maxRate float64, n int, factory JobFactory, rng *solve.RNG) (ArrivalProcess, error) {
 	if rate == nil {
 		return nil, fmt.Errorf("des: inhomogeneous poisson needs a rate function")
 	}
 	if err := checkRate("inhomogeneous poisson max rate", maxRate); err != nil {
 		return nil, err
 	}
-	if err := checkFactory(factory); err != nil {
-		return nil, err
-	}
-	if err := checkCount(n); err != nil {
-		return nil, err
-	}
-	return &InhomogeneousPoisson{rate: rate, maxRate: maxRate, n: n, factory: factory, rng: requireRNG(rng)}, nil
+	r := requireRNG(rng)
+	return newStream("ipoisson", n, factory, func(t float64, _ int) float64 {
+		for {
+			t += expVariate(r, maxRate)
+			if clockOverflow(t) {
+				// No further candidate can ever be accepted, so the
+				// stream ends rather than spinning in the thinning loop
+				// forever.
+				return t
+			}
+			lambda := rate(t)
+			if !(lambda >= 0) {
+				lambda = 0
+			}
+			if lambda > maxRate {
+				lambda = maxRate
+			}
+			if r.Float64()*maxRate < lambda {
+				return t
+			}
+		}
+	})
 }
 
-// Next implements ArrivalProcess.
-func (p *InhomogeneousPoisson) Next() (Arrival, bool) {
-	if p.done >= p.n {
-		return Arrival{}, false
-	}
-	for {
-		p.t += expVariate(p.rng, p.maxRate)
-		if clockOverflow(p.t) {
-			// No further candidate can ever be accepted, so the stream
-			// is exhausted rather than spinning in the thinning loop
-			// forever.
-			p.done = p.n
-			return Arrival{}, false
-		}
-		lambda := p.rate(p.t)
-		if !(lambda >= 0) {
-			lambda = 0
-		}
-		if lambda > p.maxRate {
-			lambda = p.maxRate
-		}
-		if p.rng.Float64()*p.maxRate < lambda {
-			a := Arrival{Time: p.t, App: p.factory(p.done)}
-			p.done++
-			return a, true
-		}
-	}
-}
-
-// Name implements ArrivalProcess.
-func (p *InhomogeneousPoisson) Name() string { return "ipoisson" }
-
-// GammaBursts models bursty traffic: bursts of burst simultaneous
-// arrivals separated by Gamma(shape, scale)-distributed gaps. Shapes
-// below 1 give heavier-than-exponential burstiness (CV > 1), shapes
-// above 1 regularize toward periodic batches.
-type GammaBursts struct {
-	shape, scale float64
-	burst        int
-	n, done      int
-	t            float64
-	inBurst      int
-	factory      JobFactory
-	rng          *solve.RNG
-}
-
-// NewGammaBursts returns a gamma-burst process emitting n arrivals in
-// bursts of the given size.
-func NewGammaBursts(shape, scale float64, burst, n int, factory JobFactory, rng *solve.RNG) (*GammaBursts, error) {
+// NewGammaBursts returns a bursty process ("gamma") emitting n arrivals
+// in bursts of burst simultaneous arrivals separated by Gamma(shape,
+// scale)-distributed gaps. Shapes below 1 give heavier-than-exponential
+// burstiness (CV > 1), shapes above 1 regularize toward periodic
+// batches.
+func NewGammaBursts(shape, scale float64, burst, n int, factory JobFactory, rng *solve.RNG) (ArrivalProcess, error) {
 	if err := checkRate("gamma shape", shape); err != nil {
 		return nil, err
 	}
@@ -274,36 +249,14 @@ func NewGammaBursts(shape, scale float64, burst, n int, factory JobFactory, rng 
 	if burst <= 0 {
 		return nil, fmt.Errorf("des: gamma burst size must be > 0, got %d", burst)
 	}
-	if err := checkFactory(factory); err != nil {
-		return nil, err
-	}
-	if err := checkCount(n); err != nil {
-		return nil, err
-	}
-	return &GammaBursts{shape: shape, scale: scale, burst: burst, n: n, factory: factory, rng: requireRNG(rng)}, nil
+	r := requireRNG(rng)
+	return newStream("gamma", n, factory, func(t float64, i int) float64 {
+		if i%burst == 0 {
+			t += gammaVariate(r, shape) * scale
+		}
+		return t
+	})
 }
-
-// Next implements ArrivalProcess.
-func (g *GammaBursts) Next() (Arrival, bool) {
-	if g.done >= g.n {
-		return Arrival{}, false
-	}
-	if g.inBurst == 0 {
-		g.t += gammaVariate(g.rng, g.shape) * g.scale
-		g.inBurst = g.burst
-	}
-	if clockOverflow(g.t) {
-		g.done = g.n
-		return Arrival{}, false
-	}
-	g.inBurst--
-	a := Arrival{Time: g.t, App: g.factory(g.done)}
-	g.done++
-	return a, true
-}
-
-// Name implements ArrivalProcess.
-func (g *GammaBursts) Name() string { return "gamma" }
 
 // gammaVariate draws Gamma(shape, 1) with the Marsaglia–Tsang squeeze
 // method; shapes below 1 use the standard boosting identity
@@ -335,64 +288,27 @@ func gammaVariate(rng *solve.RNG, shape float64) float64 {
 	}
 }
 
-// Batch emits fixed-size batches of arrivals at fixed intervals. An
-// interval of 0 with size ≥ n reproduces the paper's offline setting:
-// every job present at t = 0.
-type Batch struct {
-	interval float64
-	size     int
-	n, done  int
-	factory  JobFactory
-}
-
-// NewBatch returns a batch process emitting n arrivals in groups of
-// size, one group every interval time units starting at t = 0.
-func NewBatch(interval float64, size, n int, factory JobFactory) (*Batch, error) {
+// NewBatch returns a deterministic process ("batch") emitting n
+// arrivals in groups of size, one group every interval time units
+// starting at t = 0. An interval of 0 with size ≥ n reproduces the
+// paper's offline setting: every job present at t = 0.
+func NewBatch(interval float64, size, n int, factory JobFactory) (ArrivalProcess, error) {
 	if interval < 0 || math.IsNaN(interval) || math.IsInf(interval, 0) {
 		return nil, fmt.Errorf("des: batch interval must be finite and >= 0, got %v", interval)
 	}
 	if size <= 0 {
 		return nil, fmt.Errorf("des: batch size must be > 0, got %d", size)
 	}
-	if err := checkFactory(factory); err != nil {
-		return nil, err
-	}
-	if err := checkCount(n); err != nil {
-		return nil, err
-	}
-	return &Batch{interval: interval, size: size, n: n, factory: factory}, nil
+	return newStream("batch", n, factory, func(_ float64, i int) float64 {
+		return float64(i/size) * interval
+	})
 }
 
-// Next implements ArrivalProcess.
-func (b *Batch) Next() (Arrival, bool) {
-	if b.done >= b.n {
-		return Arrival{}, false
-	}
-	t := float64(b.done/b.size) * b.interval
-	if clockOverflow(t) {
-		b.done = b.n
-		return Arrival{}, false
-	}
-	a := Arrival{Time: t, App: b.factory(b.done)}
-	b.done++
-	return a, true
-}
-
-// Name implements ArrivalProcess.
-func (b *Batch) Name() string { return "batch" }
-
-// Replay replays a recorded arrival trace verbatim — the bridge from
-// captured production traces (or any other generator's output) back
-// into the simulator.
-type Replay struct {
-	arrivals []Arrival
-	done     int
-}
-
-// NewReplay returns a process replaying the given arrivals. The trace is
-// validated (finite, non-negative, sorted times; valid applications) and
-// copied.
-func NewReplay(arrivals []Arrival) (*Replay, error) {
+// NewReplay returns a process ("replay") replaying the given arrivals
+// verbatim — the bridge from captured production traces (or any other
+// generator's output) back into the simulator. The trace is validated
+// (finite, non-negative, sorted times; valid applications) and copied.
+func NewReplay(arrivals []Arrival) (ArrivalProcess, error) {
 	if len(arrivals) == 0 {
 		return nil, fmt.Errorf("des: replay needs at least one arrival")
 	}
@@ -409,30 +325,21 @@ func NewReplay(arrivals []Arrival) (*Replay, error) {
 			return nil, fmt.Errorf("des: replay arrival %d: %w", i, err)
 		}
 	}
-	return &Replay{arrivals: append([]Arrival(nil), arrivals...)}, nil
+	arr := append([]Arrival(nil), arrivals...)
+	return &stream{name: "replay", n: len(arr),
+		at:      func(_ float64, i int) float64 { return arr[i].Time },
+		factory: func(i int) model.Application { return arr[i].App },
+	}, nil
 }
-
-// Next implements ArrivalProcess.
-func (r *Replay) Next() (Arrival, bool) {
-	if r.done >= len(r.arrivals) {
-		return Arrival{}, false
-	}
-	a := r.arrivals[r.done]
-	r.done++
-	return a, true
-}
-
-// Name implements ArrivalProcess.
-func (r *Replay) Name() string { return "replay" }
 
 // ReplayFromTrace derives an arrival trace from an internal/trace memory
-// access stream and returns a Replay over it: the gap before arrival i
-// is proportional to the address distance between consecutive accesses,
-// normalized so the mean gap equals meanGap. High-locality traces (Zipf,
-// working-set) thus produce clustered, bursty arrivals while streaming
-// traces produce near-regular ones — reusing the trace generators'
-// locality knobs as arrival-correlation knobs.
-func ReplayFromTrace(g trace.Generator, n int, meanGap float64, factory JobFactory) (*Replay, error) {
+// access stream and returns a replay of it (NewReplay): the gap before
+// arrival i is proportional to the address distance between consecutive
+// accesses, normalized so the mean gap equals meanGap. High-locality
+// traces (Zipf, working-set) thus produce clustered, bursty arrivals
+// while streaming traces produce near-regular ones — reusing the trace
+// generators' locality knobs as arrival-correlation knobs.
+func ReplayFromTrace(g trace.Generator, n int, meanGap float64, factory JobFactory) (ArrivalProcess, error) {
 	if g == nil {
 		return nil, fmt.Errorf("des: trace replay needs a generator")
 	}

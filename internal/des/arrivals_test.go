@@ -1,8 +1,11 @@
 package des
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/solve"
@@ -264,6 +267,46 @@ func TestCycleAppsNames(t *testing.T) {
 		want.Name = fmt.Sprintf("%s#%d", want.Name, i)
 		if a != want {
 			t.Fatalf("job %d: %+v, want %+v", i, a, want)
+		}
+	}
+}
+
+// TestArrivalSpecCompactKeys: the compact grammar's keys are
+// ArrivalSpec's JSON keys. Every key but process (the prefix) and
+// replay (JSON only) sets the same field through setField as through
+// JSON, and a pair without "=" or with an unknown key is rejected.
+func TestArrivalSpecCompactKeys(t *testing.T) {
+	rt := reflect.TypeOf(ArrivalSpec{})
+	for i := 0; i < rt.NumField(); i++ {
+		f := rt.Field(i)
+		key, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		if key == "process" || key == "replay" {
+			continue
+		}
+		v, js := "3", "3"
+		switch f.Type.Kind() {
+		case reflect.Float64:
+			v, js = "2.5", "2.5"
+		case reflect.String:
+			v, js = "zipf", `"zipf"`
+		}
+		var got, want ArrivalSpec
+		if err := got.setField(key, v); err != nil {
+			t.Errorf("setField(%q, %q): %v", key, v, err)
+		}
+		if err := json.Unmarshal([]byte(fmt.Sprintf("{%q: %s}", key, js)), &want); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) || reflect.DeepEqual(want, ArrivalSpec{}) {
+			t.Errorf("key %q: compact form sets %+v, JSON %+v", key, got, want)
+		}
+	}
+	for _, tc := range []struct{ spec, want string }{
+		{"poisson:rate", `"rate" is not key=value`},
+		{"poisson:n=4,bogus=1", `unknown key "bogus"`},
+	} {
+		if _, err := ParseArrivalSpec(tc.spec); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("ParseArrivalSpec(%q) = %v, want an error with %q", tc.spec, err, tc.want)
 		}
 	}
 }

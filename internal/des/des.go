@@ -23,6 +23,12 @@
 // from seeded solve.RNG streams — so a fixed seed yields an identical
 // event log across runs.
 //
+// Every built-in arrival process is one stream behind the
+// ArrivalProcess interface: it counts the jobs, stamps each through its
+// JobFactory and ends at the last job or when the clock overflows, and
+// the processes differ only in when each job arrives. A constructor
+// that rejects its parameters returns a nil ArrivalProcess.
+//
 // The engine is a Node, fed one arrival at a time. Every online run
 // drives Nodes through one arrival intake, EachArrival, which pulls the
 // arrival process, validates it and applies the Duration window:

@@ -31,7 +31,7 @@ func TestMetricsDoNotPerturbEventLog(t *testing.T) {
 		}
 		sc := mustBuild(t, metricsSpec(policy))
 		m := NewMetrics(obs.NewRegistry())
-		m.Tracer = obs.NewTracer(0)
+		m.Tracer = obs.NewTracer()
 		sc.Metrics = m
 		instrumented, err := Simulate(sc)
 		if err != nil {
@@ -67,7 +67,7 @@ func TestMetricsCountsMatchResult(t *testing.T) {
 	reg := obs.NewRegistry()
 	sc := mustBuild(t, metricsSpec("DominantMinRatio"))
 	m := NewMetrics(reg)
-	m.Tracer = obs.NewTracer(0)
+	m.Tracer = obs.NewTracer()
 	sc.Metrics = m
 	res, err := Simulate(sc)
 	if err != nil {

@@ -304,14 +304,14 @@ type PortfolioPolicy struct {
 	race
 
 	// Learned selection ("portfolio:selector"): when a ledger is set,
-	// Allocate first asks it for a confident predicted winner and, when
-	// it gets one, solves only that heuristic — on the exact substream
-	// the race would have given it — instead of racing the portfolio.
-	// A nil or empty ledger predicts nothing, so the policy is then
-	// bit-identical to plain "portfolio".
+	// Allocate first asks it for a prediction that clears
+	// selector.DefaultThresholds and, when it gets one, solves only
+	// that heuristic — on the exact substream the race would have given
+	// it — instead of racing the portfolio. A nil or empty ledger
+	// predicts nothing, so the policy is then bit-identical to plain
+	// "portfolio".
 	selMode     bool
 	ledger      *selector.Ledger
-	th          selector.Thresholds
 	predictions uint64
 	fallbacks   uint64
 }
@@ -325,20 +325,6 @@ func NewPortfolioPolicy(seed uint64) *PortfolioPolicy {
 	return p
 }
 
-// SetLedger switches the policy into learned-selection mode backed by
-// l (nil keeps selector mode with an always-fallback empty ledger).
-// The zero Thresholds means selector.DefaultThresholds(). Callers that
-// parsed a "portfolio:selector" spec inject the trained ledger here —
-// the ledger is runtime state, never part of the wire spec.
-func (p *PortfolioPolicy) SetLedger(l *selector.Ledger, th selector.Thresholds) {
-	p.selMode = true
-	p.ledger = l
-	if th == (selector.Thresholds{}) {
-		th = selector.DefaultThresholds()
-	}
-	p.th = th
-}
-
 // SelectorStats reports how many Allocate calls were served by the
 // predicted winner versus by a race (zero unless in selector mode).
 func (p *PortfolioPolicy) SelectorStats() (predictions, fallbacks uint64) {
@@ -348,13 +334,14 @@ func (p *PortfolioPolicy) SelectorStats() (predictions, fallbacks uint64) {
 // ConfigureSelector injects a trained ledger into pol when it is a
 // selector-mode portfolio policy, reporting whether it did. The
 // simulators call this after ParsePolicy: the spec string selects the
-// mode ("portfolio:selector"), the caller supplies the ledger.
-func ConfigureSelector(pol Policy, l *selector.Ledger, th selector.Thresholds) bool {
+// mode ("portfolio:selector"), the caller supplies the ledger — the
+// ledger is runtime state, never part of the wire spec.
+func ConfigureSelector(pol Policy, l *selector.Ledger) bool {
 	pp, ok := pol.(*PortfolioPolicy)
 	if !ok || !pp.selMode {
 		return false
 	}
-	pp.SetLedger(l, th)
+	pp.ledger = l
 	return true
 }
 
@@ -390,7 +377,7 @@ func (p *PortfolioPolicy) predict(in *sched.Prepared, pl model.Platform) ([]sche
 	}
 	bucket := selector.Extract(pl, p.apps).Bucket()
 	pred, ok := p.ledger.Predict(bucket, p.hs)
-	if !ok || !pred.Confident(p.th) {
+	if !ok || !pred.Confident(selector.DefaultThresholds()) {
 		return nil, false
 	}
 	hi := slices.Index(p.hs, pred.Heuristic)
@@ -492,9 +479,7 @@ func ParsePolicy(spec string, seed uint64) (Policy, error) {
 		return hp, nil
 	}
 	pp := NewPortfolioPolicy(seed)
-	if p.selector {
-		pp.SetLedger(nil, selector.Thresholds{})
-	}
+	pp.selMode = p.selector
 	pp.SetFullReplan(p.full)
 	return pp, nil
 }

@@ -56,10 +56,10 @@ func TestSelectorPolicyPredictsWinner(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !ConfigureSelector(pp, l, selector.Thresholds{}) {
+	if !ConfigureSelector(pp, l) {
 		t.Fatal("ConfigureSelector refused a selector-mode policy")
 	}
-	if ConfigureSelector(mustParse(t, "portfolio"), l, selector.Thresholds{}) {
+	if ConfigureSelector(mustParse(t, "portfolio"), l) {
 		t.Fatal("ConfigureSelector accepted a non-selector policy")
 	}
 

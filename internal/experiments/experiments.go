@@ -30,12 +30,9 @@ type Config struct {
 	// derives an independent substream, so results are reproducible and
 	// insensitive to execution order.
 	Seed uint64
-	// Workers bounds the number of heuristic evaluations in flight at
-	// once (0 means GOMAXPROCS). Ignored when Engine is set.
-	Workers int
 	// Engine optionally supplies a shared portfolio engine, so several
 	// experiments can pool workers. Nil means a private engine per
-	// experiment.
+	// experiment, with the portfolio's default worker count.
 	Engine *portfolio.Engine
 }
 
@@ -56,7 +53,7 @@ func (c Config) engine() *portfolio.Engine {
 	if c.Engine != nil {
 		return c.Engine
 	}
-	return portfolio.New(portfolio.Config{Workers: c.Workers})
+	return portfolio.New(portfolio.Config{})
 }
 
 // Figure is the aggregated output of one experiment: one series per

@@ -177,7 +177,7 @@ func SimulateContext(ctx context.Context, sc Scenario) (*Result, error) {
 			return nil, fmt.Errorf("fleet: node %s: %w", names[i], err)
 		}
 		if sc.Ledger != nil {
-			des.ConfigureSelector(pol, sc.Ledger, selector.Thresholds{})
+			des.ConfigureSelector(pol, sc.Ledger)
 		}
 		nodes[i], err = des.NewNode(des.Scenario{
 			Platform:    nc.Platform,

@@ -274,10 +274,6 @@ func TestBucketHelpers(t *testing.T) {
 			t.Errorf("ExpBuckets[%d] = %v, want %v", i, exp[i], want[i])
 		}
 	}
-	lin := LinearBuckets(0, 5, 3)
-	if lin[0] != 0 || lin[1] != 5 || lin[2] != 10 {
-		t.Errorf("LinearBuckets = %v", lin)
-	}
 	for _, bad := range [][]float64{nil, {1, 1}, {2, 1}, {math.NaN()}, {math.Inf(1)}} {
 		func() {
 			defer func() {

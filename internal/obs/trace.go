@@ -41,15 +41,11 @@ type Tracer struct {
 	dropped uint64
 }
 
-// DefaultTraceCap bounds a Tracer created with capacity ≤ 0.
-const DefaultTraceCap = 1 << 16
+// NewTracer returns a tracer holding at most 1<<16 events.
+func NewTracer() *Tracer { return newTracer(1 << 16) }
 
-// NewTracer returns a tracer holding at most capacity events
-// (DefaultTraceCap when capacity ≤ 0).
-func NewTracer(capacity int) *Tracer {
-	if capacity <= 0 {
-		capacity = DefaultTraceCap
-	}
+// newTracer returns a tracer holding at most capacity events.
+func newTracer(capacity int) *Tracer {
 	return &Tracer{start: time.Now(), events: make([]SpanEvent, 0, capacity)}
 }
 

@@ -14,7 +14,7 @@ import (
 )
 
 func TestTracerRecordsAndBounds(t *testing.T) {
-	tr := NewTracer(4)
+	tr := newTracer(4)
 	tr.Event("arrival", "event", 1.5, 3)
 	tr.Span("allocate", "repartition", 2.0, 3, time.Now().Add(-time.Millisecond))
 	for i := 0; i < 10; i++ {
@@ -36,7 +36,7 @@ func TestTracerRecordsAndBounds(t *testing.T) {
 }
 
 func TestTracerNDJSON(t *testing.T) {
-	tr := NewTracer(8)
+	tr := newTracer(8)
 	tr.Event("a", "k1", 1, 0)
 	tr.Event("b", "k2", 2, 1)
 	var sb strings.Builder
@@ -65,7 +65,7 @@ func TestTracerNDJSON(t *testing.T) {
 }
 
 func TestTracerConcurrent(t *testing.T) {
-	tr := NewTracer(1 << 12)
+	tr := newTracer(1 << 12)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)

@@ -51,7 +51,7 @@ func newMetrics(metrics, trace bool) (*des.Metrics, *obs.Registry) {
 	reg := obs.NewRegistry()
 	m := des.NewMetrics(reg)
 	if trace {
-		m.Tracer = obs.NewTracer(0)
+		m.Tracer = obs.NewTracer()
 	}
 	return m, reg
 }

@@ -1,9 +1,6 @@
 package solve
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 // TestBisectAllocFree pins the root finder's allocation budget at zero:
 // the equalizer calls it for every heuristic evaluation, so a single
@@ -31,15 +28,5 @@ func TestBisectDecreasingAllocFree(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("BisectDecreasing allocates %g times per call, want 0", n)
-	}
-}
-
-// TestGoldenSectionAllocFree covers the minimizer on the same grounds.
-func TestGoldenSectionAllocFree(t *testing.T) {
-	f := func(x float64) float64 { return math.Abs(x - 0.25) }
-	if n := testing.AllocsPerRun(200, func() {
-		GoldenSection(f, 0, 1, 1e-9)
-	}); n != 0 {
-		t.Errorf("GoldenSection allocates %g times per call, want 0", n)
 	}
 }

@@ -86,32 +86,6 @@ func BisectDecreasing(f func(float64) float64, target, lo, hi, rtol float64) (fl
 	return bisect(f, target, lo, hi, rtol)
 }
 
-// GoldenSection minimizes a unimodal f on [lo, hi] to within absolute
-// tolerance atol on x, returning the located minimizer.
-func GoldenSection(f func(float64) float64, lo, hi, atol float64) float64 {
-	const invPhi = 0.6180339887498949  // 1/φ
-	const invPhi2 = 0.3819660112501051 // 1/φ²
-	a, b := lo, hi
-	h := b - a
-	c := a + invPhi2*h
-	d := a + invPhi*h
-	fc, fd := f(c), f(d)
-	for b-a > atol {
-		if fc < fd {
-			b, d, fd = d, c, fc
-			h = b - a
-			c = a + invPhi2*h
-			fc = f(c)
-		} else {
-			a, c, fc = c, d, fd
-			h = b - a
-			d = a + invPhi*h
-			fd = f(d)
-		}
-	}
-	return (a + b) / 2
-}
-
 // Kahan accumulates float64 values with compensated (Kahan-Babuška)
 // summation. The zero value is an empty sum. It keeps experiment
 // aggregates stable when summing tens of thousands of makespans spanning

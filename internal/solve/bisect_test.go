@@ -74,21 +74,6 @@ func TestBisectPropertyFindsSignChange(t *testing.T) {
 	}
 }
 
-func TestGoldenSectionQuadratic(t *testing.T) {
-	x := GoldenSection(func(x float64) float64 { return (x - 3) * (x - 3) }, -10, 10, 1e-8)
-	if math.Abs(x-3) > 1e-6 {
-		t.Fatalf("minimizer %v, want 3", x)
-	}
-}
-
-func TestGoldenSectionAsymmetric(t *testing.T) {
-	// Minimize |x - 0.1| + x² on [0, 1]; min at derivative change region.
-	x := GoldenSection(func(x float64) float64 { return math.Abs(x-0.1) + x*x }, 0, 1, 1e-9)
-	if math.Abs(x-0.1) > 1e-6 {
-		t.Fatalf("minimizer %v, want 0.1", x)
-	}
-}
-
 func TestKahanBeatsNaive(t *testing.T) {
 	// Sum 1 + 1e-16 a million times: naive drops the small terms.
 	var k Kahan

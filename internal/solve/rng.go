@@ -1,6 +1,6 @@
 // Package solve provides the small numeric substrate used throughout the
-// repository: deterministic random number generation, root finding,
-// one-dimensional minimization and compensated summation.
+// repository: deterministic random number generation, root finding and
+// compensated summation.
 //
 // The original study was carried out with a Python/NumPy simulator; this
 // package replaces the handful of numeric primitives that simulator relied
@@ -126,14 +126,6 @@ func (r *RNG) Perm(n int) []int {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
-}
-
-// Shuffle permutes the first n elements using swap, Fisher-Yates style.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }
 
 // Zipf samples from a Zipf distribution over {0, …, n-1} with exponent

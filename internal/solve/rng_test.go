@@ -141,23 +141,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestShuffleKeepsMultiset(t *testing.T) {
-	r := NewRNG(11)
-	xs := []int{1, 2, 3, 4, 5, 6}
-	sum := 0
-	for _, x := range xs {
-		sum += x
-	}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	got := 0
-	for _, x := range xs {
-		got += x
-	}
-	if got != sum {
-		t.Fatalf("shuffle changed contents: %v", xs)
-	}
-}
-
 func TestZipfBoundsAndBias(t *testing.T) {
 	r := NewRNG(12)
 	counts := make([]int, 10)
